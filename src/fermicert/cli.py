@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,6 +40,18 @@ DEFAULT_SITE_CAP = 12
 
 # -- config validation -------------------------------------------------------
 
+def _is_number(value, integer: bool = False) -> bool:
+    """JSON number check; booleans are rejected although bool is an int."""
+    kind = numbers.Integral if integer else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number_diags(prefix: str, obj: dict, keys) -> list:
+    """Diagnostics for the present ``keys`` of ``obj`` that are not numbers."""
+    return [f"{prefix}{key}: need a number, got {obj[key]!r}"
+            for key in keys if key in obj and not _is_number(obj[key])]
+
+
 def validate(config: dict) -> list:
     """Field-level diagnostics; empty list means the config is runnable."""
     diags = []
@@ -55,7 +68,7 @@ def validate(config: dict) -> list:
     else:
         lengths = lattice.get("lengths")
         if (not isinstance(lengths, list) or not lengths
-                or any(not isinstance(n, int) or n < 1 for n in lengths)):
+                or any(not _is_number(n, integer=True) or n < 1 for n in lengths)):
             diags.append("lattice.lengths: need a list of positive integers")
         else:
             nsites = int(np.prod(lengths))
@@ -65,7 +78,9 @@ def validate(config: dict) -> list:
         if lattice.get("boundary", "open") not in ("open", "periodic"):
             diags.append("lattice.boundary: expected 'open' or 'periodic'")
     cap = config.get("site_cap", DEFAULT_SITE_CAP)
-    if nsites is not None and nsites > cap:
+    if not _is_number(cap, integer=True):
+        diags.append(f"site_cap: need an integer, got {cap!r}")
+    elif nsites is not None and nsites > cap:
         diags.append(f"lattice: {nsites} sites exceeds the cap of {cap}")
 
     model = config.get("model")
@@ -77,23 +92,40 @@ def validate(config: dict) -> list:
               and len(lattice["lengths"]) > 1):
             diags.append(f"model.name: {model['name']} is a chain model and "
                          "needs a one-dimensional lattice")
+        if isinstance(model, dict) and "params" in model:
+            params = model["params"]
+            if not isinstance(params, dict):
+                diags.append("model.params: need an object of named numbers")
+            else:
+                # n_terms: null means one term per site
+                diags += _number_diags("model.params.", params,
+                                       [k for k, v in params.items()
+                                        if v is not None or k != "n_terms"])
 
     if task == "lr-certify":
         if not isinstance(config.get("f_function"), dict):
             diags.append("f_function: missing object with nu/epsilon")
+        else:
+            diags += _number_diags("f_function.", config["f_function"],
+                                   ("nu", "epsilon", "rate"))
+        diags += _number_diags("", config, ("step",))
         obs = config.get("observables")
         if not isinstance(obs, dict) or "A" not in obs or "B" not in obs:
             diags.append("observables: need descriptors A and B")
         tgrid = config.get("time")
         if not isinstance(tgrid, dict) or not {"start", "stop", "points"} <= set(tgrid):
             diags.append("time: need start/stop/points")
-        elif tgrid["points"] < 1 or tgrid["stop"] < tgrid["start"]:
-            diags.append("time: need points >= 1 and stop >= start")
+        else:
+            time_diags = _number_diags("time.", tgrid, ("start", "stop", "points"))
+            diags += time_diags
+            if not time_diags and (tgrid["points"] < 1 or tgrid["stop"] < tgrid["start"]):
+                diags.append("time: need points >= 1 and stop >= start")
     if task == "condexp-check":
         if not isinstance(config.get("region_x"), list):
             diags.append("region_x: need a list of sites")
         if not isinstance(config.get("region_y"), list):
             diags.append("region_y: need a list of sites")
+        diags += _number_diags("", config, ("samples", "tol"))
     if task == "flow-check":
         flow = config.get("flow")
         if not isinstance(flow, dict) or "gamma_min" not in flow:
@@ -102,10 +134,13 @@ def validate(config: dict) -> list:
         else:
             if flow.get("kind", "rotation") not in ("rotation", "closing"):
                 diags.append("flow.kind: expected 'rotation' or 'closing'")
-            if flow.get("points", 21) < 2:
+            flow_diags = _number_diags("flow.", flow, ("points", "gamma_min", "angle_start",
+                                                       "angle_stop", "defect_target"))
+            diags += flow_diags
+            if not flow_diags and flow.get("points", 21) < 2:
                 diags.append("flow.points: need at least 2 grid points")
     seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_number(seed, integer=True) or seed < 0:
         diags.append("seed: need a nonnegative integer")
     return diags
 
@@ -444,9 +479,9 @@ def main(argv=None) -> int:
     if args.grid is not None:
         if isinstance(config.get("time"), dict):
             config["time"]["points"] = args.grid
-        config.setdefault("flow", {})
-        if config.get("task") == "flow-check":
-            config["flow"]["points"] = args.grid
+        flow = config.get("flow", {})
+        if config.get("task") == "flow-check" and isinstance(flow, dict):
+            config["flow"] = dict(flow, points=args.grid)
     return run(config, args.out)
 
 

@@ -15,10 +15,12 @@ site-by-site sweep, which is how it is evaluated here (the full
 4^|complement|-term Kraus sum is retained as an independent oracle).
 
 A second family F_X projects onto the honestly local subalgebra A_X and
-leaves the tracial state invariant; its Kraus operators acquire a global
-parity factor theta_X on the odd-parity index combinations, so it is
-evaluated by the explicit (size-capped) Kraus sum only.  On even
-observables the two families coincide.
+leaves the tracial state invariant.  Its Kraus operators acquire a global
+parity factor theta_X on the odd-parity index combinations, but the map
+itself is the Hilbert-Schmidt-orthogonal projection onto A_X, so it is
+evaluated exactly by ``fock.project_support`` (a signed reordering of X to
+the front and a partial trace).  On even observables the two families
+coincide.
 """
 
 from __future__ import annotations
@@ -33,20 +35,8 @@ from . import fock
 from .fock import (EVEN, ODD, FockOperator, SiteSet, annihilator, identity,
                    op_norm, parity_operator)
 
-#: parity of the four single-site Kraus indices
-KRAUS_PARITY = (1, -1, -1, 1)
-
 #: refuse brute-force Kraus sums beyond this complement size (4^k terms)
 BRUTE_FORCE_CAP = 10
-
-
-def kraus_word_parity(alpha: Iterable) -> int:
-    """Parity of a Kraus index word: the product of the per-site index
-    parities (+1 for indices 0 and 3, -1 for 1 and 2)."""
-    sign = 1
-    for i in alpha:
-        sign *= KRAUS_PARITY[i]
-    return sign
 
 
 def tracial_state(A: FockOperator) -> complex:
@@ -75,6 +65,21 @@ def _site_average(m: np.ndarray, lam: SiteSet, x) -> np.ndarray:
     acc = acc + u1 @ m @ u1          # u1 is Hermitian unitary
     acc = acc + u2.conj().T @ m @ u2
     return acc / 4.0
+
+
+def _kraus_words(lam: SiteSet, comp: tuple):
+    """Yield (alpha, u(alpha)) for every Kraus word over the sites ``comp``:
+    u(alpha) is the product u^(alpha_1)_{comp_1} ... u^(alpha_k)_{comp_k},
+    multiplied left to right (the identity for the empty word).  Refuses
+    complements beyond BRUTE_FORCE_CAP (4^k words)."""
+    if len(comp) > BRUTE_FORCE_CAP:
+        raise ValueError(f"Kraus sum over 4^{len(comp)} words refused")
+    singles = [[u.matrix for u in kraus_unitaries(lam, x)] for x in comp]
+    for alpha in itertools.product(range(4), repeat=len(comp)):
+        u = None
+        for mats, i in zip(singles, alpha):
+            u = mats[i] if u is None else u @ mats[i]
+        yield alpha, (np.eye(lam.dim, dtype=complex) if u is None else u)
 
 
 def _complement(lam: SiteSet, X: Iterable) -> tuple:
@@ -109,16 +114,8 @@ def conditional_expectation(A: FockOperator, X: Iterable,
         for x in comp:
             m = _site_average(m, lam, x)
     elif method == "direct":
-        if len(comp) > BRUTE_FORCE_CAP:
-            raise ValueError(f"direct Kraus sum over 4^{len(comp)} terms refused")
-        singles = [[u.matrix for u in kraus_unitaries(lam, x)] for x in comp]
         m = np.zeros_like(A.matrix)
-        for alpha in itertools.product(range(4), repeat=len(comp)):
-            u = None
-            for mats, i in zip(singles, alpha):
-                u = mats[i] if u is None else u @ mats[i]
-            if u is None:
-                u = np.eye(lam.dim, dtype=complex)
+        for _, u in _kraus_words(lam, comp):
             m = m + u.conj().T @ A.matrix @ u
         m /= 4.0 ** len(comp)
     else:
@@ -131,30 +128,14 @@ def trace_invariant_expectation(A: FockOperator, X: Iterable) -> FockOperator:
     """F_X(A): the projection onto the local subalgebra A_X that leaves the
     tracial state invariant.
 
-    Kraus operators are u(alpha) for even index parity and theta_X
-    u(alpha) for odd; the latter are global, so only the explicit sum is
-    available (size-capped).  Agrees with E_X on even observables.
+    Its Kraus operators are u(alpha) for even index parity and theta_X
+    u(alpha) for odd; the resulting map is the Hilbert-Schmidt-orthogonal
+    projection onto A_X, evaluated exactly by ``fock.project_support`` at
+    any lattice size.  Agrees with E_X on even observables.
     """
-    lam = A.ambient
     X = frozenset(X)
-    comp = _complement(lam, X)
-    if len(comp) > BRUTE_FORCE_CAP:
-        raise ValueError(f"Kraus sum over 4^{len(comp)} terms refused")
-    theta_x = parity_operator(lam, X).matrix
-    singles = [[u.matrix for u in kraus_unitaries(lam, x)] for x in comp]
-    m = np.zeros_like(A.matrix)
-    for alpha in itertools.product(range(4), repeat=len(comp)):
-        u = None
-        for mats, i in zip(singles, alpha):
-            u = mats[i] if u is None else u @ mats[i]
-        if u is None:
-            u = np.eye(lam.dim, dtype=complex)
-        if kraus_word_parity(alpha) < 0:
-            u = theta_x @ u
-        m = m + u.conj().T @ A.matrix @ u
-    m /= 4.0 ** len(comp)
     support, parity = _result_tags(A, X, strictly_local=True)
-    return FockOperator(m, lam, support, parity)
+    return FockOperator(fock.project_support(A, X).matrix, A.ambient, support, parity)
 
 
 def local_approximation(A: FockOperator, X: Iterable) -> tuple:
@@ -182,22 +163,11 @@ def kraus_commutator_bound(A: FockOperator, X: Iterable,
     """
     lam = A.ambient
     comp = _complement(lam, X)
-    k = len(comp)
     if exhaustive is None:
-        exhaustive = k <= 4
+        exhaustive = len(comp) <= 4
     if exhaustive:
-        if k > BRUTE_FORCE_CAP:
-            raise ValueError(f"exhaustive bound over 4^{k} words refused")
-        singles = [[u.matrix for u in kraus_unitaries(lam, x)] for x in comp]
-        best = 0.0
-        for alpha in itertools.product(range(4), repeat=k):
-            u = None
-            for mats, i in zip(singles, alpha):
-                u = mats[i] if u is None else u @ mats[i]
-            if u is None:
-                continue
-            best = max(best, op_norm(A.matrix @ u - u @ A.matrix))
-        return best
+        return max(op_norm(A.matrix @ u - u @ A.matrix)
+                   for _, u in _kraus_words(lam, comp))
     total = 0.0
     for x in comp:
         total += max(op_norm(A.matrix @ u.matrix - u.matrix @ A.matrix)

@@ -506,14 +506,52 @@ def _assemble(dim: int, positions: tuple, coeffs: dict, lam: SiteSet) -> np.ndar
     return m
 
 
+def _state_offsets(positions: tuple) -> np.ndarray:
+    """Basis index contributed by each configuration of the sites at
+    ``positions`` (configuration bit j sits at bit positions[j])."""
+    return _occupations(len(positions)) @ (1 << np.array(positions, dtype=np.int64))
+
+
+@lru_cache(maxsize=128)
+def _front_reordering(nsites: int, positions: tuple) -> tuple:
+    """Signed reordering that moves the sites at ``positions`` to the front.
+
+    Returns (index, sign), both of shape (2^|C|, 2^|X|) for the complement
+    C and X = ``positions``: index[c, s] is the basis state whose C bits
+    read c and whose X bits read s, and sign[c, s] is the Jordan-Wigner
+    sign (-1)^{#(occupied C site before occupied X site)} picked up by that
+    state when X is moved ahead of C.  In the reordered basis an operator
+    supported in X is M (x) 1_C.
+    """
+    comp = tuple(p for p in range(nsites) if p not in positions)
+    index = _state_offsets(comp)[:, None] + _state_offsets(positions)[None, :]
+    bits = _occupations(nsites)
+    in_x = np.zeros(nsites, dtype=bool)
+    in_x[list(positions)] = True
+    comp_seen = np.cumsum(bits * ~in_x, axis=1)  # occupied C sites up to each site
+    crossings = (bits * in_x * comp_seen).sum(axis=1)
+    sign = np.where(crossings % 2, -1.0, 1.0)[index]
+    index.flags.writeable = False
+    sign.flags.writeable = False
+    return index, sign
+
+
 def project_support(A: FockOperator, subset: Iterable) -> FockOperator:
     """Hilbert-Schmidt-orthogonal projection of A onto the subalgebra of
-    operators supported in ``subset`` (same ambient lattice)."""
+    operators supported in ``subset`` (same ambient lattice).
+
+    Exact: reorder ``subset`` to the front, take the normalized partial
+    trace over the complement and reorder back.
+    """
     lam = A.ambient
-    subset = lam.sorted_subset(subset)
-    pos = lam.positions(subset)
-    coeffs = decompose(A, subset)
-    m = _assemble(lam.dim, pos, coeffs, lam)
+    subset = lam.restrict(subset).sites
+    index, sign = _front_reordering(len(lam), lam.positions(subset))
+    rows, cols = index[:, :, None], index[:, None, :]
+    signs = sign[:, :, None] * sign[:, None, :]
+    block = A.matrix[rows, cols]
+    block *= signs
+    m = np.zeros_like(A.matrix)
+    m[rows, cols] = signs * block.mean(axis=0)
     return FockOperator(m, lam, frozenset(subset), MIXED)
 
 

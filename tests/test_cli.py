@@ -77,6 +77,32 @@ def test_run_malformed_config_exits_one(tmp_path, capsys):
     assert err["diagnostics"]
 
 
+def _set(config, path, value):
+    *parents, key = path
+    for name in parents:
+        config = config[name]
+    config[key] = value
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("time", "start"), "zero", "time.start"),
+    (("time", "stop"), "two", "time.stop"),
+    (("time", "points"), "ten", "time.points"),
+    (("time", "stop"), True, "time.stop"),
+    (("model", "params", "J"), "strong", "model.params.J"),
+    (("model", "params"), [1.0, 0.0], "model.params"),
+    (("seed",), True, "seed"),
+])
+def test_run_wrong_typed_field_is_config_error(tmp_path, capsys, path, value, field):
+    config = _load("lr_chain.json")
+    _set(config, path, value)
+    assert any(d.startswith(field + ":") for d in cli.validate(config))
+    assert cli.run(config, tmp_path) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid-config"
+    assert any(d.startswith(field + ":") for d in err["diagnostics"])
+
+
 def test_run_condexp_check(tmp_path):
     config = _load("condexp_chain.json")
     config["samples"] = 3
@@ -106,6 +132,15 @@ def test_main_cli_roundtrip(tmp_path, capsys):
     assert report["model"]["frustration_free"] is True
     rc = cli.main(["--config", str(tmp_path / "missing.json"), "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_grid_override_leaves_other_tasks_without_flow(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_load("lr_chain.json")))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path), "--grid", "3"]) == 0
+    report = json.loads((tmp_path / "lr_chain_report.json").read_text())
+    assert "flow" not in report["config"]
+    assert report["config"]["time"]["points"] == 3
 
 
 def test_run_bad_observable_site_is_config_error(tmp_path, capsys):

@@ -146,6 +146,30 @@ def test_trace_invariant_expectation_strictly_local(rng):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def _twisted_kraus_sum(A, X):
+    """F_X by its Kraus form: u(alpha) for even words, theta_X u(alpha) for
+    odd ones (indices 1 and 2 are odd), averaged over all 4^k words."""
+    lam = A.ambient
+    comp = tuple(x for x in lam.sites if x not in X)
+    theta_x = parity_operator(lam, X).matrix
+    m = np.zeros_like(A.matrix)
+    for alpha, u in cond_exp._kraus_words(lam, comp):
+        if sum(i in (1, 2) for i in alpha) % 2:
+            u = theta_x @ u
+        m = m + u.conj().T @ A.matrix @ u
+    return m / 4.0 ** len(comp)
+
+
+@pytest.mark.parametrize("parity", [ODD, "mixed"])
+def test_trace_invariant_expectation_matches_twisted_kraus_sum(rng, parity):
+    for lam, X in [(chain(4), (1, 2)), (chain(5), (0, 2, 4)), (chain(5), (1, 3)),
+                   (chain(3), ()), (chain(4), (0, 1, 2, 3))]:
+        A = fock.random_local_operator(lam, lam.sites, rng, parity=parity)
+        out = trace_invariant_expectation(A, X)
+        assert out.parity == parity
+        assert np.abs(out.matrix - _twisted_kraus_sum(A, X)).max() <= 1e-12
+
+
 def test_trace_invariance_of_both_families(rng):
     lam = chain(4)
     X = (0, 1)
@@ -155,11 +179,11 @@ def test_trace_invariance_of_both_families(rng):
 
 
 def test_size_caps():
-    # complements beyond the 4^k cap are refused for the explicit sums
+    # complements beyond the 4^k cap are refused for the explicit sum; F_X
+    # is exact at any size
     big = chain(11)
     one = identity(big)
-    with pytest.raises(ValueError, match="refused"):
-        trace_invariant_expectation(one, ())
+    assert np.array_equal(trace_invariant_expectation(one, ()).matrix, one.matrix)
     with pytest.raises(ValueError, match="refused"):
         conditional_expectation(one, (), method="direct")
     with pytest.raises(ValueError, match="unknown method"):

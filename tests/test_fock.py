@@ -218,6 +218,30 @@ def test_support_defect_detects_leakage(rng, lam4):
     assert support_defect(A, (0,)) > 1e-3
 
 
+@pytest.mark.parametrize("parity", [EVEN, ODD, "mixed"])
+def test_project_support_matches_basis_expansion(rng, parity):
+    # oracle: the 4^k operator-basis expansion, reassembled on the lattice
+    cases = [(5, ()), (5, (0, 1, 2, 3, 4)), (6, (0, 2, 5)), (6, (1, 4)), (4, (3,))]
+    cases += [(n, tuple(sorted(rng.choice(n, size=rng.integers(0, n + 1),
+                                          replace=False).tolist())))
+              for n in rng.integers(1, 7, size=6)]
+    for n, X in cases:
+        lam = chain(int(n))
+        A = random_local_operator(lam, lam.sites, rng, parity=parity)
+        oracle = fock._assemble(lam.dim, lam.positions(X), decompose(A, X), lam)
+        proj = project_support(A, X)
+        assert proj.support == frozenset(X)
+        assert np.abs(proj.matrix - oracle).max() <= 1e-12
+
+
+def test_project_support_beyond_expansion_limit():
+    # 9-site subsets were out of reach of the operator-basis expansion
+    lam = chain(10)
+    A = creator(lam, 0) @ annihilator(lam, 8)
+    assert support_defect(A, range(9)) <= 1e-12
+    assert support_defect(A, range(1, 9)) > 1e-3
+
+
 def test_sitesset_restrict_and_order():
     lam = fock.SiteSet(("a", "b", "c", "d"))
     sub = lam.restrict({"d", "b"})
