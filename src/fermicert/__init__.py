@@ -10,7 +10,8 @@ from .cond_exp import (conditional_expectation, expectation_family_report,
                        kraus_unitaries, local_approximation,
                        trace_invariant_expectation, tracial_state)
 from .dynamics import (Interaction, InteractionTerm, Propagator, heisenberg,
-                       inverse_heisenberg, local_hamiltonian, propagate)
+                       inverse_heisenberg, local_hamiltonian, propagate,
+                       propagate_grid, sector_eigh)
 from .fock import (EVEN, MIXED, ODD, FockOperator, SiteSet, annihilator,
                    anticommutator, chain, commutator, creator, embed,
                    identity, monomial, number_operator, op_norm,

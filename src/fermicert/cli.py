@@ -52,6 +52,21 @@ def _number_diags(prefix: str, obj: dict, keys) -> list:
             for key in keys if key in obj and not _is_number(obj[key])]
 
 
+def _ramp_diags(ramp) -> list:
+    """Diagnostics for a ``model.ramp`` object."""
+    if not isinstance(ramp, dict):
+        return ["model.ramp: need an object with kind/interval and its coefficients"]
+    diags = []
+    if ramp.get("kind", "linear") not in ("linear", "sine"):
+        diags.append(f"model.ramp.kind: expected 'linear' or 'sine', got {ramp['kind']!r}")
+    diags += _number_diags("model.ramp.", ramp, ("slope", "offset", "amplitude", "frequency"))
+    interval = ramp.get("interval", [0.0, 1.0])
+    if (not isinstance(interval, list) or len(interval) != 2
+            or not all(_is_number(v) for v in interval) or interval[0] > interval[1]):
+        diags.append(f"model.ramp.interval: need two numbers lo <= hi, got {interval!r}")
+    return diags
+
+
 def validate(config: dict) -> list:
     """Field-level diagnostics; empty list means the config is runnable."""
     diags = []
@@ -101,6 +116,8 @@ def validate(config: dict) -> list:
                 diags += _number_diags("model.params.", params,
                                        [k for k, v in params.items()
                                         if v is not None or k != "n_terms"])
+        if isinstance(model, dict) and model.get("ramp") is not None:
+            diags += _ramp_diags(model["ramp"])
 
     if task == "lr-certify":
         if not isinstance(config.get("f_function"), dict):
@@ -472,6 +489,8 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(json.dumps(_error_object("unreadable-config", str(err))))
         return 1
+    if not isinstance(config, dict):   # no overrides; validate() reports it
+        return run(config, args.out)
     if args.seed is not None:
         config["seed"] = args.seed
     if args.tol is not None:

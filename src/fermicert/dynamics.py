@@ -16,6 +16,12 @@ construction; the accumulated unitarity defect is tracked and a polar
 re-orthonormalization is applied if it ever exceeds the tolerance.
 Only even interactions are accepted: evenness is what makes the dynamics
 preserve the parity sectors and is assumed by every bound downstream.
+
+Every exponential is taken per parity sector: an even Hamiltonian is
+block-diagonal in the even and odd particle-number states, so
+``sector_eigh`` diagonalizes the two half-size blocks (and refuses a matrix
+with any nonzero entry between them).  A time-independent interaction is
+diagonalized once for a whole time grid, U(t, s) = V e^{-i w (t-s)} V*.
 """
 
 from __future__ import annotations
@@ -114,12 +120,10 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
 
 
 @lru_cache(maxsize=4096)
-def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> sparse.csr_matrix:
-    """Term template embedded into ``lam``, kept sparse for accumulation."""
-    emb = fock.embed(term_obj.operator, lam)
-    m = sparse.csr_matrix(emb.matrix)
-    m.eliminate_zeros()
-    return m
+def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> sparse.coo_matrix:
+    """Term template embedded into ``lam``, kept as its nonzero entries
+    (coordinate format, one entry per position) for accumulation."""
+    return sparse.coo_matrix(fock.embed(term_obj.operator, lam).matrix)
 
 
 def term_operator(term_obj: InteractionTerm, lam: SiteSet, t: float = 0.0) -> FockOperator:
@@ -140,17 +144,52 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
         c = term_obj.coefficient(t)
         if c == 0.0:
             continue
-        acc += c * _embedded_sparse(term_obj, lam).toarray()
+        mat = _embedded_sparse(term_obj, lam)
+        acc[mat.row, mat.col] += c * mat.data
         support |= set(term_obj.sites)
     parity = EVEN if phi.even else MIXED
     return FockOperator(acc, lam, frozenset(support), parity)
 
 
-def _expm_hermitian(H: np.ndarray, factor: complex) -> np.ndarray:
-    """exp(factor * H) for Hermitian H via eigendecomposition; unitary to
-    machine precision when factor is imaginary."""
-    w, v = np.linalg.eigh(H)
-    return (v * np.exp(factor * w)) @ v.conj().T
+@lru_cache(maxsize=None)
+def _sector_index(dim: int) -> tuple:
+    """Basis states with an even and with an odd particle number."""
+    odd = fock._occupations(dim.bit_length() - 1).sum(axis=1) % 2
+    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
+
+
+def sector_eigh(H: np.ndarray) -> tuple:
+    """Eigendecompositions of the two parity blocks of an even Hermitian
+    matrix.
+
+    Returns ``((index, w, v), (index, w, v))`` for the even and the odd
+    sector: ``index`` lists the sector's basis states and
+    ``H[ix_(index, index)] = v diag(w) v*``.  Raises ValueError if any
+    entry between the two sectors is nonzero.
+    """
+    sectors = _sector_index(H.shape[0])
+    for rows, cols in (sectors, sectors[::-1]):
+        if H[np.ix_(rows, cols)].any():
+            raise ValueError("matrix couples the even and odd parity sectors")
+    return tuple((index, *np.linalg.eigh(H[np.ix_(index, index)])) for index in sectors)
+
+
+def _sector_exp(sectors: tuple, factor: complex) -> list:
+    """exp(factor * H) on each sector block, from ``sector_eigh(H)``."""
+    return [(v * np.exp(factor * w)) @ v.conj().T for _, w, v in sectors]
+
+
+def _unitarize(blocks: list) -> tuple:
+    """(blocks, unitarity defect, corrections): a polar correction of every
+    block if the largest defect exceeds UNITARITY_TOL."""
+    def defect(bs):
+        return max(fock.op_norm(b.conj().T @ b - np.eye(len(b))) for b in bs)
+
+    worst = defect(blocks)
+    if worst <= UNITARITY_TOL:
+        return blocks, worst, 0
+    blocks = [w @ vh for w, _, vh in (np.linalg.svd(b) for b in blocks)]
+    return blocks, defect(blocks), 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,53 +213,64 @@ class Propagator:
         return self.matrix.conj().T
 
 
-def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
-              step: float = 1e-2) -> Propagator:
-    """Unitary propagator U(t, s) for the volume ``lam``.
+def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
+                   step: float = 1e-2):
+    """Yield the propagator U(t, s) for every time of ``times``, in sorted
+    order.
 
-    Time-independent interactions are exponentiated in one exact step;
-    otherwise second-order midpoint stepping with per-step Hermitian
-    exponentials is used.  Rejects non-even interactions.
+    A time-independent interaction is diagonalized once and every U(t, s)
+    is its exact exponential.  Otherwise U is carried from one grid time to
+    the next by second-order midpoint stepping, ceil(|dt|/step) steps per
+    segment, with per-step exponentials.  U(s, s) is the exact identity.
+    Rejects non-even interactions.
     """
     if not phi.even:
         raise ValueError("only even interactions generate the certified dynamics")
     if step <= 0:
         raise ValueError("step must be positive")
-    phi.check_time(s)
-    phi.check_time(t)
+    times = sorted(float(t) for t in times)
+    for r in (s, *times):
+        phi.check_time(r)
     dim = lam.dim
-    if t == s:
-        return Propagator(np.eye(dim, dtype=complex), lam, s, t, step, 0.0, 0, 0)
+    sectors = _sector_index(dim)
 
-    if not phi.is_time_dependent:
-        H = local_hamiltonian(phi, lam, s).matrix
-        U = _expm_hermitian(H, -1j * (t - s))
-        defect = fock.op_norm(U.conj().T @ U - np.eye(dim))
-        return Propagator(U, lam, s, t, step, defect, 0, 1)
+    def assemble(blocks: list) -> np.ndarray:
+        U = np.zeros((dim, dim), dtype=complex)
+        for index, block in zip(sectors, blocks):
+            U[np.ix_(index, index)] = block
+        return U
 
-    pieces = []
-    for term_obj in phi.terms:
-        if set(term_obj.sites) <= set(lam.sites):
-            pieces.append((_embedded_sparse(term_obj, lam), term_obj))
-    n_steps = max(1, math.ceil(abs(t - s) / step))
-    dt = (t - s) / n_steps
-    U = np.eye(dim, dtype=complex)
-    for k in range(n_steps):
-        tm = s + (k + 0.5) * dt
-        H = np.zeros((dim, dim), dtype=complex)
-        for mat, term_obj in pieces:
-            c = term_obj.coefficient(tm)
-            if c != 0.0:
-                H += c * mat.toarray()
-        U = _expm_hermitian(H, -1j * dt) @ U
-    defect = fock.op_norm(U.conj().T @ U - np.eye(dim))
-    corrections = 0
-    if defect > UNITARITY_TOL:
-        w, sv, vh = np.linalg.svd(U)
-        U = w @ vh
-        corrections = 1
-        defect = fock.op_norm(U.conj().T @ U - np.eye(dim))
-    return Propagator(U, lam, s, t, abs(dt), defect, corrections, n_steps)
+    static = None     # sector_eigh(H) of a time-independent interaction
+    blocks = [np.eye(len(index), dtype=complex) for index in sectors]
+    prev, dt, defect, corrections, steps = s, step, 0.0, 0, 0
+    for t in times:
+        if t == s:
+            yield Propagator(np.eye(dim, dtype=complex), lam, s, t, step, 0.0, 0, 0)
+            continue
+        if not phi.is_time_dependent:
+            if static is None:
+                static = sector_eigh(local_hamiltonian(phi, lam, s).matrix)
+            blocks, defect, corrections = _unitarize(_sector_exp(static, -1j * (t - s)))
+            steps = 1
+        elif t != prev:
+            n_steps = max(1, math.ceil(abs(t - prev) / step))
+            dt = (t - prev) / n_steps
+            for k in range(n_steps):
+                H = local_hamiltonian(phi, lam, prev + (k + 0.5) * dt).matrix
+                phases = _sector_exp(sector_eigh(H), -1j * dt)
+                blocks = [e @ b for e, b in zip(phases, blocks)]
+            blocks, defect, fixed = _unitarize(blocks)
+            corrections += fixed
+            steps += n_steps
+            prev = t
+        yield Propagator(assemble(blocks), lam, s, t, abs(dt), defect, corrections, steps)
+
+
+def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
+              step: float = 1e-2) -> Propagator:
+    """Unitary propagator U(t, s) for the volume ``lam``: the single-time
+    case of ``propagate_grid``."""
+    return next(propagate_grid(phi, lam, s, (t,), step))
 
 
 def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:

@@ -377,14 +377,18 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
 def op_norm(A) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Accepts a FockOperator or a plain matrix.  Hermitian inputs go through
-    the symmetric eigensolver; an exactly-zero matrix short-circuits to 0.
+    Accepts a FockOperator or a plain matrix.  Hermitian inputs, and
+    anti-Hermitian ones such as commutators of Hermitian operators (as
+    i m), go through the symmetric eigensolver; an exactly-zero matrix
+    short-circuits to 0.
     """
     m = A.matrix if isinstance(A, FockOperator) else np.asarray(A)
     if not m.any():
         return 0.0
     if np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max():
         return float(np.abs(np.linalg.eigvalsh(m)).max())
+    if np.abs(m + m.conj().T).max() <= 1e-12 * np.abs(m).max():
+        return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

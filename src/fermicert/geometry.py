@@ -219,16 +219,21 @@ def interaction_norm_integral(phi, G: GFunction, s: float, t: float,
     """Integral of r -> ||Phi||_G(r) over [s, t].
 
     Exact for time-independent interactions ((t-s) times the constant);
-    composite Simpson on a uniform grid otherwise.
+    composite Simpson on ``samples`` uniform points otherwise, which needs
+    an odd number of at least 3.
     """
+    if samples < 3 or samples % 2 == 0:
+        raise ValueError(f"composite Simpson needs an odd samples >= 3, got {samples}")
     if t == s:
         return 0.0
     if not phi.is_time_dependent:
         return abs(t - s) * interaction_g_norm(phi, G, s)
-    from scipy.integrate import simpson
     grid = np.linspace(s, t, samples)
     vals = np.array([interaction_g_norm(phi, G, r) for r in grid])
-    return abs(float(simpson(vals, x=grid)))
+    weights = np.ones(samples)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return abs(float((t - s) / (samples - 1) / 3.0 * (weights @ vals)))
 
 
 def surface_sets(lam: SiteSet, X: Iterable, phi) -> list:

@@ -35,7 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import Interaction, Propagator, heisenberg, propagate
+from .dynamics import Interaction, heisenberg, propagate_grid
 from .errors import CertificationError
 from .fock import EVEN, ODD, FockOperator, anticommutator, commutator, op_norm
 from .geometry import (GFunction, interaction_g_norm,
@@ -185,23 +185,9 @@ def certify(A: FockOperator, B: FockOperator, phi: Interaction, G: GFunction,
     integrals = np.zeros(times.size)
     static_rate = None if phi.is_time_dependent else interaction_g_norm(phi, G, s)
 
-    U = None
-    prev = s
-    integral = 0.0
     floor = CERT_ATOL_SCALE * max(1.0, norm_a * norm_b)
     worst = None
-    for i, t in enumerate(times):
-        if t == prev and U is not None:
-            pass
-        elif U is None:
-            U = propagate(phi, lam, s, t, step=step)
-        else:
-            seg = propagate(phi, lam, prev, t, step=step)
-            U = Propagator(seg.matrix @ U.matrix, lam, s, t, step,
-                           max(U.unitarity_defect, seg.unitarity_defect),
-                           U.corrections + seg.corrections,
-                           U.steps_taken + seg.steps_taken)
-        prev = t
+    for i, (t, U) in enumerate(zip(times, propagate_grid(phi, lam, s, times, step=step))):
         tau_a = heisenberg(A, U)
         measured[i] = op_norm(bracket(tau_a, B))
         if static_rate is not None:

@@ -103,6 +103,40 @@ def test_run_wrong_typed_field_is_config_error(tmp_path, capsys, path, value, fi
     assert any(d.startswith(field + ":") for d in err["diagnostics"])
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("ramp", "yes", "model.ramp"),
+    ("kind", "cubic", "model.ramp.kind"),
+    ("slope", "fast", "model.ramp.slope"),
+    ("offset", None, "model.ramp.offset"),
+    ("amplitude", [0.5], "model.ramp.amplitude"),
+    ("frequency", True, "model.ramp.frequency"),
+    ("interval", [2.0, 0.0], "model.ramp.interval"),
+    ("interval", [0.0, "two"], "model.ramp.interval"),
+    ("interval", [0.0], "model.ramp.interval"),
+])
+def test_run_bad_ramp_is_config_error(tmp_path, capsys, key, value, field):
+    config = _load("lr_ramped.json")
+    if key == "ramp":
+        config["model"]["ramp"] = value
+    else:
+        config["model"]["ramp"][key] = value
+    assert cli.run(config, tmp_path) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid-config"
+    assert any(d.startswith(field + ":") for d in err["diagnostics"])
+
+
+def test_overrides_on_non_object_config_are_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    rc = cli.main(["--config", str(cfg_path), "--out", str(tmp_path),
+                   "--seed", "2", "--tol", "1e-3", "--grid", "3"])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid-config"
+    assert err["diagnostics"] == ["config: must be a JSON object"]
+
+
 def test_run_condexp_check(tmp_path):
     config = _load("condexp_chain.json")
     config["samples"] = 3

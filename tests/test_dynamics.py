@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import math
+
 from fermicert import fock, models
-from fermicert.dynamics import (Interaction, InteractionTerm, heisenberg,
-                                inverse_heisenberg, local_hamiltonian,
-                                propagate, scaled_profile, term_operator)
+from fermicert.dynamics import (UNITARITY_TOL, Interaction, InteractionTerm,
+                                heisenberg, inverse_heisenberg,
+                                local_hamiltonian, propagate, propagate_grid,
+                                scaled_profile, sector_eigh, term_operator)
 from fermicert.fock import (annihilator, chain, commutator, creator,
                             number_operator, op_norm, parity_operator)
 
@@ -14,6 +17,39 @@ from fermicert.fock import (annihilator, chain, commutator, creator,
 def _spectral_expm(H, z):
     w, v = np.linalg.eigh(H)
     return (v * np.exp(z * w)) @ v.conj().T
+
+
+def _full_matrix_propagate(phi, lam, s, t, step):
+    """Oracle: one full-matrix eigh per static propagator or midpoint step."""
+    if t == s:
+        return np.eye(lam.dim, dtype=complex)
+    if not phi.is_time_dependent:
+        return _spectral_expm(local_hamiltonian(phi, lam, s).matrix, -1j * (t - s))
+    n_steps = max(1, math.ceil(abs(t - s) / step))
+    dt = (t - s) / n_steps
+    U = np.eye(lam.dim, dtype=complex)
+    for k in range(n_steps):
+        H = local_hamiltonian(phi, lam, s + (k + 0.5) * dt).matrix
+        U = _spectral_expm(H, -1j * dt) @ U
+    return U
+
+
+def _stitched_grid(phi, lam, s, times, step):
+    """Oracle: U(t_i, s) as the product of per-segment full-matrix
+    propagators U(t_i, t_{i-1}) ... U(t_0, s)."""
+    out, U, prev = [], None, s
+    for t in sorted(times):
+        seg = _full_matrix_propagate(phi, lam, prev, t, step)
+        U = seg if U is None else seg @ U
+        out.append(U)
+        prev = t
+    return out
+
+
+def _random_even_hermitian(L, rng):
+    lam = chain(L)
+    A = fock.random_local_operator(lam, lam.sites, rng, parity=fock.EVEN)
+    return (A + A.adjoint()).matrix.copy()
 
 
 def test_local_hamiltonian_two_site_spectrum():
@@ -174,3 +210,65 @@ def test_interaction_validation(rng):
     nonherm = fock.random_local_operator(sub, (0, 1), rng)
     with pytest.raises(ValueError):
         InteractionTerm((0, 1), nonherm)
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
+def test_sector_eigh_exponential_matches_full_eigh(L, rng):
+    H = _random_even_hermitian(L, rng)
+    U = np.zeros_like(H)
+    for index, w, v in sector_eigh(H):
+        U[np.ix_(index, index)] = (v * np.exp(-0.7j * w)) @ v.conj().T
+    assert np.abs(U - _spectral_expm(H, -0.7j)).max() <= 1e-12
+    # the sectors partition the basis by particle-number parity
+    even, odd = (index for index, _, _ in sector_eigh(H))
+    counts = fock._occupations(L).sum(axis=1) % 2
+    assert np.all(counts[even] == 0) and np.all(counts[odd] == 1)
+    assert sorted(np.concatenate([even, odd])) == list(range(2 ** L))
+
+
+def test_sector_eigh_rejects_off_sector_entries(rng):
+    H = _random_even_hermitian(4, rng)
+    H[0, 1] = H[1, 0] = 1e-15       # state 0 is even, state 1 odd
+    with pytest.raises(ValueError, match="parity sectors"):
+        sector_eigh(H)
+    H[0, 1] = 0.0                   # one nonzero entry is enough
+    with pytest.raises(ValueError, match="parity sectors"):
+        sector_eigh(H)
+
+
+@pytest.mark.parametrize("name", ["static", "ramped", "random_even"])
+def test_propagate_grid_matches_stitched_full_matrix_oracle(name):
+    L = 6
+    lam = chain(L)
+    if name == "static":
+        phi = models.hopping_chain(L, mu=0.3)
+    elif name == "ramped":
+        phi = scaled_profile(models.hopping_chain(L, mu=0.3),
+                             lambda r: 0.7 + 0.5 * r, (0.0, 1.0))
+    else:
+        phi = models.random_even_interaction(lam, max_range=2, seed=3)
+    times = [0.0, 0.1, 0.35, 0.35, 0.6, 1.0]
+    got = list(propagate_grid(phi, lam, 0.0, times, step=0.02))
+    want = _stitched_grid(phi, lam, 0.0, times, 0.02)
+    assert [U.t for U in got] == times
+    for U, oracle in zip(got, want):
+        assert np.abs(U.matrix - oracle).max() <= 1e-12
+        assert U.unitarity_defect <= UNITARITY_TOL
+        assert U.corrections == 0
+    assert np.array_equal(got[0].matrix, np.eye(lam.dim))
+
+
+def test_propagate_grid_sorts_times_and_matches_propagate():
+    lam = chain(4)
+    phi = scaled_profile(models.hopping_chain(4), lambda r: 1.0 + 0.3 * r, (0.0, 2.0))
+    grid = list(propagate_grid(phi, lam, 0.0, [1.5, 0.5], step=0.01))
+    assert [U.t for U in grid] == [0.5, 1.5]
+    assert grid[-1].steps_taken == 150
+    direct = propagate(phi, lam, 0.0, 1.5, step=0.01)
+    assert np.abs(grid[-1].matrix - direct.matrix).max() <= 1e-12
+
+
+def test_propagate_grid_rejects_times_outside_interval():
+    phi = scaled_profile(models.hopping_chain(3), lambda r: r, (0.0, 1.0))
+    with pytest.raises(ValueError):
+        list(propagate_grid(phi, chain(3), 0.0, [0.5, 1.5]))

@@ -151,6 +151,27 @@ def test_op_norm_examples(lam4):
     assert op_norm(number_operator(lam4)) == pytest.approx(4.0, abs=1e-12)
 
 
+def test_op_norm_anti_hermitian_matches_svd_without_svd(rng, lam6, monkeypatch):
+    cases = []
+    for _ in range(3):
+        A = random_local_operator(lam6, (0, 1, 2), rng)
+        B = random_local_operator(lam6, (2, 3), rng)
+        H, K = A + A.adjoint(), B + B.adjoint()
+        cases.append(commutator(H, K).matrix)        # [H, K] is anti-Hermitian
+        cases.append(1j * H.matrix)
+    cases.append(commutator(number_operator(lam6, [0]), annihilator(lam6, 0)
+                            + creator(lam6, 0)).matrix)
+    oracle = [np.linalg.svd(m, compute_uv=False)[0] for m in cases]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("anti-Hermitian input reached the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for m, want in zip(cases, oracle):
+        assert np.abs(m + m.conj().T).max() <= 1e-14
+        assert op_norm(m) == pytest.approx(want, rel=1e-12)
+
+
 def test_commutator_disjoint_supports(rng, lam6):
     # even x anything commutes; odd x odd anticommutes
     A_even = random_local_operator(lam6, (0, 1), rng, parity=EVEN)

@@ -128,6 +128,52 @@ def test_interaction_norm_integral_ramp_matches_quadrature():
     assert interaction_norm_integral(phi, G, 0.0, 2.0) == pytest.approx(2 * k, rel=1e-10)
 
 
+def test_interaction_norm_integral_is_scipy_simpson():
+    from scipy.integrate import simpson
+    from fermicert.dynamics import scaled_profile
+    L = 5
+    G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
+    phi = scaled_profile(models.hopping_chain(L), lambda r: 1.0 + 0.5 * np.sin(3 * r),
+                         (0.0, 3.0))
+    for s, t, samples in [(0.0, 2.0, 65), (0.3, 1.7, 65), (2.5, 0.5, 65), (0.0, 3.0, 9),
+                          (0.0, 1.0, 3)]:
+        grid = np.linspace(s, t, samples)
+        vals = [interaction_g_norm(phi, G, r) for r in grid]
+        want = abs(float(simpson(vals, x=grid)))
+        got = interaction_norm_integral(phi, G, s, t, samples=samples)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("samples", [64, 2, 1, 0, -3])
+def test_interaction_norm_integral_rejects_bad_sample_counts(samples):
+    L = 4
+    G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
+    with pytest.raises(ValueError, match="odd"):
+        interaction_norm_integral(models.hopping_chain(L), G, 0.0, 1.0, samples=samples)
+
+
+def test_ramped_certify_does_not_import_scipy_integrate():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fermicert import fock, geometry, lr_bounds, models\n"
+        "from fermicert.dynamics import scaled_profile\n"
+        "lam = fock.chain(4)\n"
+        "phi = scaled_profile(models.hopping_chain(4), lambda r: 1 + r, (0.0, 1.0))\n"
+        "G = geometry.g_from_f(geometry.DecayFunction(1, 1.0), geometry.chain_graph(4))\n"
+        "lr_bounds.certify(fock.number_operator(lam, [0]), fock.number_operator(lam, [3]),\n"
+        "                  phi, G, 0.0, np.linspace(0.0, 1.0, 3))\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_surface_sets_chain():
     L = 6
     lam = fock.chain(L)
