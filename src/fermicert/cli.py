@@ -35,6 +35,7 @@ from .lr_bounds import certify
 TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info")
 MODELS = ("hopping_chain", "kitaev_chain", "flat_band_chain", "overlap_band_chain",
           "random_even")
+OBSERVABLES = ("number", "annihilator", "creator", "monomial")
 DEFAULT_SITE_CAP = 12
 
 
@@ -50,6 +51,35 @@ def _number_diags(prefix: str, obj: dict, keys) -> list:
     """Diagnostics for the present ``keys`` of ``obj`` that are not numbers."""
     return [f"{prefix}{key}: need a number, got {obj[key]!r}"
             for key in keys if key in obj and not _is_number(obj[key])]
+
+
+def _count_diags(field: str, value, least: int) -> list:
+    """Diagnostic for a count that must be an integer >= ``least``."""
+    if _is_number(value, integer=True) and value >= least:
+        return []
+    return [f"{field}: need an integer >= {least}, got {value!r}"]
+
+
+def _is_site(value) -> bool:
+    """A site as JSON writes it: an integer or a list of integer coordinates."""
+    if isinstance(value, list):
+        return all(_is_number(v, integer=True) for v in value)
+    return _is_number(value, integer=True)
+
+
+def _observable_diags(name: str, desc) -> list:
+    """Diagnostics for the observable descriptor ``observables.<name>``."""
+    field = f"observables.{name}"
+    if not isinstance(desc, dict) or desc.get("kind") not in OBSERVABLES:
+        return [f"{field}: need an object with kind in {OBSERVABLES}, got {desc!r}"]
+    if desc["kind"] == "monomial":
+        label = desc.get("label")
+        if not isinstance(label, list) or not all(isinstance(s, str) for s in label):
+            return [f"{field}.label: need a list of monomial symbols, got {label!r}"]
+    elif not _is_site(desc.get("site")):
+        return [f"{field}.site: need an integer or a list of integers, "
+                f"got {desc.get('site')!r}"]
+    return []
 
 
 def _ramp_diags(ramp) -> list:
@@ -129,20 +159,24 @@ def validate(config: dict) -> list:
         obs = config.get("observables")
         if not isinstance(obs, dict) or "A" not in obs or "B" not in obs:
             diags.append("observables: need descriptors A and B")
+        else:
+            diags += _observable_diags("A", obs["A"]) + _observable_diags("B", obs["B"])
         tgrid = config.get("time")
         if not isinstance(tgrid, dict) or not {"start", "stop", "points"} <= set(tgrid):
             diags.append("time: need start/stop/points")
         else:
-            time_diags = _number_diags("time.", tgrid, ("start", "stop", "points"))
-            diags += time_diags
-            if not time_diags and (tgrid["points"] < 1 or tgrid["stop"] < tgrid["start"]):
-                diags.append("time: need points >= 1 and stop >= start")
+            time_diags = _number_diags("time.", tgrid, ("start", "stop"))
+            diags += time_diags + _count_diags("time.points", tgrid["points"], 1)
+            if not time_diags and tgrid["stop"] < tgrid["start"]:
+                diags.append("time: need stop >= start")
     if task == "condexp-check":
-        if not isinstance(config.get("region_x"), list):
-            diags.append("region_x: need a list of sites")
-        if not isinstance(config.get("region_y"), list):
-            diags.append("region_y: need a list of sites")
-        diags += _number_diags("", config, ("samples", "tol"))
+        for key in ("region_x", "region_y"):
+            region = config.get(key)
+            if not isinstance(region, list) or not all(_is_site(s) for s in region):
+                diags.append(f"{key}: need a list of sites (integers or lists of "
+                             f"integers), got {region!r}")
+        diags += _count_diags("samples", config.get("samples", 20), 1)
+        diags += _number_diags("", config, ("tol",))
     if task == "flow-check":
         flow = config.get("flow")
         if not isinstance(flow, dict) or "gamma_min" not in flow:
@@ -151,14 +185,10 @@ def validate(config: dict) -> list:
         else:
             if flow.get("kind", "rotation") not in ("rotation", "closing"):
                 diags.append("flow.kind: expected 'rotation' or 'closing'")
-            flow_diags = _number_diags("flow.", flow, ("points", "gamma_min", "angle_start",
-                                                       "angle_stop", "defect_target"))
-            diags += flow_diags
-            if not flow_diags and flow.get("points", 21) < 2:
-                diags.append("flow.points: need at least 2 grid points")
-    seed = config.get("seed", 0)
-    if not _is_number(seed, integer=True) or seed < 0:
-        diags.append("seed: need a nonnegative integer")
+            diags += _number_diags("flow.", flow, ("gamma_min", "angle_start",
+                                                   "angle_stop", "defect_target"))
+            diags += _count_diags("flow.points", flow.get("points", 21), 2)
+    diags += _count_diags("seed", config.get("seed", 0), 0)
     return diags
 
 

@@ -47,7 +47,6 @@ _SPARSE_CUTOFF = 0.02
 _LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # a
 _RAISE = _LOWER.conj().T                                      # a*
 _THETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)   # 1 - 2 a*a
-_ID2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -411,18 +410,17 @@ def anticommutator(A: FockOperator, B: FockOperator) -> FockOperator:
 # -- operator-basis expansion, support projection and embedding -------------
 
 # Hilbert-Schmidt-orthogonal single-site basis under the normalized trace:
-# 1, a, a*, theta.  Squared weights are <e, e> = tr(e* e)/2.
+# 1, a, a*, theta.  Squared weights are <e, e> = tr(e* e)/2: 1/2 for the
+# odd symbols a and a*, 1 for 1 and theta.
 _STRING_SYMBOLS = ("1", "a", "a*", "t")
-_STRING_WEIGHTS = {"1": 1.0, "a": 0.5, "a*": 0.5, "t": 1.0}
 
 _SYM_LOCAL = {
-    "1": _ID2,
     "a": _LOWER,
     "a*": _RAISE,
     "t": _THETA,
     "a*a": _RAISE @ _LOWER,
 }
-_SYM_ODD = {"a": True, "a*": True, "1": False, "t": False, "a*a": False}
+_SYM_ODD = {"a": True, "a*": True, "t": False, "a*a": False}
 
 
 def _string_action(lam: SiteSet, ops: tuple) -> tuple:
@@ -432,7 +430,9 @@ def _string_action(lam: SiteSet, ops: tuple) -> tuple:
     ``ops`` is a tuple of (position, symbol) pairs in product order.  Every
     such product has at most one nonzero per matrix column, so it is fully
     described by (rows, vals): column c maps to entry (rows[c], c) with
-    weight vals[c] (zero when the column is annihilated).
+    weight vals[c] (zero when the column is annihilated).  It builds the
+    generators and monomials; the operator-basis strings of ``decompose``
+    and ``_assemble`` take the batched tables of ``_string_blocks``.
     """
     n = len(lam)
     factors = [None] * n
@@ -472,12 +472,55 @@ def _string_dense(lam: SiteSet, ops: tuple) -> np.ndarray:
     return m
 
 
+# each block of string tables holds at most this many (string, column) entries
+_TABLE_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _popcount_signs(nsites: int) -> np.ndarray:
+    """(-1)^{popcount(k)} for every basis state k of ``nsites`` sites."""
+    signs = np.where(_occupations(nsites).sum(axis=1) % 2, -1.0, 1.0)
+    signs.flags.writeable = False
+    return signs
+
+
+def _string_blocks(lam: SiteSet, positions: tuple, strings: Iterable):
+    """Column actions of operator-basis strings, a bounded block at a time.
+
+    ``strings`` yields tuples of symbols from _STRING_SYMBOLS, one per
+    entry of ``positions``.  Each string maps column c to row c ^ flip
+    (the sites of its odd symbols), is alive iff c & flip == want (a needs
+    an occupied site, a* a vacant one) and then has weight
+    (-1)^{popcount(c & sign)}: an odd symbol at p puts theta on every site
+    before p, a theta on p itself.  Yields (block, odd, rows, vals): the
+    block's strings, the (B, k) mask of their odd symbols and the (B, 2^n)
+    tables that _string_action gives one string at a time.
+    """
+    bit = np.left_shift(1, np.array(positions, dtype=np.int64))
+    cols = np.arange(lam.dim)
+    signs = _popcount_signs(len(lam))
+    strings = iter(strings)
+    per_block = max(1, _TABLE_BLOCK >> len(lam))
+    while block := list(itertools.islice(strings, per_block)):
+        symbols = np.array(block, dtype="<U2").reshape(len(block), len(positions))
+        odd = (symbols == "a") | (symbols == "a*")
+        flip = (odd * bit).sum(axis=1)[:, None]
+        want = ((symbols == "a") * bit).sum(axis=1)[:, None]
+        sign = np.bitwise_xor.reduce(np.where(odd, bit - 1, (symbols == "t") * bit),
+                                     axis=1)[:, None]
+        vals = np.where((cols & flip) == want, signs[cols & sign], 0.0)
+        yield block, odd, cols ^ flip, vals
+
+
 def decompose(A: FockOperator, subset: Iterable | None = None) -> dict:
     """Expansion coefficients of A over the trace-orthogonal operator basis
     built from {1, a_x, a*_x, theta_x} on ``subset`` (default: A.support).
 
     Exact whenever A is supported in ``subset``; the coefficients identify
-    the abstract algebra element independently of the ambient lattice.
+    the abstract algebra element independently of the ambient lattice.  The
+    strings' tables are built in bounded blocks; each coefficient is the
+    same pairwise sum over all 2^n columns as one string at a time, bit for
+    bit.
     """
     lam = A.ambient
     subset = lam.sorted_subset(A.support if subset is None else subset)
@@ -487,25 +530,26 @@ def decompose(A: FockOperator, subset: Iterable | None = None) -> dict:
     dim = lam.dim
     cols = np.arange(dim)
     coeffs = {}
-    for symbols in itertools.product(_STRING_SYMBOLS, repeat=len(subset)):
-        ops = tuple((p, s) for p, s in zip(pos, symbols) if s != "1")
-        rows, vals = _string_action(lam, ops)
-        inner = np.sum(vals.conj() * A.matrix[rows, cols]) / dim
-        weight = 1.0
-        for sym in symbols:
-            weight *= _STRING_WEIGHTS[sym]
+    strings = itertools.product(_STRING_SYMBOLS, repeat=len(subset))
+    for block, odd, rows, vals in _string_blocks(lam, pos, strings):
+        inner = (vals * A.matrix[rows, cols]).sum(axis=1) / dim
+        weight = np.where(odd, 0.5, 1.0).prod(axis=1)
         c = inner / weight
-        if abs(c) > 0.0:
-            coeffs[symbols] = complex(c)
+        for i in np.flatnonzero(np.abs(c) > 0.0):
+            coeffs[block[i]] = complex(c[i])
     return coeffs
 
 
 def _assemble(dim: int, positions: tuple, coeffs: dict, lam: SiteSet) -> np.ndarray:
+    """Matrix of sum_s coeffs[s] s on ``lam``, accumulated string by string
+    in dict order."""
     m = np.zeros((dim, dim), dtype=complex)
     cols = np.arange(dim)
-    for symbols, c in coeffs.items():
-        ops = tuple((p, s) for p, s in zip(positions, symbols) if s != "1")
-        rows, vals = _string_action(lam, ops)
+    values = np.array(list(coeffs.values()), dtype=complex)
+    start = 0
+    for block, _, rows, vals in _string_blocks(lam, positions, coeffs):
+        c = values[start:start + len(block), None]
+        start += len(block)
         np.add.at(m, (rows, cols), c * vals)
     return m
 
@@ -570,7 +614,9 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
 
     The relative site order must agree; the embedding is exact (expansion
     over the orthogonal operator basis, rebuilt with the target lattice's
-    Jordan-Wigner strings).
+    Jordan-Wigner strings).  Both steps build the strings' tables in bounded
+    blocks of vectorized bitmask operations; the result is the same, bit for
+    bit, as computing them one string at a time.
     """
     small = A.ambient
     tgt_pos = target.positions(small.sites)

@@ -185,6 +185,62 @@ def test_run_bad_observable_site_is_config_error(tmp_path, capsys):
     assert err["error"] == "invalid-config"
 
 
+def _assert_config_error(config, tmp_path, capsys, field):
+    assert cli.run(config, tmp_path) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "invalid-config"
+    assert any(d.startswith(field + ":") for d in err["diagnostics"])
+
+
+@pytest.mark.parametrize("desc, field", [
+    (3, "observables.A"),
+    ({"kind": "spin", "site": 0}, "observables.A"),
+    ({"site": 0}, "observables.A"),
+    ({"kind": "number"}, "observables.A.site"),
+    ({"kind": "creator", "site": {"x": 1}}, "observables.A.site"),
+    ({"kind": "annihilator", "site": [0, "a"]}, "observables.A.site"),
+    ({"kind": "monomial", "site": 0}, "observables.A.label"),
+    ({"kind": "monomial", "label": 5}, "observables.A.label"),
+])
+def test_run_bad_observable_is_config_error(tmp_path, capsys, desc, field):
+    config = _load("lr_chain.json")
+    config["observables"]["A"] = desc
+    _assert_config_error(config, tmp_path, capsys, field)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("region_x", [{"a": 1}]),
+    ("region_x", [0, [1, "b"]]),
+    ("region_y", [1.5]),
+    ("region_y", "0 1"),
+])
+def test_run_bad_region_is_config_error(tmp_path, capsys, key, value):
+    config = _load("condexp_chain.json")
+    config[key] = value
+    _assert_config_error(config, tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize("samples", [0, -3, 2.5, True, "3"])
+def test_run_condexp_needs_positive_integer_samples(tmp_path, capsys, samples):
+    # with no sample every sampled defect is 0.0 and the check would pass vacuously
+    config = _load("condexp_chain.json")
+    config["samples"] = samples
+    _assert_config_error(config, tmp_path, capsys, "samples")
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("lr_chain.json", ("time", "points"), 1.5, "time.points"),
+    ("lr_chain.json", ("time", "points"), 0, "time.points"),
+    ("flow_rotation.json", ("flow", "points"), 2.5, "flow.points"),
+    ("flow_rotation.json", ("flow", "points"), 1, "flow.points"),
+])
+def test_run_fractional_grid_points_are_config_error(tmp_path, capsys, name, path, value,
+                                                      field):
+    config = _load(name)
+    _set(config, path, value)
+    _assert_config_error(config, tmp_path, capsys, field)
+
+
 def test_run_monomial_observable(tmp_path):
     config = _load("lr_chain.json")
     config["lattice"]["lengths"] = [6]

@@ -276,3 +276,104 @@ def test_operators_are_frozen(lam4):
     a = annihilator(lam4, 0)
     with pytest.raises(ValueError):
         a.matrix[0, 0] = 5.0
+
+
+# -- batched string tables against the per-string loop ----------------------
+
+_ORACLE_WEIGHTS = {"1": 1.0, "a": 0.5, "a*": 0.5, "t": 1.0}
+
+
+def _decompose_per_string(A, subset):
+    """The operator-basis expansion one string at a time, as the production
+    code computed it before the tables were batched."""
+    lam = A.ambient
+    subset = lam.sorted_subset(subset)
+    pos = lam.positions(subset)
+    dim = lam.dim
+    cols = np.arange(dim)
+    coeffs = {}
+    for symbols in itertools.product(fock._STRING_SYMBOLS, repeat=len(subset)):
+        ops = tuple((p, s) for p, s in zip(pos, symbols) if s != "1")
+        rows, vals = fock._string_action(lam, ops)
+        inner = np.sum(vals.conj() * A.matrix[rows, cols]) / dim
+        weight = 1.0
+        for sym in symbols:
+            weight *= _ORACLE_WEIGHTS[sym]
+        c = inner / weight
+        if abs(c) > 0.0:
+            coeffs[symbols] = complex(c)
+    return coeffs
+
+
+def _assemble_per_string(dim, positions, coeffs, lam):
+    m = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    for symbols, c in coeffs.items():
+        ops = tuple((p, s) for p, s in zip(positions, symbols) if s != "1")
+        rows, vals = fock._string_action(lam, ops)
+        np.add.at(m, (rows, cols), c * vals)
+    return m
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def bitwise_cases():
+    """(A, target lattice, region X or None) with the per-string results:
+    the embedding of A into the target and the reassembled expansion of A
+    over X on its own lattice."""
+    rng = np.random.default_rng(4711)
+    cases = []
+    for parity in (EVEN, ODD, "mixed"):
+        small = fock.SiteSet((0, 2, 5))
+        A = random_local_operator(small, small.sites, rng, parity=parity)
+        cases.append((A, chain(7), None))
+        lam = chain(5)
+        B = random_local_operator(lam, lam.sites, rng, parity=parity)
+        cases.append((B, lam, (0, 2, 3)))
+    # exact zeros, among them whole real parts
+    m = random_local_operator(chain(3), range(3), rng).matrix.copy()
+    m[rng.random(m.shape) < 0.5] = 0.0
+    cases.append((FockOperator(m, chain(3)), fock.SiteSet((-1, 0, 1, 2, 3)), (1,)))
+    cases.append((FockOperator(1j * m.imag, chain(3)), chain(5), (0, 2)))
+    # the empty region, and an operator on no sites at all
+    cases.append((random_local_operator(chain(4), range(4), rng), chain(4), ()))
+    cases.append((FockOperator(np.array([[2.5 - 1j]]), fock.SiteSet(())), chain(3), ()))
+    # 8-site full support: 4^8 strings, many blocks
+    lam8 = chain(8)
+    cases.append((random_local_operator(lam8, lam8.sites, rng), lam8, None))
+    out = []
+    for A, target, X in cases:
+        pos = target.positions(A.ambient.sites)
+        want_embed = _assemble_per_string(
+            target.dim, pos, _decompose_per_string(A, A.ambient.sites), target)
+        want_proj = None
+        if X is not None:
+            lam = A.ambient
+            coeffs = _decompose_per_string(A, X)
+            want_proj = (coeffs, _assemble_per_string(lam.dim, lam.positions(X), coeffs, lam))
+        out.append((A, target, X, want_embed, want_proj))
+    return out
+
+
+@pytest.mark.parametrize("strings_per_block", [None, 1, 3])
+def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per_block,
+                                                      monkeypatch):
+    for A, target, X, want_embed, want_proj in bitwise_cases:
+        if strings_per_block is not None:
+            # block boundaries inside the string range of decompose and _assemble
+            monkeypatch.setattr(fock, "_TABLE_BLOCK", strings_per_block << len(target))
+        emb = embed(A, target)
+        assert np.array_equal(_bits(emb.matrix), _bits(want_embed))
+        if X is None:
+            continue
+        lam = A.ambient
+        coeffs = decompose(A, X)
+        want_coeffs, want_matrix = want_proj
+        assert list(coeffs) == list(want_coeffs)
+        assert np.array_equal(_bits(np.array(list(coeffs.values()), dtype=complex)),
+                              _bits(np.array(list(want_coeffs.values()), dtype=complex)))
+        got = fock._assemble(lam.dim, lam.positions(X), coeffs, lam)
+        assert np.array_equal(_bits(got), _bits(want_matrix))
