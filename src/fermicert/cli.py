@@ -19,7 +19,9 @@ import json
 import math
 import numbers
 import sys
+from dataclasses import MISSING, field, fields, make_dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,236 +35,259 @@ from .geometry import DecayFunction, MetricGraph, chain_graph, grid_graph
 from .lr_bounds import certify
 
 TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info")
-MODELS = ("hopping_chain", "kitaev_chain", "flat_band_chain", "overlap_band_chain",
-          "random_even")
-OBSERVABLES = ("number", "annihilator", "creator", "monomial")
-DEFAULT_SITE_CAP = 12
+SITE_CAP = 12        # one dense complex matrix at 13 sites is 1 GiB
+COUNT_CAP = 10_000   # every count in a config: grid points, samples, terms, steps
 
 
-# -- config validation -------------------------------------------------------
+# -- config schema -----------------------------------------------------------
 
-def _is_number(value, integer: bool = False) -> bool:
-    """JSON number check; booleans are rejected although bool is an int."""
-    kind = numbers.Integral if integer else numbers.Real
-    return isinstance(value, kind) and not isinstance(value, bool)
+class _Invalid(Exception):
+    """``args[0]``: the diagnostics of a value that its schema rejects."""
 
 
-def _number_diags(prefix: str, obj: dict, keys) -> list:
-    """Diagnostics for the present ``keys`` of ``obj`` that are not numbers."""
-    return [f"{prefix}{key}: need a number, got {obj[key]!r}"
-            for key in keys if key in obj and not _is_number(obj[key])]
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
 
 
-def _count_diags(field: str, value, least: int) -> list:
-    """Diagnostic for a count that must be an integer >= ``least``."""
-    if _is_number(value, integer=True) and value >= least:
-        return []
-    return [f"{field}: need an integer >= {least}, got {value!r}"]
+def _schema(name: str, /, **spec):
+    """The frozen dataclass of a task or of an object in a task config, from
+    ``key=(check,)`` (required) or ``key=(check, default)``; ``check(value,
+    path)`` returns the typed value or raises _Invalid.  ``name`` is
+    positional-only because ``model`` has a key ``name``."""
+    return make_dataclass(name, [(key, object, field(default=d[0] if d else MISSING,
+                                                       metadata={"check": check}))
+                                 for key, (check, *d) in spec.items()],
+                          frozen=True, kw_only=True, eq=False)
+
+
+def _parse(schema, raw, path: str):
+    """The ``schema`` dataclass of the JSON object ``raw`` found at ``path``,
+    built in one pass: every wrong-typed, missing, out-of-range or unknown key
+    is a ``path: message`` diagnostic."""
+    if not isinstance(raw, dict):
+        raise _Invalid([f"{path}: need an object, got {raw!r}"])
+    diags, values = [], {}
+    for f in fields(schema):
+        if f.name in raw:
+            try:
+                values[f.name] = f.metadata["check"](raw[f.name], _join(path, f.name))
+            except _Invalid as err:
+                diags += err.args[0]
+        elif f.default is MISSING:
+            diags.append(f"{_join(path, f.name)}: missing")
+    diags += [f"{_join(path, key)}: unknown key" for key in raw
+              if key not in schema.__dataclass_fields__]
+    if diags:
+        raise _Invalid(diags)
+    return schema(**values)
+
+
+def _is(test, what: str, typed=lambda value: value):
+    """The check that takes a value passing ``test`` as ``typed(value)``."""
+    def check(value, path):
+        if not test(value):
+            raise _Invalid([f"{path}: need {what}, got {value!r}"])
+        return typed(value)
+    return check
+
+
+def _number(value, integer: bool = False) -> bool:
+    """A finite JSON number; booleans are rejected although bool is an int."""
+    return (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
+
+
+def _int(lo: int, hi: int = COUNT_CAP):
+    return _is(lambda v: _number(v, integer=True) and lo <= v <= hi,
+               f"an integer in [{lo}, {hi}]")
+
+
+def _choice(*options):
+    return _is(lambda v: isinstance(v, str) and v in options, f"one of {options}")
+
+
+def _optional(check):
+    return lambda value, path: None if value is None else check(value, path)
+
+
+def _one_of(tag: str, schemas: dict):
+    """An object whose ``tag`` key picks its schema among ``schemas``."""
+    def check(value, path):
+        kind = value.get(tag) if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in schemas:
+            raise _Invalid([f"{path}: need an object with {path}.{tag} in "
+                            f"{tuple(schemas)}, got {value!r}"])
+        return _parse(schemas[kind], value, path)
+    return check
 
 
 def _is_site(value) -> bool:
-    """A site as JSON writes it: an integer or a list of integer coordinates."""
-    if isinstance(value, list):
-        return all(_is_number(v, integer=True) for v in value)
-    return _is_number(value, integer=True)
+    """An integer, or a list of integer coordinates."""
+    return (_number(value, integer=True) or isinstance(value, list)
+            and all(_number(c, integer=True) for c in value))
 
 
-def _observable_diags(name: str, desc) -> list:
-    """Diagnostics for the observable descriptor ``observables.<name>``."""
-    field = f"observables.{name}"
-    if not isinstance(desc, dict) or desc.get("kind") not in OBSERVABLES:
-        return [f"{field}: need an object with kind in {OBSERVABLES}, got {desc!r}"]
-    if desc["kind"] == "monomial":
-        label = desc.get("label")
-        if not isinstance(label, list) or not all(isinstance(s, str) for s in label):
-            return [f"{field}.label: need a list of monomial symbols, got {label!r}"]
-    elif not _is_site(desc.get("site")):
-        return [f"{field}.site: need an integer or a list of integers, "
-                f"got {desc.get('site')!r}"]
-    return []
+_REAL = _is(_number, "a finite number")
+_POSITIVE = _is(lambda v: _number(v) and v > 0, "a finite number > 0")
+_SITE = _is(_is_site, "an integer or a list of integers",
+            lambda v: tuple(v) if isinstance(v, list) else v)   # a grid site is a tuple
+_SITES = _is(lambda v: isinstance(v, list) and all(map(_is_site, v)),
+             "a list of sites (integers or lists of integers)",
+             lambda v: [_SITE(s, None) for s in v])
 
 
-def _ramp_diags(ramp) -> list:
-    """Diagnostics for a ``model.ramp`` object."""
-    if not isinstance(ramp, dict):
-        return ["model.ramp: need an object with kind/interval and its coefficients"]
-    diags = []
-    if ramp.get("kind", "linear") not in ("linear", "sine"):
-        diags.append(f"model.ramp.kind: expected 'linear' or 'sine', got {ramp['kind']!r}")
-    diags += _number_diags("model.ramp.", ramp, ("slope", "offset", "amplitude", "frequency"))
-    interval = ramp.get("interval", [0.0, 1.0])
-    if (not isinstance(interval, list) or len(interval) != 2
-            or not all(_is_number(v) for v in interval) or interval[0] > interval[1]):
-        diags.append(f"model.ramp.interval: need two numbers lo <= hi, got {interval!r}")
-    return diags
+Lattice = _schema(
+    "Lattice",
+    lengths=(_is(lambda v: isinstance(v, list) and v != []
+                 and all(_number(n, integer=True) and n >= 1 for n in v)
+                 and math.prod(v) <= SITE_CAP,
+                 f"a list of positive integers, at most {SITE_CAP} sites in all (the cap)",
+                 tuple),),
+    boundary=(_choice("open", "periodic"), "open"),
+    dimension=(_optional(_int(1)), None))   # None: len(lengths)
+Ramp = _schema(   # linear: offset + slope t; sine: 1 + amplitude sin(frequency t)
+    "Ramp", kind=(_choice("linear", "sine"), "linear"), slope=(_REAL, 1.0),
+    offset=(_REAL, 0.0), amplitude=(_REAL, 0.5), frequency=(_REAL, 1.0),
+    interval=(_is(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+                  and v[0] <= v[1], "two numbers lo <= hi", tuple), (0.0, 1.0)))
 
 
-def validate(config: dict) -> list:
-    """Field-level diagnostics; empty list means the config is runnable."""
-    diags = []
+def _family(name: str, **params):
+    """The ``model`` schema of family ``name`` with ``model.params`` ``params``."""
+    params = _schema(f"{name}.params", **params)
+    return _schema(name, name=(_choice(name),), params=(partial(_parse, params), params()),
+                   ramp=(_optional(partial(_parse, Ramp)), None))
+
+
+_MODELS = {model.__name__: model for model in (
+    _family("hopping_chain", J=(_REAL, 1.0), mu=(_REAL, 0.0)),
+    _family("kitaev_chain", hopping=(_REAL, 1.0), pairing=(_REAL, 1.0), mu=(_REAL, 0.0)),
+    _family("flat_band_chain", angle=(_REAL, 0.3)),
+    _family("overlap_band_chain", tilt=(_REAL, 0.4)),
+    _family("random_even", max_range=(_int(0), 1), strength=(_REAL, 1.0),
+            n_terms=(_optional(_int(1)), None)))}   # None: one term per site
+_SITE_OBSERVABLE = _schema("SiteObservable", kind=(_choice("number", "annihilator", "creator"),),
+                           site=(_SITE,))
+_OBSERVABLE = _one_of("kind", {
+    "number": _SITE_OBSERVABLE, "annihilator": _SITE_OBSERVABLE, "creator": _SITE_OBSERVABLE,
+    "monomial": _schema("Monomial", kind=(_choice("monomial"),), label=(_is(
+        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+        "a list of monomial symbols"),))})
+
+_EVERY_TASK = dict(
+    task=(_choice(*TASKS),),
+    lattice=(partial(_parse, Lattice),),
+    seed=(_is(lambda v: _number(v, integer=True) and v >= 0, "an integer >= 0"), 0),
+    output_prefix=(_is(lambda v: isinstance(v, str) and v not in ("", ".", "..")
+                       and not set(v) & set("/\\\0"),
+                       "a file name without a path separator"), None))   # None: the task
+_MODEL_TASK = dict(_EVERY_TASK, model=(_one_of("name", _MODELS),))
+
+LRCertify = _schema(
+    "LRCertify", **_MODEL_TASK,
+    f_function=(partial(_parse, _schema(
+        "FFunction", nu=(_optional(_REAL), None),   # None: the lattice dimension
+        epsilon=(_POSITIVE, 1.0),
+        rate=(_is(lambda v: _number(v) and v >= 0, "a finite number >= 0"), 0.0))),),
+    observables=(partial(_parse, _schema("Observables", A=(_OBSERVABLE,),
+                                         B=(_OBSERVABLE,))),),
+    time=(partial(_parse, _schema("TimeGrid", start=(_REAL,), stop=(_REAL,),
+                                  points=(_int(1),))),),
+    mode=(_optional(_choice("commutator", "anticommutator")), None),   # None: by parity
+    step=(_POSITIVE, 1e-2))   # midpoint step of a ramped interaction
+CondexpCheck = _schema("CondexpCheck", **_EVERY_TASK, region_x=(_SITES,), region_y=(_SITES,),
+                       samples=(_int(1), 20), tol=(_REAL, 1e-12))
+ModelTask = _schema("ModelTask", **_MODEL_TASK)   # gap-certify, model-info
+FlowCheck = _schema(   # the flat-band family rotated, or its conduction band closing
+    "FlowCheck", **dict(_MODEL_TASK, model=(_one_of("name", {
+        "flat_band_chain": _MODELS["flat_band_chain"]}),)),
+    flow=(partial(_parse, _schema(
+        "Flow", gamma_min=(_POSITIVE,), kind=(_choice("rotation", "closing"), "rotation"),
+        points=(_int(2), 21), angle_start=(_REAL, 0.3), angle_stop=(_REAL, 0.8),
+        defect_target=(_POSITIVE, 1e-6))),))
+
+
+def _constraints(task):
+    """``(field, message)`` for each broken constraint between valid fields."""
+    lengths, dimension = task.lattice.lengths, task.lattice.dimension
+    model = getattr(task, "model", None)
+    if dimension not in (None, len(lengths)):
+        yield "lattice.dimension", f"need len(lengths) = {len(lengths)}, got {dimension}"
+    if model is not None and model.name != "random_even" and len(lengths) > 1:
+        yield "model.name", f"{model.name} is a chain model and needs one length"
+    if hasattr(task, "time"):
+        steps = (task.time.stop - task.time.start) / task.step
+        if steps < 0:
+            yield "time", "need stop >= start"
+        elif model.ramp is not None and steps > COUNT_CAP:
+            yield "step", f"need at most {COUNT_CAP} midpoint steps, got {steps:.3g}"
+
+
+def _parse_config(config) -> tuple:
+    """``(task, diagnostics)``: the typed config of ``config``'s task, or None
+    and every diagnostic when the config is not runnable."""
     if not isinstance(config, dict):
-        return ["config: must be a JSON object"]
-    task = config.get("task")
-    if task not in TASKS:
-        diags.append(f"task: expected one of {TASKS}, got {task!r}")
+        return None, ["config: must be a JSON object"]
+    name = config.get("task")
+    if isinstance(name, str) and name in _TASKS:
+        schema = _TASKS[name][0]
+    else:   # without a task only the keys every task has are known
+        schema = _schema("Task", **_EVERY_TASK)
+        config = {k: v for k, v in config.items() if k in _EVERY_TASK}
+    try:
+        task = _parse(schema, config, "")
+    except _Invalid as err:
+        return None, err.args[0]
+    diags = [f"{key}: {message}" for key, message in _constraints(task)]
+    return (None if diags else task), diags
 
-    lattice = config.get("lattice")
-    nsites = None
-    if not isinstance(lattice, dict):
-        diags.append("lattice: missing object with dimension/lengths/boundary")
-    else:
-        lengths = lattice.get("lengths")
-        if (not isinstance(lengths, list) or not lengths
-                or any(not _is_number(n, integer=True) or n < 1 for n in lengths)):
-            diags.append("lattice.lengths: need a list of positive integers")
-        else:
-            nsites = int(np.prod(lengths))
-        dim = lattice.get("dimension", len(lengths) if isinstance(lengths, list) else 1)
-        if isinstance(lengths, list) and isinstance(dim, int) and dim != len(lengths):
-            diags.append("lattice.dimension: inconsistent with lengths")
-        if lattice.get("boundary", "open") not in ("open", "periodic"):
-            diags.append("lattice.boundary: expected 'open' or 'periodic'")
-    cap = config.get("site_cap", DEFAULT_SITE_CAP)
-    if not _is_number(cap, integer=True):
-        diags.append(f"site_cap: need an integer, got {cap!r}")
-    elif nsites is not None and nsites > cap:
-        diags.append(f"lattice: {nsites} sites exceeds the cap of {cap}")
 
-    model = config.get("model")
-    if task in ("lr-certify", "gap-certify", "flow-check", "model-info"):
-        if not isinstance(model, dict) or model.get("name") not in MODELS:
-            diags.append(f"model.name: expected one of {MODELS}")
-        elif (model["name"] != "random_even" and isinstance(lattice, dict)
-              and isinstance(lattice.get("lengths"), list)
-              and len(lattice["lengths"]) > 1):
-            diags.append(f"model.name: {model['name']} is a chain model and "
-                         "needs a one-dimensional lattice")
-        if isinstance(model, dict) and "params" in model:
-            params = model["params"]
-            if not isinstance(params, dict):
-                diags.append("model.params: need an object of named numbers")
-            else:
-                # n_terms: null means one term per site
-                diags += _number_diags("model.params.", params,
-                                       [k for k, v in params.items()
-                                        if v is not None or k != "n_terms"])
-        if isinstance(model, dict) and model.get("ramp") is not None:
-            diags += _ramp_diags(model["ramp"])
-
-    if task == "lr-certify":
-        if not isinstance(config.get("f_function"), dict):
-            diags.append("f_function: missing object with nu/epsilon")
-        else:
-            diags += _number_diags("f_function.", config["f_function"],
-                                   ("nu", "epsilon", "rate"))
-        diags += _number_diags("", config, ("step",))
-        obs = config.get("observables")
-        if not isinstance(obs, dict) or "A" not in obs or "B" not in obs:
-            diags.append("observables: need descriptors A and B")
-        else:
-            diags += _observable_diags("A", obs["A"]) + _observable_diags("B", obs["B"])
-        tgrid = config.get("time")
-        if not isinstance(tgrid, dict) or not {"start", "stop", "points"} <= set(tgrid):
-            diags.append("time: need start/stop/points")
-        else:
-            time_diags = _number_diags("time.", tgrid, ("start", "stop"))
-            diags += time_diags + _count_diags("time.points", tgrid["points"], 1)
-            if not time_diags and tgrid["stop"] < tgrid["start"]:
-                diags.append("time: need stop >= start")
-    if task == "condexp-check":
-        for key in ("region_x", "region_y"):
-            region = config.get(key)
-            if not isinstance(region, list) or not all(_is_site(s) for s in region):
-                diags.append(f"{key}: need a list of sites (integers or lists of "
-                             f"integers), got {region!r}")
-        diags += _count_diags("samples", config.get("samples", 20), 1)
-        diags += _number_diags("", config, ("tol",))
-    if task == "flow-check":
-        flow = config.get("flow")
-        if not isinstance(flow, dict) or "gamma_min" not in flow:
-            diags.append("flow: need an object with gamma_min (and optionally "
-                         "points/angle_start/angle_stop/kind)")
-        else:
-            if flow.get("kind", "rotation") not in ("rotation", "closing"):
-                diags.append("flow.kind: expected 'rotation' or 'closing'")
-            diags += _number_diags("flow.", flow, ("gamma_min", "angle_start",
-                                                   "angle_stop", "defect_target"))
-            diags += _count_diags("flow.points", flow.get("points", 21), 2)
-    diags += _count_diags("seed", config.get("seed", 0), 0)
-    return diags
+def validate(config) -> list:
+    """Field-level diagnostics; empty list means the config is runnable."""
+    return _parse_config(config)[1]
 
 
 # -- construction helpers ----------------------------------------------------
 
-def _build_graph(config: dict) -> MetricGraph:
-    lat = config["lattice"]
-    lengths = lat["lengths"]
-    boundary = lat.get("boundary", "open")
-    if len(lengths) == 1:
-        return chain_graph(lengths[0], boundary)
-    return grid_graph(lengths, boundary)
+def _build_graph(lattice) -> MetricGraph:
+    if len(lattice.lengths) == 1:
+        return chain_graph(lattice.lengths[0], lattice.boundary)
+    return grid_graph(lattice.lengths, lattice.boundary)
 
 
-def _build_model(config: dict, graph: MetricGraph) -> Interaction:
-    model = config["model"]
-    name = model["name"]
-    params = dict(model.get("params", {}))
-    L = len(graph.sites)
-    if name == "hopping_chain":
-        phi = models.hopping_chain(L, J=params.get("J", 1.0),
-                                   mu=params.get("mu", 0.0),
-                                   boundary=graph.boundary)
-    elif name == "kitaev_chain":
-        phi = models.kitaev_chain(L, hopping=params.get("hopping", 1.0),
-                                  pairing=params.get("pairing", 1.0),
-                                  mu=params.get("mu", 0.0))
-    elif name == "flat_band_chain":
-        orb = models.paired_cell_orbitals(L, angle=params.get("angle", 0.3))
-        phi = models.flat_band_model(orb, graph)
-    elif name == "overlap_band_chain":
-        orb = models.overlapping_orbitals(L, tilt=params.get("tilt", 0.4))
-        phi = models.flat_band_model(orb, graph)
-    elif name == "random_even":
-        phi = models.random_even_interaction(
-            graph.sites, max_range=params.get("max_range", 1),
-            strength=params.get("strength", 1.0),
-            seed=config.get("seed", 0),
-            n_terms=params.get("n_terms"))
+def _build_model(task) -> tuple:
+    """The graph of ``task.lattice`` and the interaction of ``task.model`` on it."""
+    graph, model = _build_graph(task.lattice), task.model
+    p, L = model.params, len(graph.sites)
+    if model.name == "hopping_chain":
+        phi = models.hopping_chain(L, J=p.J, mu=p.mu, boundary=graph.boundary)
+    elif model.name == "kitaev_chain":
+        phi = models.kitaev_chain(L, hopping=p.hopping, pairing=p.pairing, mu=p.mu)
+    elif model.name == "flat_band_chain":
+        phi = models.flat_band_model(models.paired_cell_orbitals(L, angle=p.angle), graph)
+    elif model.name == "overlap_band_chain":
+        phi = models.flat_band_model(models.overlapping_orbitals(L, tilt=p.tilt), graph)
     else:
-        raise ValueError(f"unknown model {name!r}")
-    ramp = model.get("ramp")
-    if ramp:
-        kind = ramp.get("kind", "linear")
-        lo, hi = ramp.get("interval", [0.0, 1.0])
-        if kind == "linear":
-            slope = ramp.get("slope", 1.0)
-            offset = ramp.get("offset", 0.0)
-            phi = scaled_profile(phi, lambda r: offset + slope * r, (lo, hi))
-        elif kind == "sine":
-            amp = ramp.get("amplitude", 0.5)
-            freq = ramp.get("frequency", 1.0)
-            phi = scaled_profile(phi, lambda r: 1.0 + amp * math.sin(freq * r), (lo, hi))
-        else:
-            raise ValueError(f"unknown ramp kind {kind!r}")
-    return phi
+        phi = models.random_even_interaction(graph.sites, max_range=p.max_range,
+                                             strength=p.strength, seed=task.seed,
+                                             n_terms=p.n_terms)
+    ramp = model.ramp
+    if ramp is None:
+        return graph, phi
+    if ramp.kind == "linear":
+        return graph, scaled_profile(phi, lambda r: ramp.offset + ramp.slope * r, ramp.interval)
+    return graph, scaled_profile(
+        phi, lambda r: 1.0 + ramp.amplitude * math.sin(ramp.frequency * r), ramp.interval)
 
 
-def _site_key(site):
-    # grid coordinates arrive as JSON lists
-    return tuple(site) if isinstance(site, list) else site
-
-
-def _build_observable(desc: dict, lam: SiteSet):
-    kind = desc.get("kind")
-    if kind == "number":
-        return number_operator(lam, [_site_key(desc["site"])])
-    if kind == "annihilator":
-        return annihilator(lam, _site_key(desc["site"]))
-    if kind == "creator":
-        return creator(lam, _site_key(desc["site"]))
-    if kind == "monomial":
-        return monomial(lam, desc["label"])
-    raise ValueError(f"unknown observable kind {kind!r}")
+def _build_observable(obs, lam: SiteSet):
+    if obs.kind == "number":
+        return number_operator(lam, [obs.site])
+    if obs.kind == "annihilator":
+        return annihilator(lam, obs.site)
+    if obs.kind == "creator":
+        return creator(lam, obs.site)
+    return monomial(lam, obs.label)
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -277,40 +302,34 @@ def _write_csv(path: Path, fieldnames: list, rows: list):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
-def _emit(out_dir: Path, prefix: str, report: dict, table: tuple, plot: tuple):
+def _emit(out_dir: Path, prefix: str, report: dict, table: tuple, plot: tuple = None):
+    """Write the report and the (columns, rows) tables; ``plot`` defaults to ``table``."""
     report = dict(report)
     report["timestamp"] = datetime.now(timezone.utc).isoformat()
     _write_json(out_dir / f"{prefix}_report.json", report)
-    _write_csv(out_dir / f"{prefix}_table.csv", table[0], table[1])
-    _write_csv(out_dir / f"{prefix}_plot.csv", plot[0], plot[1])
+    _write_csv(out_dir / f"{prefix}_table.csv", *table)
+    _write_csv(out_dir / f"{prefix}_plot.csv", *(plot or table))
 
 
 def _error_object(code: str, message: str, **extra) -> dict:
-    obj = {"error": code, "message": message}
-    obj.update(extra)
-    return obj
+    return {"error": code, "message": message, **extra}
 
 
 # -- task runners ------------------------------------------------------------
 
-def _run_lr_certify(config, out_dir, prefix):
-    graph = _build_graph(config)
+def _run_lr_certify(task, config, out_dir, prefix):
+    graph, phi = _build_model(task)
     lam = graph.sites
-    phi = _build_model(config, graph)
-    f_cfg = config["f_function"]
-    F = DecayFunction(f_cfg.get("nu", len(config["lattice"]["lengths"])),
-                      f_cfg.get("epsilon", 1.0), f_cfg.get("rate", 0.0))
+    f = task.f_function
+    F = DecayFunction(len(task.lattice.lengths) if f.nu is None else f.nu, f.epsilon, f.rate)
     G = geometry.g_from_f(F, graph)
-    A = _build_observable(config["observables"]["A"], lam)
-    B = _build_observable(config["observables"]["B"], lam)
-    tcfg = config["time"]
-    times = np.linspace(tcfg["start"], tcfg["stop"], int(tcfg["points"]))
-    rep = certify(A, B, phi, G, tcfg["start"], times,
-                  mode=config.get("mode"), step=config.get("step", 1e-2))
+    A = _build_observable(task.observables.A, lam)
+    B = _build_observable(task.observables.B, lam)
+    times = np.linspace(task.time.start, task.time.stop, task.time.points)
+    rep = certify(A, B, phi, G, task.time.start, times, mode=task.mode, step=task.step)
     payload = {"task": "lr-certify", "config": config, "certified": True,
                "result": rep.to_dict()}
     rows = list(rep.rows())
@@ -322,18 +341,14 @@ def _run_lr_certify(config, out_dir, prefix):
     return 0
 
 
-def _run_condexp_check(config, out_dir, prefix):
-    graph = _build_graph(config)
-    lam = graph.sites
-    X = [tuple(s) if isinstance(s, list) else s for s in config["region_x"]]
-    Y = [tuple(s) if isinstance(s, list) else s for s in config["region_y"]]
-    samples = int(config.get("samples", 20))
-    seed = int(config.get("seed", 0))
-    tol = float(config.get("tol", 1e-12))
-    rep = cond_exp.expectation_family_report(lam, X, Y, samples=samples, seed=seed)
-    rng = np.random.default_rng(seed + 1)
+def _run_condexp_check(task, config, out_dir, prefix):
+    lam = _build_graph(task.lattice).sites
+    tol = float(task.tol)
+    rep = cond_exp.expectation_family_report(lam, task.region_x, task.region_y,
+                                             samples=task.samples, seed=task.seed)
+    rng = np.random.default_rng(task.seed + 1)
     probe = fock.random_local_operator(lam, lam.sites, rng)
-    diag = cond_exp.expectation_diagnostics(probe, X)
+    diag = cond_exp.expectation_diagnostics(probe, task.region_x)
     defects = {
         "composition": rep.composition_defect,
         "idempotence": rep.idempotence_defect,
@@ -348,8 +363,7 @@ def _run_condexp_check(config, out_dir, prefix):
     payload = {"task": "condexp-check", "config": config, "certified": ok,
                "tolerance": tol, "defects": defects}
     rows = [{"defect": k, "value": v} for k, v in sorted(defects.items())]
-    _emit(out_dir, prefix, payload, (["defect", "value"], rows),
-          (["defect", "value"], rows))
+    _emit(out_dir, prefix, payload, (["defect", "value"], rows))
     if not ok:
         print(json.dumps(_error_object("defect-exceeds-tolerance",
                                        f"worst defect {max(defects.values()):.3e}")))
@@ -357,10 +371,9 @@ def _run_condexp_check(config, out_dir, prefix):
     return 0
 
 
-def _run_gap_certify(config, out_dir, prefix):
-    graph = _build_graph(config)
+def _run_gap_certify(task, config, out_dir, prefix):
+    graph, phi = _build_model(task)
     lam = graph.sites
-    phi = _build_model(config, graph)
     ff = gap.frustration_free_check(phi, lam)
     seq = gap.hamiltonian_sequence(phi, lam)
     cert = gap.martingale_certificate(seq)
@@ -369,18 +382,13 @@ def _run_gap_certify(config, out_dir, prefix):
                "frustration_free": ff.frustration_free,
                "frustration_residual": ff.residual,
                "certificate": cert.to_dict()}
-    steps = len(cert.per_step.get("gamma_n", []))
-    rows = []
-    for n in range(steps):
-        rows.append({
-            "n": n + 1,
-            "gamma_n": cert.per_step["gamma_n"][n],
-            "eps_sq_n": cert.per_step.get("eps_sq_n", [0.0] * steps)[n] if n < steps else 0.0,
-            "commutator_defect_n": cert.per_step.get("max_commutator_n", [0.0] * steps)[n],
-        })
-    _emit(out_dir, prefix, payload,
-          (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows),
-          (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows))
+    per_step = cert.per_step
+    steps = len(per_step.get("gamma_n", []))
+    rows = [{"n": n + 1, "gamma_n": per_step["gamma_n"][n],
+             "eps_sq_n": per_step.get("eps_sq_n", [0.0] * steps)[n],
+             "commutator_defect_n": per_step.get("max_commutator_n", [0.0] * steps)[n]}
+            for n in range(steps)]
+    _emit(out_dir, prefix, payload, (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows))
     if not cert.certified:
         print(json.dumps(_error_object("no-certificate",
                                        cert.no_certificate_reason or "uncertified")))
@@ -388,18 +396,14 @@ def _run_gap_certify(config, out_dir, prefix):
     return 0
 
 
-def _run_flow_check(config, out_dir, prefix):
-    graph = _build_graph(config)
+def _run_flow_check(task, config, out_dir, prefix):
+    graph = _build_graph(task.lattice)
     lam = graph.sites
-    flow_cfg = config.get("flow", {})
-    points = int(flow_cfg.get("points", 21))
-    gamma_min = float(flow_cfg.get("gamma_min", 0.5))
-    kind = flow_cfg.get("kind", "rotation")
-    a0 = float(flow_cfg.get("angle_start", 0.3))
-    a1 = float(flow_cfg.get("angle_stop", 0.8))
+    flow = task.flow
+    a0, a1 = float(flow.angle_start), float(flow.angle_stop)
     base = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph)
 
-    if kind == "rotation":
+    if flow.kind == "rotation":
         def family(s):
             angle = a0 + (a1 - a0) * s
             return models.flat_band_model(
@@ -412,16 +416,15 @@ def _run_flow_check(config, out_dir, prefix):
             return Interaction(tuple(terms))
 
     try:
-        rep = gap.projection_flow(family, lam, np.linspace(0.0, 1.0, points),
-                                  gamma_min=gamma_min,
-                                  defect_target=float(flow_cfg.get("defect_target", 1e-6)))
+        rep = gap.projection_flow(family, lam, np.linspace(0.0, 1.0, flow.points),
+                                  gamma_min=float(flow.gamma_min),
+                                  defect_target=float(flow.defect_target))
     except GapClosureError as err:
         payload = {"task": "flow-check", "config": config, "certified": False,
                    "error": _error_object("gap-closure", str(err),
                                           location=err.location,
                                           bracket=list(err.bracket))}
-        _emit(out_dir, prefix, payload, (["s", "gap", "defect"], []),
-              (["s", "gap", "defect"], []))
+        _emit(out_dir, prefix, payload, (["s", "gap", "defect"], []))
         print(json.dumps(payload["error"]))
         return 2
     payload = {"task": "flow-check", "config": config, "certified": True,
@@ -432,15 +435,13 @@ def _run_flow_check(config, out_dir, prefix):
                "defects": [float(d) for d in rep.defects]}
     rows = [{"s": float(s), "gap": float(g), "defect": float(d)}
             for s, g, d in zip(rep.parameters, rep.gaps, rep.defects)]
-    _emit(out_dir, prefix, payload, (["s", "gap", "defect"], rows),
-          (["s", "gap", "defect"], rows))
+    _emit(out_dir, prefix, payload, (["s", "gap", "defect"], rows))
     return 0
 
 
-def _run_model_info(config, out_dir, prefix):
-    graph = _build_graph(config)
+def _run_model_info(task, config, out_dir, prefix):
+    graph, phi = _build_model(task)
     lam = graph.sites
-    phi = _build_model(config, graph)
     info = {
         "sites": [repr(s) for s in lam.sites],
         "n_sites": len(lam),
@@ -460,32 +461,32 @@ def _run_model_info(config, out_dir, prefix):
                "model": info}
     rows = [{"label": t["label"], "sites": " ".join(t["sites"]), "norm": t["norm"]}
             for t in info["terms"]]
-    _emit(out_dir, prefix, payload, (["label", "sites", "norm"], rows),
-          (["label", "sites", "norm"], rows))
+    _emit(out_dir, prefix, payload, (["label", "sites", "norm"], rows))
     return 0
 
 
-_RUNNERS = {
-    "lr-certify": _run_lr_certify,
-    "condexp-check": _run_condexp_check,
-    "gap-certify": _run_gap_certify,
-    "flow-check": _run_flow_check,
-    "model-info": _run_model_info,
+_TASKS = {   # task: (schema, runner)
+    "lr-certify": (LRCertify, _run_lr_certify),
+    "condexp-check": (CondexpCheck, _run_condexp_check),
+    "gap-certify": (ModelTask, _run_gap_certify),
+    "flow-check": (FlowCheck, _run_flow_check),
+    "model-info": (ModelTask, _run_model_info),
 }
 
 
 def run(config: dict, out_dir) -> int:
-    """Validate and execute one task; returns the process exit code."""
-    diags = validate(config)
+    """Validate and execute one task; returns the process exit code.
+    The report echoes ``config`` as given."""
+    task, diags = _parse_config(config)
     if diags:
         print(json.dumps(_error_object("invalid-config", "config validation failed",
                                        diagnostics=diags)))
         return 1
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prefix = config.get("output_prefix", config["task"].replace("-", "_"))
+    prefix = task.output_prefix or task.task.replace("-", "_")
     try:
-        return _RUNNERS[config["task"]](config, out_dir, prefix)
+        return _TASKS[task.task][1](task, config, out_dir, prefix)
     except CertificationError as err:
         print(json.dumps(_error_object("certification-failed", str(err),
                                        where=err.where, measured=err.measured,
@@ -511,7 +512,7 @@ def main(argv=None) -> int:
     parser.add_argument("--grid", type=int, default=None,
                         help="override the number of time/parameter grid points")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override the defect tolerance")
+                        help="override the defect tolerance of condexp-check")
     args = parser.parse_args(argv)
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -519,18 +520,15 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as err:
         print(json.dumps(_error_object("unreadable-config", str(err))))
         return 1
-    if not isinstance(config, dict):   # no overrides; validate() reports it
-        return run(config, args.out)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.tol is not None:
-        config["tol"] = args.tol
-    if args.grid is not None:
-        if isinstance(config.get("time"), dict):
-            config["time"]["points"] = args.grid
-        flow = config.get("flow", {})
-        if config.get("task") == "flow-check" and isinstance(flow, dict):
-            config["flow"] = dict(flow, points=args.grid)
+    if isinstance(config, dict):   # run() reports a config that is not an object
+        task = config.get("task")
+        if args.seed is not None:
+            config["seed"] = args.seed
+        if args.tol is not None and task == "condexp-check":   # the only task with a tol
+            config["tol"] = args.tol
+        grid = "flow" if task == "flow-check" else "time"
+        if args.grid is not None and isinstance(config.get(grid), dict):
+            config[grid]["points"] = args.grid
     return run(config, args.out)
 
 

@@ -284,3 +284,97 @@ def test_seed_override_changes_random_model(tmp_path):
     r1 = json.loads((tmp_path / "s1" / "rand_report.json").read_text())
     r2 = json.loads((tmp_path / "s2" / "rand_report.json").read_text())
     assert r1["model"]["terms"] != r2["model"]["terms"]
+
+
+@pytest.mark.parametrize("prefix", ["a/b", ["x"], "../x"])
+def test_output_prefix_must_be_a_plain_file_name(tmp_path, capsys, prefix):
+    config = _load("model_info_flatband.json")
+    config["output_prefix"] = prefix
+    _assert_config_error(config, tmp_path / "out", capsys, "output_prefix")
+    assert list(tmp_path.rglob("*_report.json")) == []
+
+
+def _random_model_info(**params):
+    return {"task": "model-info", "lattice": {"lengths": [4]},
+            "model": {"name": "random_even", "params": dict(max_range=1, **params)}}
+
+
+@pytest.mark.parametrize("key, value", [("n_terms", 2.5), ("max_range", 1.5)])
+def test_random_even_integer_params(tmp_path, capsys, key, value):
+    config = _random_model_info()
+    config["model"]["params"][key] = value
+    _assert_config_error(config, tmp_path, capsys, f"model.params.{key}")
+
+
+def test_random_even_null_n_terms_is_one_term_per_site(tmp_path):
+    assert cli.run(_random_model_info(n_terms=None), tmp_path) == 0
+    report = json.loads((tmp_path / "model_info_report.json").read_text())
+    assert report["model"]["n_terms"] == 4
+
+
+@pytest.mark.parametrize("config, path, value, field", [
+    (_load("lr_chain.json"), ("time", "points"), 10**12, "time.points"),
+    (_load("flow_rotation.json"), ("flow", "points"), 10**12, "flow.points"),
+    (_load("condexp_chain.json"), ("samples",), 10**12, "samples"),
+    (_random_model_info(), ("model", "params", "n_terms"), 10**12, "model.params.n_terms"),
+    (_load("lr_ramped.json"), ("step",), 1e-12, "step"),   # 2e12 midpoint steps
+])
+def test_oversized_counts_are_config_errors(tmp_path, capsys, config, path, value, field):
+    _set(config, path, value)
+    # validate() first: a runner given such a count would allocate or loop without end
+    assert any(d.startswith(field + ":") for d in cli.validate(config))
+    _assert_config_error(config, tmp_path, capsys, field)
+
+
+def test_count_cap_is_inclusive():
+    config = _load("lr_chain.json")
+    config["time"]["points"] = cli.COUNT_CAP
+    assert cli.validate(config) == []
+    config["time"]["points"] = cli.COUNT_CAP + 1
+    assert cli.validate(config) == [
+        f"time.points: need an integer in [1, {cli.COUNT_CAP}], got {cli.COUNT_CAP + 1}"]
+
+
+@pytest.mark.parametrize("name", ["lr_chain.json", "flow_rotation.json"])
+def test_grid_override_is_bounded(tmp_path, monkeypatch, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_load(name)))
+    passed = []
+    monkeypatch.setattr(cli, "run", lambda config, out_dir: passed.append(config) or 1)
+    assert cli.main(["--config", str(cfg_path), "--grid", str(10**12)]) == 1
+    field = "flow.points" if name == "flow_rotation.json" else "time.points"
+    assert any(d.startswith(field + ":") for d in cli.validate(passed[0]))
+
+
+def test_tol_override_only_reaches_condexp_check(tmp_path):
+    info_path, condexp_path = tmp_path / "info.json", tmp_path / "condexp.json"
+    info_path.write_text(json.dumps(_load("model_info_flatband.json")))
+    condexp = _load("condexp_chain.json")
+    condexp["samples"] = 2
+    condexp_path.write_text(json.dumps(condexp))
+    for path in (info_path, condexp_path):
+        assert cli.main(["--config", str(path), "--out", str(tmp_path), "--tol", "1e-3"]) == 0
+    report = json.loads((tmp_path / "model_info_flatband_report.json").read_text())
+    assert "tol" not in report["config"]
+    report = json.loads((tmp_path / "condexp_chain_report.json").read_text())
+    assert report["config"]["tol"] == report["tolerance"] == 1e-3
+
+
+def test_flow_check_only_transports_the_flat_band_family(tmp_path, capsys):
+    config = _load("flow_rotation.json")
+    config["lattice"]["lengths"] = [4]
+    config["flow"]["points"] = 3
+    config["model"] = {"name": "kitaev_chain"}
+    _assert_config_error(config, tmp_path, capsys, "model")
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("model", "params"), {"angel": 0.9}, "model.params.angel"),
+    (("lattice", "dimension"), "two", "lattice.dimension"),
+    (("site_cap",), 20, "site_cap"),
+    (("flow",), {"points": 3}, "flow"),
+])
+def test_unknown_or_wrong_typed_keys_are_config_errors(tmp_path, capsys, path, value, field):
+    config = _load("model_info_flatband.json")
+    _set(config, path, value)
+    _assert_config_error(config, tmp_path, capsys, field)
