@@ -4,8 +4,8 @@ Tasks: lr-certify, condexp-check, gap-certify, flow-check, model-info.
 Each run writes <prefix>_report.json (full metadata), <prefix>_table.csv
 (the main table) and <prefix>_plot.csv (plot-ready columns) into the
 output directory.  Exit codes: 0 success, 1 usage/config error, 2
-certification failure.  Reports are byte-identical across runs with the
-same config and seed, except for the timestamp field.
+certification or numerical failure.  Reports are byte-identical across
+runs with the same config and seed, except for the timestamp field.
 
 BLAS thread count follows the usual environment variables
 (OMP_NUM_THREADS / OPENBLAS_NUM_THREADS).
@@ -30,13 +30,15 @@ from . import cond_exp, fock, gap, geometry, models
 from .dynamics import Interaction, InteractionTerm, scaled_profile
 from .errors import (AmbiguousKernelError, CertificationError,
                      GapClosureError, KernelMismatchError, SiteNotInLattice)
-from .fock import SiteSet, annihilator, creator, monomial, number_operator
+from .fock import (MONOMIAL_SYMBOLS, SiteSet, annihilator, creator, monomial,
+                   number_operator)
 from .geometry import DecayFunction, MetricGraph, chain_graph, grid_graph
 from .lr_bounds import certify
 
 TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info")
 SITE_CAP = 12        # one dense complex matrix at 13 sites is 1 GiB
 COUNT_CAP = 10_000   # every count in a config: grid points, samples, terms, steps
+MAGNITUDE_CAP = 1e6  # every time and coupling in a config, in absolute value
 
 
 # -- config schema -----------------------------------------------------------
@@ -127,7 +129,14 @@ def _is_site(value) -> bool:
             and all(_number(c, integer=True) for c in value))
 
 
+def _moderate(value) -> bool:
+    """A finite number of magnitude at most MAGNITUDE_CAP: times and couplings
+    beyond it overflow the exponentials of the propagator and the bound."""
+    return _number(value) and abs(value) <= MAGNITUDE_CAP
+
+
 _REAL = _is(_number, "a finite number")
+_MODERATE = _is(_moderate, f"a number of magnitude at most {MAGNITUDE_CAP:g}")
 _POSITIVE = _is(lambda v: _number(v) and v > 0, "a finite number > 0")
 _SITE = _is(_is_site, "an integer or a list of integers",
             lambda v: tuple(v) if isinstance(v, list) else v)   # a grid site is a tuple
@@ -146,10 +155,12 @@ Lattice = _schema(
     boundary=(_choice("open", "periodic"), "open"),
     dimension=(_optional(_int(1)), None))   # None: len(lengths)
 Ramp = _schema(   # linear: offset + slope t; sine: 1 + amplitude sin(frequency t)
-    "Ramp", kind=(_choice("linear", "sine"), "linear"), slope=(_REAL, 1.0),
-    offset=(_REAL, 0.0), amplitude=(_REAL, 0.5), frequency=(_REAL, 1.0),
-    interval=(_is(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v))
-                  and v[0] <= v[1], "two numbers lo <= hi", tuple), (0.0, 1.0)))
+    "Ramp", kind=(_choice("linear", "sine"), "linear"), slope=(_MODERATE, 1.0),
+    offset=(_MODERATE, 0.0), amplitude=(_MODERATE, 0.5), frequency=(_MODERATE, 1.0),
+    interval=(_is(lambda v: isinstance(v, list) and len(v) == 2 and all(map(_moderate, v))
+                  and v[0] <= v[1],
+                  f"two numbers lo <= hi of magnitude at most {MAGNITUDE_CAP:g}", tuple),
+              (0.0, 1.0)))
 
 
 def _family(name: str, **params):
@@ -160,19 +171,20 @@ def _family(name: str, **params):
 
 
 _MODELS = {model.__name__: model for model in (
-    _family("hopping_chain", J=(_REAL, 1.0), mu=(_REAL, 0.0)),
-    _family("kitaev_chain", hopping=(_REAL, 1.0), pairing=(_REAL, 1.0), mu=(_REAL, 0.0)),
+    _family("hopping_chain", J=(_MODERATE, 1.0), mu=(_MODERATE, 0.0)),
+    _family("kitaev_chain", hopping=(_MODERATE, 1.0), pairing=(_MODERATE, 1.0),
+            mu=(_MODERATE, 0.0)),
     _family("flat_band_chain", angle=(_REAL, 0.3)),
     _family("overlap_band_chain", tilt=(_REAL, 0.4)),
-    _family("random_even", max_range=(_int(0), 1), strength=(_REAL, 1.0),
+    _family("random_even", max_range=(_int(0), 1), strength=(_MODERATE, 1.0),
             n_terms=(_optional(_int(1)), None)))}   # None: one term per site
 _SITE_OBSERVABLE = _schema("SiteObservable", kind=(_choice("number", "annihilator", "creator"),),
                            site=(_SITE,))
 _OBSERVABLE = _one_of("kind", {
     "number": _SITE_OBSERVABLE, "annihilator": _SITE_OBSERVABLE, "creator": _SITE_OBSERVABLE,
     "monomial": _schema("Monomial", kind=(_choice("monomial"),), label=(_is(
-        lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-        "a list of monomial symbols"),))})
+        lambda v: isinstance(v, list) and all(s in MONOMIAL_SYMBOLS for s in v),
+        f"a list of monomial symbols from {MONOMIAL_SYMBOLS}"),))})
 
 _EVERY_TASK = dict(
     task=(_choice(*TASKS),),
@@ -191,7 +203,7 @@ LRCertify = _schema(
         rate=(_is(lambda v: _number(v) and v >= 0, "a finite number >= 0"), 0.0))),),
     observables=(partial(_parse, _schema("Observables", A=(_OBSERVABLE,),
                                          B=(_OBSERVABLE,))),),
-    time=(partial(_parse, _schema("TimeGrid", start=(_REAL,), stop=(_REAL,),
+    time=(partial(_parse, _schema("TimeGrid", start=(_MODERATE,), stop=(_MODERATE,),
                                   points=(_int(1),))),),
     mode=(_optional(_choice("commutator", "anticommutator")), None),   # None: by parity
     step=(_POSITIVE, 1e-2))   # midpoint step of a ramped interaction
@@ -207,20 +219,50 @@ FlowCheck = _schema(   # the flat-band family rotated, or its conduction band cl
         defect_target=(_POSITIVE, 1e-6))),))
 
 
+_CHAIN_LENGTHS = {   # model: (test on the number of sites, what it needs)
+    "hopping_chain": (lambda n: n >= 2, "at least 2 sites"),
+    "kitaev_chain": (lambda n: n >= 2, "at least 2 sites"),
+    "flat_band_chain": (lambda n: n >= 2 and n % 2 == 0, "an even number of sites >= 2"),
+    "overlap_band_chain": (lambda n: n >= 3, "at least 3 sites"),
+}
+
+
 def _constraints(task):
     """``(field, message)`` for each broken constraint between valid fields."""
     lengths, dimension = task.lattice.lengths, task.lattice.dimension
+    sites = _build_graph(task.lattice).sites
     model = getattr(task, "model", None)
     if dimension not in (None, len(lengths)):
         yield "lattice.dimension", f"need len(lengths) = {len(lengths)}, got {dimension}"
     if model is not None and model.name != "random_even" and len(lengths) > 1:
         yield "model.name", f"{model.name} is a chain model and needs one length"
+    elif model is not None and model.name in _CHAIN_LENGTHS:
+        test, need = _CHAIN_LENGTHS[model.name]
+        if not test(len(sites)):
+            yield "lattice.lengths", f"{model.name} needs {need}, got {len(sites)}"
+    located = [(key, site) for key in ("region_x", "region_y")
+               for site in getattr(task, key, ())]
+    for key in ("A", "B") if hasattr(task, "observables") else ():
+        obs = getattr(task.observables, key)
+        if obs.kind != "monomial":
+            located.append((f"observables.{key}.site", obs.site))
+        elif len(obs.label) != len(sites):
+            yield (f"observables.{key}.label",
+                   f"need one symbol per site ({len(sites)}), got {len(obs.label)}")
+    for key, site in located:
+        if site not in sites:
+            yield key, f"site {site!r} is not in the lattice {sites.sites}"
     if hasattr(task, "time"):
         steps = (task.time.stop - task.time.start) / task.step
         if steps < 0:
             yield "time", "need stop >= start"
         elif model.ramp is not None and steps > COUNT_CAP:
             yield "step", f"need at most {COUNT_CAP} midpoint steps, got {steps:.3g}"
+        if model.ramp is not None:
+            lo, hi = model.ramp.interval
+            for key, t in (("time.start", task.time.start), ("time.stop", task.time.stop)):
+                if not lo <= t <= hi:
+                    yield key, f"need a time in model.ramp.interval [{lo}, {hi}], got {t}"
 
 
 def _parse_config(config) -> tuple:
@@ -494,6 +536,9 @@ def run(config: dict, out_dir) -> int:
         return 2
     except (AmbiguousKernelError, KernelMismatchError) as err:
         print(json.dumps(_error_object("spectral-analysis-failed", str(err))))
+        return 2
+    except np.linalg.LinAlgError as err:   # a ValueError, but not a config error
+        print(json.dumps(_error_object("numerical-failure", f"LinAlgError: {err}")))
         return 2
     except (SiteNotInLattice, ValueError, KeyError) as err:
         print(json.dumps(_error_object("invalid-config",

@@ -9,23 +9,31 @@ region X inside Lambda, averaging over the single-site unitaries
 at every site outside X defines a unity-preserving completely positive
 projection E_X of norm one: operators even and supported in X are fixed,
 everything supported outside X collapses to its trace, and the odd part
-of the outside algebra is annihilated.  Because the average over a site
-commutes with the average over any other site, E_X factorizes into a
-site-by-site sweep, which is how it is evaluated here (the full
-4^|complement|-term Kraus sum is retained as an independent oracle).
+of the outside algebra is annihilated.
 
 A second family F_X projects onto the honestly local subalgebra A_X and
 leaves the tracial state invariant.  Its Kraus operators acquire a global
 parity factor theta_X on the odd-parity index combinations, but the map
-itself is the Hilbert-Schmidt-orthogonal projection onto A_X, so it is
-evaluated exactly by ``fock.project_support`` (a signed reordering of X to
-the front and a partial trace).  On even observables the two families
-coincide.
+itself is the Hilbert-Schmidt-orthogonal projection onto A_X.  On even
+observables the two families coincide.
+
+Both are evaluated exactly at any size by one signed partial trace,
+``fock.signed_partial_trace``: reorder X to the front with the
+Jordan-Wigner sign, so that an operator reads as M (x) N on X and the
+complement C, and average its blocks over the configurations c of C.
+With X in front, a Kraus word over C is theta_X^{p(alpha)} (x) P_alpha,
+P_alpha a Pauli string on C and p(alpha) its fermion parity, so the
+4^|C|-term Kraus sum of E_X is
+
+    M_even (x) tr(N)/2^|C| 1 + M_odd (x) tr(N theta_C)/2^|C| theta_C,
+
+where M_even and M_odd are the entries of M that keep and that change
+the parity of X.  F_X takes the plain mean on all entries.  The explicit
+Kraus sums are kept in the tests as oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,9 +42,6 @@ import numpy as np
 from . import fock
 from .fock import (EVEN, ODD, FockOperator, SiteSet, annihilator, identity,
                    op_norm, parity_operator)
-
-#: refuse brute-force Kraus sums beyond this complement size (4^k terms)
-BRUTE_FORCE_CAP = 10
 
 
 def tracial_state(A: FockOperator) -> complex:
@@ -55,33 +60,6 @@ def kraus_unitaries(lam: SiteSet, x) -> tuple:
     return (u0, u1, u2, FockOperator(u3.matrix, lam, frozenset({x}), EVEN))
 
 
-def _site_average(m: np.ndarray, lam: SiteSet, x) -> np.ndarray:
-    """Average of u^(i)* m u^(i) over the four Kraus unitaries at x."""
-    a = annihilator(lam, x).matrix
-    u1 = a.conj().T + a
-    u2 = a.conj().T - a
-    signs = np.diag(parity_operator(lam, [x]).matrix).real
-    acc = m + signs[:, None] * m * signs[None, :]
-    acc = acc + u1 @ m @ u1          # u1 is Hermitian unitary
-    acc = acc + u2.conj().T @ m @ u2
-    return acc / 4.0
-
-
-def _kraus_words(lam: SiteSet, comp: tuple):
-    """Yield (alpha, u(alpha)) for every Kraus word over the sites ``comp``:
-    u(alpha) is the product u^(alpha_1)_{comp_1} ... u^(alpha_k)_{comp_k},
-    multiplied left to right (the identity for the empty word).  Refuses
-    complements beyond BRUTE_FORCE_CAP (4^k words)."""
-    if len(comp) > BRUTE_FORCE_CAP:
-        raise ValueError(f"Kraus sum over 4^{len(comp)} words refused")
-    singles = [[u.matrix for u in kraus_unitaries(lam, x)] for x in comp]
-    for alpha in itertools.product(range(4), repeat=len(comp)):
-        u = None
-        for mats, i in zip(singles, alpha):
-            u = mats[i] if u is None else u @ mats[i]
-        yield alpha, (np.eye(lam.dim, dtype=complex) if u is None else u)
-
-
 def _complement(lam: SiteSet, X: Iterable) -> tuple:
     X = frozenset(X)
     for x in X:
@@ -98,30 +76,25 @@ def _result_tags(A: FockOperator, X: frozenset, strictly_local: bool) -> tuple:
     return support, A.parity
 
 
-def conditional_expectation(A: FockOperator, X: Iterable,
-                            method: str = "sweep") -> FockOperator:
+def conditional_expectation(A: FockOperator, X: Iterable) -> FockOperator:
     """E_X(A): Kraus average over all single-site unitaries outside X.
 
-    method='sweep' applies the four-term average site by site (the default
-    and the fast path); method='direct' evaluates the full
-    4^|complement|-term Kraus sum and serves as the independent oracle.
+    On the signed blocks of ``fock.signed_partial_trace`` this is the plain
+    mean on the entries that keep the parity of X and theta_C(c) times the
+    theta_C-weighted mean on the entries that change it.
     """
     lam = A.ambient
     X = frozenset(X)
-    comp = _complement(lam, X)
-    if method == "sweep":
-        m = np.array(A.matrix)
-        for x in comp:
-            m = _site_average(m, lam, x)
-    elif method == "direct":
-        m = np.zeros_like(A.matrix)
-        for _, u in _kraus_words(lam, comp):
-            m = m + u.conj().T @ A.matrix @ u
-        m /= 4.0 ** len(comp)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    theta_c = fock._popcount_signs(len(_complement(lam, X)))[:, None, None]
+    theta_x = fock._popcount_signs(len(X))
+    flips_x = theta_x[:, None] != theta_x[None, :]
+
+    def average(blocks):
+        return np.where(flips_x, theta_c * (theta_c * blocks).mean(axis=0),
+                        blocks.mean(axis=0))
+
     support, parity = _result_tags(A, X, strictly_local=False)
-    return FockOperator(m, lam, support, parity)
+    return FockOperator(fock.signed_partial_trace(A, X, average), lam, support, parity)
 
 
 def trace_invariant_expectation(A: FockOperator, X: Iterable) -> FockOperator:
@@ -143,8 +116,9 @@ def local_approximation(A: FockOperator, X: Iterable) -> tuple:
     (E_X(A), ||A - E_X(A)||).
 
     The error never exceeds max_alpha ||[A, u(alpha)]|| over the Kraus
-    unitaries outside X (see ``kraus_commutator_bound``), which is how
-    light-cone estimates turn into localization errors.
+    words outside X, since E_X averages the unitaries u(alpha)* A u(alpha);
+    ``kraus_commutator_bound`` bounds that maximum site by site, which is
+    how light-cone estimates turn into localization errors.
     """
     if A.parity != EVEN:
         raise ValueError("local approximation is defined for even observables")
@@ -153,23 +127,14 @@ def local_approximation(A: FockOperator, X: Iterable) -> tuple:
     return approx, err
 
 
-def kraus_commutator_bound(A: FockOperator, X: Iterable,
-                           exhaustive: bool | None = None) -> float:
-    """max_alpha ||[A, u(alpha)]|| over Kraus words outside X.
-
-    Computed exactly when the complement has at most 4 sites (or when
-    forced); otherwise bounded by the site-wise triangle estimate
-    sum_y max_i ||[A, u_y^(i)]||, valid because each factor is unitary.
+def kraus_commutator_bound(A: FockOperator, X: Iterable) -> float:
+    """Upper bound on max_alpha ||[A, u(alpha)]|| over Kraus words outside X:
+    the site-wise triangle estimate sum_y max_i ||[A, u_y^(i)]||, valid
+    because each factor is unitary.
     """
     lam = A.ambient
-    comp = _complement(lam, X)
-    if exhaustive is None:
-        exhaustive = len(comp) <= 4
-    if exhaustive:
-        return max(op_norm(A.matrix @ u - u @ A.matrix)
-                   for _, u in _kraus_words(lam, comp))
     total = 0.0
-    for x in comp:
+    for x in _complement(lam, X):
         total += max(op_norm(A.matrix @ u.matrix - u.matrix @ A.matrix)
                      for u in kraus_unitaries(lam, x)[1:])
     return total
@@ -180,21 +145,19 @@ class ExpectationDiagnostics:
     """Defect metrics for one conditional-expectation evaluation."""
 
     region: tuple
-    method: str
     projection_defect: float
     contraction_excess: float
     range_support_defect: float
     range_parity_defect: float
 
 
-def expectation_diagnostics(A: FockOperator, X: Iterable,
-                            method: str = "sweep") -> ExpectationDiagnostics:
+def expectation_diagnostics(A: FockOperator, X: Iterable) -> ExpectationDiagnostics:
     """Evaluate E_X(A) and report how well the output satisfies the
     projection, contraction and range structure."""
     lam = A.ambient
     X = frozenset(X)
-    out = conditional_expectation(A, X, method=method)
-    twice = conditional_expectation(out, X, method=method)
+    out = conditional_expectation(A, X)
+    twice = conditional_expectation(out, X)
     projection = op_norm(out - twice)
     contraction = max(0.0, op_norm(out) - op_norm(A))
     # range: even part supported in X, odd part equals (odd in X) * theta
@@ -204,7 +167,7 @@ def expectation_diagnostics(A: FockOperator, X: Iterable,
     odd_local = odd @ theta
     parity_defect = fock.support_defect(odd_local, X)
     return ExpectationDiagnostics(
-        region=lam.sorted_subset(X), method=method,
+        region=lam.sorted_subset(X),
         projection_defect=projection, contraction_excess=contraction,
         range_support_defect=support_defect, range_parity_defect=parity_defect)
 

@@ -92,18 +92,6 @@ class Interaction:
         if not (lo <= t <= hi):
             raise ValueError(f"time {t} outside interaction interval [{lo}, {hi}]")
 
-    def all_sites(self) -> frozenset:
-        out = frozenset()
-        for term in self.terms:
-            out |= frozenset(term.sites)
-        return out
-
-
-def term(lam_or_sites, operator: FockOperator, profile=None, label="") -> InteractionTerm:
-    """Convenience constructor accepting the sites tuple directly."""
-    sites = tuple(lam_or_sites.sites) if isinstance(lam_or_sites, SiteSet) else tuple(lam_or_sites)
-    return InteractionTerm(sites, operator, profile, label)
-
 
 def scaled_profile(phi: Interaction, profile: Callable[[float], float],
                    interval: tuple) -> Interaction:
@@ -208,9 +196,6 @@ class Propagator:
 
     def __post_init__(self):
         self.matrix.flags.writeable = False
-
-    def adjoint_matrix(self) -> np.ndarray:
-        return self.matrix.conj().T
 
 
 def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,

@@ -16,8 +16,6 @@ exact at the matrix level (all entries are small integers).
 
 Everything here is a pure function over immutable inputs; matrices are
 frozen after construction and operators are safe to share across threads.
-``FockOperator.apply`` is the matrix-free application hook: a sparse or
-matrix-free backend can override storage without changing any contract.
 """
 
 from __future__ import annotations
@@ -231,10 +229,6 @@ class FockOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """Matrix-free application hook: operator acting on a state vector."""
-        return self.matrix @ vec
 
     def adjoint(self) -> "FockOperator":
         return FockOperator(self.matrix.conj().T, self.ambient, self.support, self.parity)
@@ -584,23 +578,38 @@ def _front_reordering(nsites: int, positions: tuple) -> tuple:
     return index, sign
 
 
-def project_support(A: FockOperator, subset: Iterable) -> FockOperator:
-    """Hilbert-Schmidt-orthogonal projection of A onto the subalgebra of
-    operators supported in ``subset`` (same ambient lattice).
+def signed_partial_trace(A: FockOperator, subset: Iterable, average) -> np.ndarray:
+    """Matrix of A averaged over the complement C of ``subset``, exactly.
 
-    Exact: reorder ``subset`` to the front, take the normalized partial
-    trace over the complement and reorder back.
+    Reorders ``subset`` to the front with the Jordan-Wigner sign of
+    ``_front_reordering`` and gathers the blocks of A that are diagonal in
+    C: blocks[c] is the 2^|X| square block at complement configuration c
+    (bit j of c is the occupation of the j-th complement site, so its
+    parity theta_C is (-1)^{popcount c}).  Then scatters ``average(blocks)``
+    (one block per c, or one block for every c) back as an operator
+    diagonal in C, in the lattice's own order.
     """
     lam = A.ambient
-    subset = lam.restrict(subset).sites
-    index, sign = _front_reordering(len(lam), lam.positions(subset))
+    index, sign = _front_reordering(len(lam), lam.positions(lam.restrict(subset).sites))
     rows, cols = index[:, :, None], index[:, None, :]
     signs = sign[:, :, None] * sign[:, None, :]
     block = A.matrix[rows, cols]
     block *= signs
     m = np.zeros_like(A.matrix)
-    m[rows, cols] = signs * block.mean(axis=0)
-    return FockOperator(m, lam, frozenset(subset), MIXED)
+    m[rows, cols] = signs * average(block)
+    return m
+
+
+def project_support(A: FockOperator, subset: Iterable) -> FockOperator:
+    """Hilbert-Schmidt-orthogonal projection of A onto the subalgebra of
+    operators supported in ``subset`` (same ambient lattice).
+
+    Exact: the normalized partial trace over the complement, the plain mean
+    of the signed blocks of ``signed_partial_trace``.
+    """
+    subset = A.ambient.restrict(subset).sites
+    m = signed_partial_trace(A, subset, lambda blocks: blocks.mean(axis=0))
+    return FockOperator(m, A.ambient, frozenset(subset), MIXED)
 
 
 def support_defect(A: FockOperator, subset: Iterable) -> float:

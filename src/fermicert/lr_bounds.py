@@ -27,8 +27,6 @@ of the estimate is deliberately not implemented.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -92,14 +90,6 @@ class LRBoundReport:
             yield {"t": float(t), "measured": float(m), "bound": float(b),
                    "ratio": float(r), "mode": self.mode}
 
-    def write_csv(self, path):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["t", "measured", "bound", "ratio", "mode"],
-                                    lineterminator="\n")
-            writer.writeheader()
-            for row in self.rows():
-                writer.writerow(row)
-
     def to_dict(self) -> dict:
         return {
             "mode": self.mode,
@@ -118,11 +108,6 @@ class LRBoundReport:
             "phi_integrals": [float(v) for v in self.phi_integrals],
             "step": self.step,
         }
-
-    def write_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _infer_mode(A: FockOperator, B: FockOperator) -> str:

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fermicert import cli
@@ -177,19 +178,45 @@ def test_grid_override_leaves_other_tasks_without_flow(tmp_path):
     assert report["config"]["time"]["points"] == 3
 
 
-def test_run_bad_observable_site_is_config_error(tmp_path, capsys):
-    config = _load("lr_chain.json")
-    config["observables"]["B"]["site"] = 99
-    assert cli.run(config, tmp_path) == 1
-    err = json.loads(capsys.readouterr().out)
-    assert err["error"] == "invalid-config"
-
-
 def _assert_config_error(config, tmp_path, capsys, field):
     assert cli.run(config, tmp_path) == 1
     err = json.loads(capsys.readouterr().out)
     assert err["error"] == "invalid-config"
     assert any(d.startswith(field + ":") for d in err["diagnostics"])
+
+
+def test_run_bad_observable_site_is_config_error(tmp_path, capsys):
+    config = _load("lr_chain.json")
+    config["observables"]["B"]["site"] = 99
+    _assert_config_error(config, tmp_path, capsys, "observables.B.site")
+
+
+@pytest.mark.parametrize("name, path, value, field", [
+    ("condexp_chain.json", ("region_y",), [2, 9], "region_y"),   # a site outside the lattice
+    ("lr_chain.json", ("observables", "A"), {"kind": "monomial", "label": ["a*a", "1"]},
+     "observables.A.label"),                                     # one symbol per site
+    ("lr_chain.json", ("observables", "A"), {"kind": "monomial", "label": ["zz"] + ["1"] * 7},
+     "observables.A.label"),
+    ("gap_flatband.json", ("lattice", "lengths"), [5], "lattice.lengths"),   # odd flat band
+    ("lr_ramped.json", ("time", "stop"), 3.0, "time.stop"),     # beyond the ramp interval
+    ("lr_chain.json", ("time", "stop"), 1e308, "time.stop"),    # beyond MAGNITUDE_CAP
+    ("lr_ramped.json", ("model", "ramp", "slope"), -1e7, "model.ramp.slope"),
+])
+def test_semantic_rules_are_field_diagnostics(tmp_path, capsys, name, path, value, field):
+    # each passed the schema before and failed only inside a runner, unnamed
+    config = _load(name)
+    _set(config, path, value)
+    assert any(d.startswith(field + ":") for d in cli.validate(config))
+    _assert_config_error(config, tmp_path, capsys, field)
+
+
+def test_numerical_failure_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(cli, "certify", diverge)
+    assert cli.run(_load("lr_chain.json"), tmp_path) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "numerical-failure"
 
 
 @pytest.mark.parametrize("desc, field", [

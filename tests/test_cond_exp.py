@@ -4,15 +4,17 @@ and the local-approximation error bound."""
 import numpy as np
 import pytest
 
-from fermicert import cond_exp, fock, geometry, models
+from fermicert import fock, geometry, models
 from fermicert.cond_exp import (conditional_expectation,
                                 expectation_diagnostics,
                                 expectation_family_report, kraus_commutator_bound,
                                 kraus_unitaries, local_approximation,
                                 trace_invariant_expectation, tracial_state)
 from fermicert.dynamics import heisenberg, propagate
-from fermicert.fock import (EVEN, ODD, annihilator, chain, creator, identity,
+from fermicert.fock import (EVEN, MIXED, ODD, annihilator, chain, creator, identity,
                             number_operator, op_norm, parity_operator)
+from kraus_oracles import (exhaustive_commutator_bound, kraus_sum, site_sweep,
+                           twisted_kraus_sum)
 
 
 def test_tracial_state_basics(lam4, rng):
@@ -67,25 +69,36 @@ def test_sweep_matches_brute_force(rng):
     lam = chain(6)
     for X in [(0, 1), (2, 3, 4), (0, 2, 4, 5)]:
         A = fock.random_local_operator(lam, lam.sites, rng)
-        sw = conditional_expectation(A, X, method="sweep")
-        br = conditional_expectation(A, X, method="direct")
-        assert np.abs(sw.matrix - br.matrix).max() <= 1e-12
+        out = conditional_expectation(A, X)
+        assert np.abs(out.matrix - kraus_sum(A, X)).max() <= 1e-12
 
 
 def test_sweep_order_independent(rng):
-    # sweeping the complement sites in any order gives the same map
-    from fermicert.cond_exp import _site_average
+    # the per-site averages, in any order, compose to E_X
     lam = chain(5)
     A = fock.random_local_operator(lam, lam.sites, rng)
     X = (1, 3)
     out = conditional_expectation(A, X)
     comp = [x for x in lam.sites if x not in X]
-    for order in ([4, 0, 2], [2, 4, 0]):
+    for order in ([0, 2, 4], [4, 0, 2], [2, 4, 0]):
         assert sorted(order) == sorted(comp)
-        m = np.array(A.matrix)
-        for x in order:
-            m = _site_average(m, lam, x)
-        assert np.abs(m - out.matrix).max() <= 1e-12
+        assert np.abs(site_sweep(A, X, order) - out.matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD, MIXED])
+@pytest.mark.parametrize("lam, X", [
+    (chain(5), ()),                # empty
+    (chain(4), (0, 1, 2, 3)),      # full
+    (chain(6), (1, 2, 3)),         # contiguous
+    (chain(6), (0, 2, 5)),         # non-contiguous
+    (chain(3), (1,)),
+])
+def test_expectation_matches_kraus_oracle(rng, lam, X, parity):
+    A = fock.random_local_operator(lam, lam.sites, rng, parity=parity)
+    out = conditional_expectation(A, X)
+    assert np.abs(out.matrix - kraus_sum(A, X)).max() <= 1e-12
+    assert out.parity == parity
+    assert out.support == (frozenset(X) if parity == EVEN else frozenset(lam.sites))
 
 
 def test_norm_one_contraction_and_projection(rng):
@@ -146,20 +159,6 @@ def test_trace_invariant_expectation_strictly_local(rng):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
-def _twisted_kraus_sum(A, X):
-    """F_X by its Kraus form: u(alpha) for even words, theta_X u(alpha) for
-    odd ones (indices 1 and 2 are odd), averaged over all 4^k words."""
-    lam = A.ambient
-    comp = tuple(x for x in lam.sites if x not in X)
-    theta_x = parity_operator(lam, X).matrix
-    m = np.zeros_like(A.matrix)
-    for alpha, u in cond_exp._kraus_words(lam, comp):
-        if sum(i in (1, 2) for i in alpha) % 2:
-            u = theta_x @ u
-        m = m + u.conj().T @ A.matrix @ u
-    return m / 4.0 ** len(comp)
-
-
 @pytest.mark.parametrize("parity", [ODD, "mixed"])
 def test_trace_invariant_expectation_matches_twisted_kraus_sum(rng, parity):
     for lam, X in [(chain(4), (1, 2)), (chain(5), (0, 2, 4)), (chain(5), (1, 3)),
@@ -167,7 +166,7 @@ def test_trace_invariant_expectation_matches_twisted_kraus_sum(rng, parity):
         A = fock.random_local_operator(lam, lam.sites, rng, parity=parity)
         out = trace_invariant_expectation(A, X)
         assert out.parity == parity
-        assert np.abs(out.matrix - _twisted_kraus_sum(A, X)).max() <= 1e-12
+        assert np.abs(out.matrix - twisted_kraus_sum(A, X)).max() <= 1e-12
 
 
 def test_trace_invariance_of_both_families(rng):
@@ -178,16 +177,16 @@ def test_trace_invariance_of_both_families(rng):
         assert tracial_state(fn(A, X)) == pytest.approx(tracial_state(A), abs=1e-12)
 
 
-def test_size_caps():
-    # complements beyond the 4^k cap are refused for the explicit sum; F_X
-    # is exact at any size
+def test_size_caps(rng):
+    # both families are exact at any size: no 4^k sum is taken
     big = chain(11)
     one = identity(big)
     assert np.array_equal(trace_invariant_expectation(one, ()).matrix, one.matrix)
-    with pytest.raises(ValueError, match="refused"):
-        conditional_expectation(one, (), method="direct")
-    with pytest.raises(ValueError, match="unknown method"):
-        conditional_expectation(identity(chain(3)), (0,), method="magic")
+    assert np.array_equal(conditional_expectation(one, ()).matrix, one.matrix)
+    lam = chain(9)
+    A = fock.random_local_operator(lam, lam.sites, rng)
+    X = (1, 4, 6)
+    assert np.abs(conditional_expectation(A, X).matrix - site_sweep(A, X)).max() <= 1e-12
 
 
 def test_local_approximation_exact_in_range(rng):
@@ -207,9 +206,9 @@ def test_local_approximation_error_vs_exhaustive_kraus_bound(rng):
     for _ in range(5):
         A = fock.random_local_operator(lam, lam.sites, rng, parity=EVEN)
         _, err = local_approximation(A, X)
-        bound = kraus_commutator_bound(A, X, exhaustive=True)
+        bound = exhaustive_commutator_bound(A, X)
         assert err <= bound + 1e-12
-        sitewise = kraus_commutator_bound(A, X, exhaustive=False)
+        sitewise = kraus_commutator_bound(A, X)
         assert bound <= sitewise + 1e-12
 
 

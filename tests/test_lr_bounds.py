@@ -1,5 +1,6 @@
 """Light-cone bound evaluation and certification."""
 
+import json
 import math
 
 import numpy as np
@@ -203,19 +204,15 @@ def test_measured_norms_match_free_fermion_oracle(chain_setup):
         assert rep_quad.measured[i] == pytest.approx(mu[mu > 0].sum(), abs=1e-10)
 
 
-def test_report_serialization(tmp_path, chain_setup):
+def test_report_serialization(chain_setup):
     lam, phi, G = chain_setup
     A = number_operator(lam, [0])
     B = number_operator(lam, [7])
     rep = certify(A, B, phi, G, 0.0, np.linspace(0.0, 1.0, 5))
-    csv_path = tmp_path / "rep.csv"
-    json_path = tmp_path / "rep.json"
-    rep.write_csv(csv_path)
-    rep.write_json(json_path)
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "t,measured,bound,ratio,mode"
-    assert len(lines) == 6
-    import json as j
-    data = j.loads(json_path.read_text())
+    rows = list(rep.rows())
+    assert [list(row) for row in rows] == [["t", "measured", "bound", "ratio", "mode"]] * 5
+    data = json.loads(json.dumps(rep.to_dict()))   # plain JSON values only
     assert data["mode"] == COMMUTATOR
     assert len(data["times"]) == 5
+    assert [row["t"] for row in rows] == data["times"]
+    assert [row["ratio"] for row in rows] == data["ratio"]
