@@ -22,13 +22,15 @@ block-diagonal in the even and odd particle-number states, so
 ``sector_eigh`` diagonalizes the two half-size blocks (and refuses a matrix
 with any nonzero entry between them).  A time-independent interaction is
 diagonalized once for a whole time grid, U(t, s) = V e^{-i w (t-s)} V*.
+A propagator keeps those two blocks, and the Heisenberg evolution of a
+definite-parity observable conjugates its parity blocks one by one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -139,13 +141,6 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
     return FockOperator(acc, lam, frozenset(support), parity)
 
 
-@lru_cache(maxsize=None)
-def _sector_index(dim: int) -> tuple:
-    """Basis states with an even and with an odd particle number."""
-    odd = fock._occupations(dim.bit_length() - 1).sum(axis=1) % 2
-    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
-
-
 def sector_eigh(H: np.ndarray) -> tuple:
     """Eigendecompositions of the two parity blocks of an even Hermitian
     matrix.
@@ -155,7 +150,7 @@ def sector_eigh(H: np.ndarray) -> tuple:
     ``H[ix_(index, index)] = v diag(w) v*``.  Raises ValueError if any
     entry between the two sectors is nonzero.
     """
-    sectors = _sector_index(H.shape[0])
+    sectors = fock._sector_index(H.shape[0])
     for rows, cols in (sectors, sectors[::-1]):
         if H[np.ix_(rows, cols)].any():
             raise ValueError("matrix couples the even and odd parity sectors")
@@ -183,9 +178,13 @@ def _unitarize(blocks: list) -> tuple:
 @dataclass(frozen=True, eq=False)
 class Propagator:
     """Unitary U(t, s) solving the Schroedinger equation for the local
-    Hamiltonian, with step-size and unitarity metadata."""
+    Hamiltonian, with step-size and unitarity metadata.
 
-    matrix: np.ndarray
+    U is even, so it is kept as its two parity blocks (even sector, odd
+    sector); the dense ``matrix`` is assembled only when asked for.
+    """
+
+    blocks: tuple
     lattice: SiteSet
     s: float
     t: float
@@ -195,7 +194,15 @@ class Propagator:
     steps_taken: int = 0
 
     def __post_init__(self):
-        self.matrix.flags.writeable = False
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        for block in self.blocks:
+            block.flags.writeable = False
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = fock.sector_matrix(self.blocks, EVEN, self.lattice.dim)
+        m.flags.writeable = False
+        return m
 
 
 def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
@@ -216,21 +223,13 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
     times = sorted(float(t) for t in times)
     for r in (s, *times):
         phi.check_time(r)
-    dim = lam.dim
-    sectors = _sector_index(dim)
-
-    def assemble(blocks: list) -> np.ndarray:
-        U = np.zeros((dim, dim), dtype=complex)
-        for index, block in zip(sectors, blocks):
-            U[np.ix_(index, index)] = block
-        return U
-
     static = None     # sector_eigh(H) of a time-independent interaction
-    blocks = [np.eye(len(index), dtype=complex) for index in sectors]
+    identity = [np.eye(len(index), dtype=complex) for index in fock._sector_index(lam.dim)]
+    blocks = identity
     prev, dt, defect, corrections, steps = s, step, 0.0, 0, 0
     for t in times:
         if t == s:
-            yield Propagator(np.eye(dim, dtype=complex), lam, s, t, step, 0.0, 0, 0)
+            yield Propagator(identity, lam, s, t, step, 0.0, 0, 0)
             continue
         if not phi.is_time_dependent:
             if static is None:
@@ -248,7 +247,7 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
             corrections += fixed
             steps += n_steps
             prev = t
-        yield Propagator(assemble(blocks), lam, s, t, abs(dt), defect, corrections, steps)
+        yield Propagator(blocks, lam, s, t, abs(dt), defect, corrections, steps)
 
 
 def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
@@ -258,17 +257,28 @@ def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
     return next(propagate_grid(phi, lam, s, (t,), step))
 
 
-def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
-    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving."""
+def _conjugate(A: FockOperator, U: Propagator, inverse: bool) -> FockOperator:
+    """U* A U, or U A U* when ``inverse``.  A definite-parity A is
+    conjugated block by block: (U* A U)[c] = U[c ^ p]* A[c] U[c]."""
     if A.ambient != U.lattice:
         raise ValueError("observable and propagator live on different site sets")
-    m = U.matrix.conj().T @ A.matrix @ U.matrix
-    return FockOperator(m, A.ambient, frozenset(A.ambient.sites), A.parity)
+
+    def sandwich(left, a, right):
+        return left @ a @ right.conj().T if inverse else left.conj().T @ a @ right
+
+    support = frozenset(A.ambient.sites)
+    if A.parity == MIXED:
+        return FockOperator(sandwich(U.matrix, A.matrix, U.matrix), A.ambient, support, MIXED)
+    u, p = U.blocks, fock._parity_bit(A.parity)
+    blocks = [sandwich(u[c ^ p], a, u[c]) for c, a in enumerate(A.blocks)]
+    return FockOperator.from_blocks(blocks, A.ambient, support, A.parity)
+
+
+def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
+    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving."""
+    return _conjugate(A, U, inverse=False)
 
 
 def inverse_heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
     """The inverse automorphism: U(t,s) A U(t,s)*."""
-    if A.ambient != U.lattice:
-        raise ValueError("observable and propagator live on different site sets")
-    m = U.matrix @ A.matrix @ U.matrix.conj().T
-    return FockOperator(m, A.ambient, frozenset(A.ambient.sites), A.parity)
+    return _conjugate(A, U, inverse=True)

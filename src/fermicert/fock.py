@@ -151,27 +151,58 @@ def _as_sparse(m: np.ndarray):
     return sparse.csr_matrix((m[rows, cols], (rows, cols)), shape=m.shape)
 
 
-def _smart_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product routed through scipy.sparse when both factors are
-    very sparse (Jordan-Wigner generators are)."""
+def _sparse_pair(a: np.ndarray, b: np.ndarray):
+    """csr forms of both factors when both are large and very sparse
+    (Jordan-Wigner generators are), else None; each is converted once."""
     if a.size >= 1 << 14:
         sa = _as_sparse(a)
         if sa is not None:
             sb = _as_sparse(b)
             if sb is not None:
-                return (sa @ sb).toarray()
-    return a @ b
+                return sa, sb
+    return None
 
 
-def _bracket_matrices(a: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
-    """a b + sign * b a with each factor converted to sparse at most once."""
-    if a.size >= 1 << 14:
-        sa = _as_sparse(a)
-        if sa is not None:
-            sb = _as_sparse(b)
-            if sb is not None:
-                return (sa @ sb).toarray() + sign * (sb @ sa).toarray()
-    return a @ b + sign * (b @ a)
+@lru_cache(maxsize=None)
+def _sector_index(dim: int) -> tuple:
+    """Basis states with an even and with an odd particle number."""
+    odd = _occupations(dim.bit_length() - 1).sum(axis=1) % 2
+    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
+
+
+def _parity_bit(parity: str) -> int:
+    """0 for an even operator, 1 for an odd one: block c maps the column
+    sector c to the row sector c ^ bit."""
+    if parity == MIXED:
+        raise ValueError("a mixed-parity operator has no sector blocks")
+    return 0 if parity == EVEN else 1
+
+
+@lru_cache(maxsize=None)
+def _sector_mesh(dim: int, p: int) -> tuple:
+    """Index pairs (rows, cols) of the blocks [sector c ^ p, sector c] of a
+    dim x dim matrix, for the column sectors c = 0, 1."""
+    sectors = _sector_index(dim)
+    return tuple((sectors[c ^ p][:, None], sectors[c][None, :]) for c in (0, 1))
+
+
+def sector_matrix(blocks, parity: str, dim: int) -> np.ndarray:
+    """Dense matrix with the given column-sector blocks and exact zeros
+    everywhere else (the inverse of ``FockOperator.blocks``)."""
+    m = np.zeros((dim, dim), dtype=complex)
+    for (rows, cols), block in zip(_sector_mesh(dim, _parity_bit(parity)), blocks):
+        m[rows, cols] = block
+    return m
+
+
+def _block_bracket(A: "FockOperator", B: "FockOperator", sign: float | None) -> tuple:
+    """Blocks of A B (sign None) or A B + sign * B A for definite-parity A
+    and B: (XY)[c] = X[c ^ p_Y] @ Y[c]."""
+    a, b = A.blocks, B.blocks
+    pa, pb = _parity_bit(A.parity), _parity_bit(B.parity)
+    if sign is None:
+        return tuple(a[c ^ pb] @ b[c] for c in (0, 1))
+    return tuple(a[c ^ pb] @ b[c] + sign * (b[c ^ pa] @ a[c]) for c in (0, 1))
 
 
 def _mul_parity(p: str, q: str) -> str:
@@ -189,6 +220,12 @@ class FockOperator:
     ``parity`` in {'even', 'odd'} is validated on construction against
     conjugation by the global parity operator (tolerance PARITY_TAG_TOL
     relative to the matrix scale), 'mixed' is accepted unchecked.
+    Operators whose tag holds by construction (``from_blocks``, ``embed``)
+    skip the check.
+
+    A definite-parity operator is block-diagonal up to the sector swap of an
+    odd one; ``blocks`` holds its two nonzero blocks, and products,
+    brackets and ``op_norm`` of such operators run on them.
     """
 
     matrix: np.ndarray
@@ -223,6 +260,45 @@ class FockOperator:
                     f"declared parity {self.parity!r} violated: defect {defect:.3e} "
                     f"at scale {scale:.3e}")
         m.flags.writeable = False
+
+    @classmethod
+    def _exact(cls, matrix: np.ndarray, ambient: SiteSet, support: frozenset,
+               parity: str) -> "FockOperator":
+        """An operator whose shape, support and parity tag hold by
+        construction: nothing is re-checked."""
+        op = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("ambient", ambient),
+                            ("support", frozenset(support)), ("parity", parity)):
+            object.__setattr__(op, name, value)
+        matrix.flags.writeable = False
+        return op
+
+    @classmethod
+    def from_blocks(cls, blocks, ambient: SiteSet, support: frozenset,
+                    parity: str) -> "FockOperator":
+        """The definite-parity operator with the given column-sector blocks;
+        its parity is exact, so the tag is not re-checked."""
+        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
+        shapes = [(rows.size, cols.size)
+                  for rows, cols in _sector_mesh(ambient.dim, _parity_bit(parity))]
+        if [b.shape for b in blocks] != shapes:
+            raise ValueError(f"block shapes {[b.shape for b in blocks]} != {shapes}")
+        op = cls._exact(sector_matrix(blocks, parity, ambient.dim), ambient, support, parity)
+        for b in blocks:
+            b.flags.writeable = False
+        object.__setattr__(op, "_blocks", blocks)
+        return op
+
+    @property
+    def blocks(self) -> tuple:
+        """The two nonzero blocks of a definite-parity operator, by column
+        sector: (ee, oo) if it is even, (oe, eo) if it is odd.  Kept if the
+        operator was built from them, gathered from the matrix otherwise."""
+        kept = self.__dict__.get("_blocks")
+        if kept is not None:
+            return kept
+        mesh = _sector_mesh(self.dim, _parity_bit(self.parity))
+        return tuple(self.matrix[rows, cols] for rows, cols in mesh)
 
     # -- basic structure ---------------------------------------------------
 
@@ -275,10 +351,29 @@ class FockOperator:
     def __matmul__(self, other):
         if not isinstance(other, FockOperator):
             return NotImplemented
-        self._check_ambient(other)
-        return FockOperator(_smart_mul(self.matrix, other.matrix), self.ambient,
-                            self.support | other.support,
-                            _mul_parity(self.parity, other.parity))
+        return _product(self, other, None)
+
+
+def _product(A: FockOperator, B: FockOperator, sign: float | None) -> FockOperator:
+    """A B (sign None) or A B + sign * B A.
+
+    Two definite-parity operands multiply on their parity blocks, unless
+    both are large and very sparse: that pair, like any pair with a mixed
+    operand, keeps the full matrices (through scipy.sparse when sparse).
+    """
+    A._check_ambient(B)
+    support, parity = A.support | B.support, _mul_parity(A.parity, B.parity)
+    a, b = A.matrix, B.matrix
+    pair = _sparse_pair(a, b)
+    if pair is not None:
+        sa, sb = pair
+        ab = (sa @ sb).toarray()
+        m = ab if sign is None else ab + sign * (sb @ sa).toarray()
+    elif parity == MIXED:
+        m = a @ b if sign is None else a @ b + sign * (b @ a)
+    else:
+        return FockOperator.from_blocks(_block_bracket(A, B, sign), A.ambient, support, parity)
+    return FockOperator(m, A.ambient, support, parity)
 
 
 def identity(lam: SiteSet) -> FockOperator:
@@ -367,15 +462,10 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
 
 # -- norms and brackets ----------------------------------------------------
 
-def op_norm(A) -> float:
-    """Operator (spectral) norm: the largest singular value.
-
-    Accepts a FockOperator or a plain matrix.  Hermitian inputs, and
-    anti-Hermitian ones such as commutators of Hermitian operators (as
-    i m), go through the symmetric eigensolver; an exactly-zero matrix
-    short-circuits to 0.
-    """
-    m = A.matrix if isinstance(A, FockOperator) else np.asarray(A)
+def _matrix_norm(m: np.ndarray) -> float:
+    """Largest singular value of one matrix: the symmetric eigensolver for a
+    Hermitian matrix, and for an anti-Hermitian one (as i m); an
+    exactly-zero matrix short-circuits to 0."""
     if not m.any():
         return 0.0
     if np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max():
@@ -385,20 +475,31 @@ def op_norm(A) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
+def op_norm(A) -> float:
+    """Operator (spectral) norm: the largest singular value.
+
+    Accepts a FockOperator or a plain matrix.  A definite-parity operator
+    takes the larger norm of its two parity blocks; everything else the
+    full matrix.  Hermitian inputs, and anti-Hermitian ones such as
+    commutators of Hermitian operators, go through the symmetric
+    eigensolver; an exactly-zero input short-circuits to 0.
+    """
+    m = A.matrix if isinstance(A, FockOperator) else np.asarray(A)
+    if not m.any():
+        return 0.0
+    if isinstance(A, FockOperator) and A.parity != MIXED:
+        return max(_matrix_norm(b) for b in A.blocks)
+    return _matrix_norm(m)
+
+
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
     """[A, B] = AB - BA."""
-    A._check_ambient(B)
-    return FockOperator(_bracket_matrices(A.matrix, B.matrix, -1.0),
-                        A.ambient, A.support | B.support,
-                        _mul_parity(A.parity, B.parity))
+    return _product(A, B, -1.0)
 
 
 def anticommutator(A: FockOperator, B: FockOperator) -> FockOperator:
     """{A, B} = AB + BA."""
-    A._check_ambient(B)
-    return FockOperator(_bracket_matrices(A.matrix, B.matrix, 1.0),
-                        A.ambient, A.support | B.support,
-                        _mul_parity(A.parity, B.parity))
+    return _product(A, B, 1.0)
 
 
 # -- operator-basis expansion, support projection and embedding -------------
@@ -633,7 +734,8 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
         raise ValueError("target ordering is inconsistent with the operator's lattice")
     coeffs = decompose(A, small.sites)
     m = _assemble(target.dim, tgt_pos, coeffs, target)
-    return FockOperator(m, target, A.support, A.parity)
+    # the string coefficients carry A's parity defect over unchanged
+    return FockOperator._exact(m, target, A.support, A.parity)
 
 
 def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generator,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,13 @@ def spectrum(H: FockOperator) -> np.ndarray:
     if not H.is_hermitian(1e-12):
         raise ValueError("operator is not self-adjoint within 1e-12")
     return np.linalg.eigvalsh(H.matrix)
+
+
+def _lowest_eigenvalue(H: FockOperator) -> float:
+    """Smallest eigenvalue of a self-adjoint operator, from its two parity
+    blocks when it is even."""
+    parts = H.blocks if H.parity == EVEN else (H.matrix,)
+    return min(float(np.linalg.eigvalsh(m).min()) for m in parts)
 
 
 def _kernel_tol(w: np.ndarray, tol: float | None) -> float:
@@ -171,12 +179,17 @@ class HamiltonianSequence:
         return [self.hamiltonians[n] - self.hamiltonians[n - 1]
                 for n in range(1, len(self.hamiltonians))]
 
-    def monotonicity_defect(self) -> float:
-        """Most negative eigenvalue across increments (>= -tol required)."""
+    @cached_property
+    def _monotonicity_defect(self) -> float:
         worst = 0.0
         for h in self.increments():
-            worst = min(worst, float(np.linalg.eigvalsh(h.matrix).min()))
+            worst = min(worst, _lowest_eigenvalue(h))
         return -worst
+
+    def monotonicity_defect(self) -> float:
+        """Most negative eigenvalue across increments (>= -tol required),
+        computed once per sequence."""
+        return self._monotonicity_defect
 
     def validate(self):
         defect = self.monotonicity_defect()
@@ -340,17 +353,17 @@ def martingale_certificate(seq: HamiltonianSequence,
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     assumption_i = 0.0
+    one = identity(seq.lattice)
     for h, g in zip(increments, g_projs):
-        m = h.matrix - gamma * (np.eye(h.dim) - g.matrix)
-        assumption_i = max(assumption_i, max(0.0, -float(np.linalg.eigvalsh(m).min())))
+        residual = h - gamma * (one - g)
+        assumption_i = max(assumption_i, max(0.0, -_lowest_eigenvalue(residual)))
 
     ell = 0
     forward_defect = 0.0
     commute_defects = np.zeros((n_steps + 1, n_steps))
     for n in range(n_steps):
-        g_next = g_projs[n].matrix
         for k in range(n_steps + 1):
-            d = op_norm(es[k].matrix @ g_next - g_next @ es[k].matrix)
+            d = op_norm(fock.commutator(es[k], g_projs[n]))
             commute_defects[k, n] = d
             if d > commute_tol:
                 if k > n:

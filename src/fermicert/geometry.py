@@ -197,21 +197,29 @@ def spatially_weighted(G: GFunction, weight: Callable) -> GFunction:
 
 # -- interaction decay bookkeeping ------------------------------------------
 
+def _g_norms(phi, G: GFunction, times) -> np.ndarray:
+    """||Phi||_G at every time of ``times`` in one pass over the terms.
+
+    Each time gets the same sums, in the same term order, as a separate
+    evaluation, so every value is the same to the bit.
+    """
+    sites = G.graph.sites
+    n = len(sites)
+    acc = np.zeros((len(times), n, n))
+    every = np.arange(len(times))
+    for term in phi.terms:
+        w = np.array([abs(term.coefficient(r)) for r in times]) * term.norm
+        if not w.any():
+            continue
+        pos = list(sites.positions(term.sites))
+        acc[np.ix_(every, pos, pos)] += w[:, None, None]
+    return (acc / G.values).max(axis=(1, 2), initial=0.0)
+
+
 def interaction_g_norm(phi, G: GFunction, t: float = 0.0) -> float:
     """Smallest k with sum_{Z containing x,y} ||Phi(Z,t)|| <= k G(x,y) for
     all site pairs: the max over pairs of the ratio."""
-    sites = G.graph.sites
-    n = len(sites)
-    acc = np.zeros((n, n))
-    for term in phi.terms:
-        w = abs(term.coefficient(t)) * term.norm
-        if w == 0.0:
-            continue
-        pos = list(sites.positions(term.sites))
-        acc[np.ix_(pos, pos)] += w
-    if not acc.any():
-        return 0.0
-    return float((acc / G.values).max())
+    return float(_g_norms(phi, G, (t,))[0])
 
 
 def interaction_norm_integral(phi, G: GFunction, s: float, t: float,
@@ -229,7 +237,7 @@ def interaction_norm_integral(phi, G: GFunction, s: float, t: float,
     if not phi.is_time_dependent:
         return abs(t - s) * interaction_g_norm(phi, G, s)
     grid = np.linspace(s, t, samples)
-    vals = np.array([interaction_g_norm(phi, G, r) for r in grid])
+    vals = _g_norms(phi, G, grid)
     weights = np.ones(samples)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0

@@ -272,3 +272,56 @@ def test_propagate_grid_rejects_times_outside_interval():
     phi = scaled_profile(models.hopping_chain(3), lambda r: r, (0.0, 1.0))
     with pytest.raises(ValueError):
         list(propagate_grid(phi, chain(3), 0.0, [0.5, 1.5]))
+
+
+# -- conjugation on the parity blocks ----------------------------------------
+
+def _assembled_oracle(blocks, L):
+    """U from its even- and odd-sector blocks, sectors read off bin(k)."""
+    dim = 1 << L
+    sectors = ([k for k in range(dim) if bin(k).count("1") % 2 == 0],
+               [k for k in range(dim) if bin(k).count("1") % 2 == 1])
+    U = np.zeros((dim, dim), dtype=complex)
+    for index, block in zip(sectors, blocks):
+        U[np.ix_(index, index)] = block
+    return U
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_heisenberg_on_blocks_matches_dense(L):
+    lam = chain(L)
+    rng = np.random.default_rng(200 + L)
+    phi = models.random_even_interaction(lam, max_range=2, seed=L)
+    ramped = scaled_profile(phi, lambda r: 1.0 + 0.5 * r, (0.0, 1.0))
+    for U in (propagate(phi, lam, 0.0, 0.7), propagate(ramped, lam, 0.0, 0.05, step=0.02)):
+        u = U.matrix
+        for parity in (fock.EVEN, fock.ODD):
+            A = fock.random_local_operator(lam, lam.sites, rng, parity=parity)
+            a = A.matrix
+            for got, want in ((heisenberg(A, U), u.conj().T @ a @ u),
+                              (inverse_heisenberg(A, U), u @ a @ u.conj().T)):
+                assert got.parity == parity and "_blocks" in got.__dict__
+                assert np.abs(got.matrix - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+                assert op_norm(got) == pytest.approx(np.linalg.svd(want, compute_uv=False)[0],
+                                                     rel=1e-12)
+
+
+def test_mixed_observable_is_conjugated_densely(rng):
+    lam = chain(4)
+    U = propagate(models.hopping_chain(4), lam, 0.0, 0.9)
+    A = fock.random_local_operator(lam, (0, 2), rng)
+    assert np.array_equal(heisenberg(A, U).matrix, U.matrix.conj().T @ A.matrix @ U.matrix)
+    assert np.array_equal(inverse_heisenberg(A, U).matrix,
+                          U.matrix @ A.matrix @ U.matrix.conj().T)
+
+
+@pytest.mark.parametrize("L", [1, 3, 6])
+def test_propagator_matrix_is_the_assembled_blocks_bitwise(L):
+    lam = chain(L)
+    static = models.hopping_chain(L, mu=0.3) if L > 1 else models.random_even_interaction(lam)
+    ramped = scaled_profile(static, lambda r: 0.7 + 0.5 * r, (0.0, 1.0))
+    for phi in (static, ramped):
+        for U in propagate_grid(phi, lam, 0.0, [0.0, 0.3, 0.8], step=0.05):
+            assert len(U.blocks) == 2
+            want = _assembled_oracle(U.blocks, L)
+            assert np.array_equal(U.matrix.view(np.uint64), want.view(np.uint64))

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermicert import fock
 from fermicert.errors import SiteNotInLattice
@@ -377,3 +379,121 @@ def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per
                               _bits(np.array(list(want_coeffs.values()), dtype=complex)))
         got = fock._assemble(lam.dim, lam.positions(X), coeffs, lam)
         assert np.array_equal(_bits(got), _bits(want_matrix))
+
+
+# -- parity-block kernel against the dense formulas -------------------------
+
+PARITIES = (EVEN, ODD)
+
+
+def _close(got, want, rel=1e-12):
+    return np.abs(got - want).max() <= rel * max(1.0, np.abs(want).max())
+
+
+def _dense_norm(m):
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.any() else 0.0
+
+
+def test_sector_blocks_match_popcount_enumeration(rng):
+    # oracle: the sector of basis state k is the parity of bin(k).count("1")
+    for L in range(1, 6):
+        lam = chain(L)
+        even = [k for k in range(lam.dim) if bin(k).count("1") % 2 == 0]
+        odd = [k for k in range(lam.dim) if bin(k).count("1") % 2 == 1]
+        sectors = (even, odd)
+        for parity, p in ((EVEN, 0), (ODD, 1)):
+            A = random_local_operator(lam, lam.sites, rng, parity=parity)
+            for c, block in enumerate(A.blocks):
+                want = A.matrix[np.ix_(sectors[c ^ p], sectors[c])]
+                assert np.array_equal(block, want)
+            assert np.array_equal(fock.sector_matrix(A.blocks, parity, lam.dim), A.matrix)
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_block_products_and_brackets_match_dense(L):
+    rng = np.random.default_rng(100 + L)
+    lam = chain(L)
+    ops = {p: random_local_operator(lam, lam.sites, rng, parity=p) for p in PARITIES}
+    for pa, pb in itertools.product(PARITIES, repeat=2):
+        A, B = ops[pa], ops[pb]
+        a, b = A.matrix, B.matrix
+        for got, want in ((A @ B, a @ b),
+                          (commutator(A, B), a @ b - b @ a),
+                          (anticommutator(A, B), a @ b + b @ a)):
+            assert "_blocks" in got.__dict__           # computed on the blocks
+            assert got.parity == (EVEN if pa == pb else ODD)
+            assert _close(got.matrix, want)
+            assert op_norm(got) == pytest.approx(_dense_norm(want), rel=1e-12)
+        assert op_norm(A) == pytest.approx(_dense_norm(a), rel=1e-12)
+
+
+def test_block_op_norm_dispatch_matches_dense(rng):
+    lam = chain(5)
+    for parity in PARITIES:
+        A = random_local_operator(lam, lam.sites, rng, parity=parity)
+        herm = A + A.adjoint()
+        for op in (A, herm, 1j * herm, zero(lam) if parity == EVEN else 0 * A):
+            assert op_norm(op) == pytest.approx(_dense_norm(op.matrix), rel=1e-12)
+
+
+def test_mixed_operands_fall_back_to_dense(rng):
+    lam = chain(5)
+    M = random_local_operator(lam, lam.sites, rng)
+    E = random_local_operator(lam, lam.sites, rng, parity=EVEN)
+    with pytest.raises(ValueError, match="mixed"):
+        M.blocks
+    for got, want in ((M @ E, M.matrix @ E.matrix),
+                      (E @ M, E.matrix @ M.matrix),
+                      (commutator(M, E), M.matrix @ E.matrix - E.matrix @ M.matrix),
+                      (anticommutator(E, M), E.matrix @ M.matrix + M.matrix @ E.matrix)):
+        assert got.parity == fock.MIXED
+        assert "_blocks" not in got.__dict__
+        assert np.array_equal(got.matrix, want)
+        assert op_norm(got) == pytest.approx(_dense_norm(want), rel=1e-12)
+
+
+def test_large_sparse_pairs_keep_the_sparse_route():
+    lam = chain(8)
+    a0, a5 = annihilator(lam, 0), annihilator(lam, 5)
+    prod = a0 @ creator(lam, 5)
+    bracket = anticommutator(a0, a5.adjoint())
+    assert "_blocks" not in prod.__dict__ and "_blocks" not in bracket.__dict__
+    assert np.array_equal(prod.matrix, a0.matrix @ creator(lam, 5).matrix)
+    assert op_norm(bracket) == 0.0
+
+
+def test_from_blocks_rejects_wrong_shapes():
+    lam = chain(3)
+    with pytest.raises(ValueError, match="block shapes"):
+        FockOperator.from_blocks((np.eye(4), np.eye(3)), lam, frozenset(), EVEN)
+    with pytest.raises(ValueError, match="mixed"):
+        FockOperator.from_blocks((np.eye(4), np.eye(4)), lam, frozenset(), fock.MIXED)
+
+
+# every constructor that skips the parity re-check: products and brackets
+# on the blocks, from_blocks itself and embed
+_TRUSTED = {
+    "product": lambda A, B: A @ B,
+    "commutator": commutator,
+    "anticommutator": anticommutator,
+    "from_blocks": lambda A, B: FockOperator.from_blocks(
+        [2 * b for b in A.blocks], A.ambient, A.support, A.parity),
+    "embed": lambda A, B: embed(A, chain(len(A.ambient) + 2)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(L=st.integers(1, 5), pa=st.sampled_from(PARITIES), pb=st.sampled_from(PARITIES),
+       name=st.sampled_from(sorted(_TRUSTED)), seed=st.integers(0, 2**32 - 1))
+def test_trusted_constructors_keep_the_parity_tag(L, pa, pb, name, seed):
+    rng = np.random.default_rng(seed)
+    lam = chain(L)
+    A = random_local_operator(lam, lam.sites, rng, parity=pa)
+    B = random_local_operator(lam, lam.sites, rng, parity=pb)
+    op = _TRUSTED[name](A, B)
+    # the full-matrix check of the public constructor accepts the tag, and
+    # the entries it forbids are exactly zero
+    FockOperator(op.matrix, op.ambient, op.support, op.parity)
+    parity = np.array([bin(k).count("1") % 2 for k in range(op.dim)])
+    flips = parity[:, None] != parity[None, :]
+    assert not op.matrix[flips if op.parity == EVEN else ~flips].any()

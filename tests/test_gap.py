@@ -354,3 +354,85 @@ def test_spectrum_monotone_under_positive_perturbation(rng):
         wt = spectrum(H + t * positive)
         assert np.all(wt >= w0 - 1e-10)
         w0 = wt
+
+
+# -- the epsilon path against a dense recomputation --------------------------
+
+def _dense_certificate(seq):
+    """gamma_n, ell, eps_sq_n, epsilon, bound and exact_gap with every
+    product, commutator and norm on the full 2^L matrices."""
+    from fermicert.gap import KERNEL_RTOL, KERNEL_GUARD
+
+    def kernel(m):
+        w, v = np.linalg.eigh(m)
+        tol = KERNEL_RTOL * max(float(np.abs(w).max()), 1.0)
+        k = int(np.searchsorted(w, tol, side="right"))
+        assert k == w.size or w[k] >= KERNEL_GUARD * tol
+        return w, k, v[:, :k] @ v[:, :k].conj().T
+
+    hams = [H.matrix for H in seq.hamiltonians]
+    gammas, gs = [], []
+    for prev, cur in zip(hams, hams[1:]):
+        w, k, g = kernel(cur - prev)
+        gammas.append(float(w[k]))
+        gs.append(g)
+    big = [kernel(H)[2] for H in hams[1:]]
+    w, k, _ = kernel(hams[-1])
+    exact_gap = float(w[k]) if k < w.size else None
+    one = np.eye(len(hams[0]))
+    es = [one - big[0]] + [big[n] - big[n + 1] for n in range(len(big) - 1)] + [big[-1]]
+    ell = 0
+    for n, g in enumerate(gs):
+        for k, e in enumerate(es[:n + 1]):
+            if np.linalg.svd(e @ g - g @ e, compute_uv=False)[0] > 1e-10:
+                ell = max(ell, n - k)
+    eps_sq_n = [op_norm(es[n] @ gs[n] @ es[n]) for n in range(len(gs))]
+    epsilon = float(np.sqrt(max(eps_sq_n)))
+    return {"gamma": min(gammas), "gamma_n": gammas, "ell": ell, "eps_sq_n": eps_sq_n,
+            "epsilon": epsilon, "bound": martingale_bound(min(gammas), ell, epsilon),
+            "exact_gap": exact_gap}
+
+
+def _gap_sequences():
+    graph = geometry.chain_graph
+    yield hamiltonian_sequence(_onsite_number_interaction(4), chain(4))
+    for L in (4, 6):
+        yield hamiltonian_sequence(
+            models.flat_band_model(models.paired_cell_orbitals(L, 0.35), graph(L)), chain(L))
+    yield hamiltonian_sequence(models.kitaev_chain(6), chain(6))
+    yield hamiltonian_sequence(
+        models.flat_band_model(models.overlapping_orbitals(5, 0.4), graph(5)), chain(5))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_epsilon_path_is_bitwise_the_dense_recomputation(index):
+    seq = list(_gap_sequences())[index]
+    cert = martingale_certificate(seq)
+    want = _dense_certificate(seq)
+    assert cert.ell == want["ell"]
+    for key in ("gamma", "epsilon", "bound", "exact_gap"):
+        assert _bits(getattr(cert, key)) == _bits(want[key]), key
+    for key in ("gamma_n", "eps_sq_n"):
+        assert _bits(cert.per_step[key]) == _bits(want[key]), key
+
+
+def test_monotonicity_defect_is_computed_once(monkeypatch):
+    L = 6
+    phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
+                                 geometry.chain_graph(L))
+    seq = hamiltonian_sequence(phi, chain(L))
+    fresh = HamiltonianSequence(seq.hamiltonians, seq.tol).monotonicity_defect()
+    calls = []
+    real = HamiltonianSequence.increments
+    monkeypatch.setattr(HamiltonianSequence, "increments",
+                        lambda self: calls.append(self) or real(self))
+    cert = martingale_certificate(seq)
+    # only the certificate's own call: validate() and the defects dict reuse
+    # the defect computed when hamiltonian_sequence validated the sequence
+    assert len(calls) == 1
+    assert seq.monotonicity_defect() == cert.defects["monotonicity"]
+    assert _bits(cert.defects["monotonicity"]) == _bits(fresh)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fermicert import fock, models
+from fermicert import dynamics, fock, models
 from fermicert.geometry import (DecayFunction, chain_graph, f_conv_constant,
                                 f_norm, g_from_f, grid_graph,
                                 interaction_g_norm, interaction_norm_integral,
@@ -215,3 +215,40 @@ def test_phi_boundary_subset_of_x_and_all_to_all():
     herm = 0.5 * (op + op.adjoint())
     full = Interaction((InteractionTerm(lam.sites, herm),))
     assert phi_boundary(full, X) == X
+
+
+def _g_norm_per_node(phi, G, t):
+    """||Phi||_G at one time, one term at a time: the evaluation that
+    interaction_norm_integral made at each Simpson node before the nodes
+    were batched."""
+    sites = G.graph.sites
+    n = len(sites)
+    acc = np.zeros((n, n))
+    for term in phi.terms:
+        w = abs(term.coefficient(t)) * term.norm
+        if w == 0.0:
+            continue
+        pos = list(sites.positions(term.sites))
+        acc[np.ix_(pos, pos)] += w
+    if not acc.any():
+        return 0.0
+    return float((acc / G.values).max())
+
+
+def test_g_norms_at_all_nodes_are_the_per_node_loop_bitwise():
+    from fermicert.dynamics import scaled_profile
+    from fermicert.geometry import _g_norms
+    L = 6
+    lam = fock.chain(L)
+    G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
+    base = models.random_even_interaction(lam, max_range=3, seed=5, n_terms=12)
+    profiles = [lambda r: r, lambda r: 1.0 + 0.5 * np.sin(3 * r), lambda r: r * r - 0.7]
+    for profile in profiles:
+        phi = scaled_profile(base, profile, (-2.0, 3.0))
+        for s, t, samples in [(0.0, 2.0, 65), (-1.0, 1.0, 65), (2.5, 0.5, 9)]:
+            grid = np.linspace(s, t, samples)
+            want = np.array([_g_norm_per_node(phi, G, r) for r in grid])
+            got = _g_norms(phi, G, grid)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert interaction_g_norm(phi, G, grid[3]) == want[3]
+    assert _g_norms(dynamics.Interaction(()), G, np.linspace(0, 1, 5)).tolist() == [0.0] * 5
