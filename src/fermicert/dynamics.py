@@ -146,15 +146,15 @@ def sector_eigh(H: np.ndarray) -> tuple:
     matrix.
 
     Returns ``((index, w, v), (index, w, v))`` for the even and the odd
-    sector: ``index`` lists the sector's basis states and
-    ``H[ix_(index, index)] = v diag(w) v*``.  Raises ValueError if any
-    entry between the two sectors is nonzero.
+    sector: ``index`` lists the sector's basis states and the block of H
+    on them is ``v diag(w) v*``.  Raises ValueError if any entry of the two
+    blocks between the sectors is nonzero.
     """
-    sectors = fock._sector_index(H.shape[0])
-    for rows, cols in (sectors, sectors[::-1]):
-        if H[np.ix_(rows, cols)].any():
-            raise ValueError("matrix couples the even and odd parity sectors")
-    return tuple((index, *np.linalg.eigh(H[np.ix_(index, index)])) for index in sectors)
+    dim = H.shape[0]
+    if any(H[rows, cols].any() for rows, cols in fock._sector_mesh(dim, 1)):
+        raise ValueError("matrix couples the even and odd parity sectors")
+    return tuple((index, *np.linalg.eigh(H[rows, cols])) for index, (rows, cols)
+                 in zip(fock._sector_index(dim), fock._sector_mesh(dim, 0)))
 
 
 def _sector_exp(sectors: tuple, factor: complex) -> list:

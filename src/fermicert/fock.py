@@ -41,11 +41,6 @@ PARITY_TAG_TOL = 1e-10
 # density below which products are routed through scipy.sparse
 _SPARSE_CUTOFF = 0.02
 
-# local 2x2 blocks in the (vacant, occupied) basis
-_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # a
-_RAISE = _LOWER.conj().T                                      # a*
-_THETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)   # 1 - 2 a*a
-
 
 @dataclass(frozen=True)
 class SiteSet:
@@ -120,26 +115,21 @@ def _occupations(nsites: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _parity_violation_masks(nsites: int) -> tuple:
-    """Boolean masks of matrix entries that must vanish for even-tagged
-    (opposite total-parity index pairs) and odd-tagged (equal-parity
-    pairs) operators."""
-    signs = 1 - 2 * (_occupations(nsites).sum(axis=1) % 2)
-    opposite = signs[:, None] != signs[None, :]
-    even_mask = opposite
-    odd_mask = ~opposite
-    even_mask.flags.writeable = False
-    odd_mask.flags.writeable = False
-    return even_mask, odd_mask
+def _popcount_signs(nsites: int) -> np.ndarray:
+    """(-1)^{popcount(k)} for every basis state k of ``nsites`` sites: the
+    one parity table.  The sign of k under the sites of a bitmask is
+    ``_popcount_signs(n)[k & mask]``."""
+    signs = np.where(_occupations(nsites).sum(axis=1) % 2, -1.0, 1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 def _parity_signs(lam: SiteSet, positions: tuple) -> np.ndarray:
     """Diagonal of (-1)^{N_X} for the sites at ``positions``."""
-    bits = _occupations(len(lam))
-    if not positions:
-        return np.ones(lam.dim)
-    count = bits[:, list(positions)].sum(axis=1)
-    return np.where(count % 2 == 0, 1.0, -1.0)
+    mask = 0
+    for p in positions:
+        mask ^= 1 << p
+    return _popcount_signs(len(lam))[np.arange(lam.dim) & mask]
 
 
 def _as_sparse(m: np.ndarray):
@@ -166,8 +156,8 @@ def _sparse_pair(a: np.ndarray, b: np.ndarray):
 @lru_cache(maxsize=None)
 def _sector_index(dim: int) -> tuple:
     """Basis states with an even and with an odd particle number."""
-    odd = _occupations(dim.bit_length() - 1).sum(axis=1) % 2
-    return np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)
+    signs = _popcount_signs(dim.bit_length() - 1)
+    return np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
 
 
 def _parity_bit(parity: str) -> int:
@@ -184,6 +174,13 @@ def _sector_mesh(dim: int, p: int) -> tuple:
     dim x dim matrix, for the column sectors c = 0, 1."""
     sectors = _sector_index(dim)
     return tuple((sectors[c ^ p][:, None], sectors[c][None, :]) for c in (0, 1))
+
+
+def _parity_defect(m: np.ndarray, parity: str) -> float:
+    """Twice the largest |entry| in the two blocks that an operator of the
+    given parity must not have: those of the opposite parity."""
+    mesh = _sector_mesh(m.shape[0], 1 - _parity_bit(parity))
+    return 2.0 * np.maximum(*(np.abs(m[rows, cols]).max(initial=0.0) for rows, cols in mesh))
 
 
 def sector_matrix(blocks, parity: str, dim: int) -> np.ndarray:
@@ -219,9 +216,11 @@ class FockOperator:
     ``support`` is an upper bound on where the operator acts nontrivially;
     ``parity`` in {'even', 'odd'} is validated on construction against
     conjugation by the global parity operator (tolerance PARITY_TAG_TOL
-    relative to the matrix scale), 'mixed' is accepted unchecked.
-    Operators whose tag holds by construction (``from_blocks``, ``embed``)
-    skip the check.
+    relative to the matrix scale) on the two blocks that the tag forbids;
+    'mixed' is accepted unchecked.  Operators whose tag holds by
+    construction (``from_blocks``, ``embed``) and those that keep their
+    operand's entries up to sign and order (``adjoint``, negation) skip
+    the check.
 
     A definite-parity operator is block-diagonal up to the sector swap of an
     odd one; ``blocks`` holds its two nonzero blocks, and products,
@@ -250,10 +249,7 @@ class FockOperator:
         if self.parity not in (EVEN, ODD, MIXED):
             raise ValueError(f"unknown parity tag {self.parity!r}")
         if self.parity != MIXED:
-            even_mask, odd_mask = _parity_violation_masks(len(self.ambient))
-            mask = even_mask if self.parity == EVEN else odd_mask
-            forbidden = m[mask]
-            defect = 2.0 * np.abs(forbidden).max() if forbidden.size else 0.0
+            defect = _parity_defect(m, self.parity)
             scale = max(1.0, np.abs(m).max()) if m.size else 1.0
             if defect > PARITY_TAG_TOL * scale:
                 raise ValueError(
@@ -307,7 +303,9 @@ class FockOperator:
         return self.matrix.shape[0]
 
     def adjoint(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T, self.ambient, self.support, self.parity)
+        # the same |entries|, so the tag check would repeat the operand's
+        return FockOperator._exact(self.matrix.conj().T, self.ambient, self.support,
+                                   self.parity)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         scale = max(1.0, np.abs(self.matrix).max())
@@ -339,7 +337,7 @@ class FockOperator:
                             self.support | other.support, parity)
 
     def __neg__(self):
-        return FockOperator(-self.matrix, self.ambient, self.support, self.parity)
+        return FockOperator._exact(-self.matrix, self.ambient, self.support, self.parity)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FockOperator):
@@ -374,6 +372,31 @@ def _product(A: FockOperator, B: FockOperator, sign: float | None) -> FockOperat
     else:
         return FockOperator.from_blocks(_block_bracket(A, B, sign), A.ambient, support, parity)
     return FockOperator(m, A.ambient, support, parity)
+
+
+def _string_dense(lam: SiteSet, ops: tuple) -> np.ndarray:
+    """Matrix of an ordered product of symbols a, a* and a*a with their
+    Jordan-Wigner strings; ``ops`` holds (position, symbol) pairs in
+    increasing position, one per site.
+
+    Column c is alive iff c & need == want, maps to row c ^ flip and has
+    weight (-1)^{popcount(c & sign)}.  An odd symbol at p flips and needs
+    bit p (a occupied, a* vacant) and puts theta on every bit below p; a*a
+    needs bit p occupied and flips nothing (the rule of _string_blocks).
+    """
+    need = want = flip = sign = 0
+    for p, sym in ops:
+        bit = 1 << p
+        need |= bit
+        if sym != "a*":
+            want |= bit
+        if sym != "a*a":
+            flip |= bit
+            sign ^= bit - 1
+    cols = np.flatnonzero((np.arange(lam.dim) & need) == want)
+    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    m[cols ^ flip, cols] = _popcount_signs(len(lam))[cols & sign]
+    return m
 
 
 def identity(lam: SiteSet) -> FockOperator:
@@ -418,15 +441,16 @@ def parity_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperato
 def parity_flip(A: FockOperator, subset: Iterable | None = None) -> FockOperator:
     """Conjugation of A by theta_X (the parity automorphism over X)."""
     lam = A.ambient
-    pos = lam.positions(tuple(subset)) if subset is not None else tuple(range(len(lam)))
+    pos = range(len(lam)) if subset is None else lam.positions(tuple(subset))
     signs = _parity_signs(lam, pos)
-    return FockOperator(signs[:, None] * A.matrix * signs[None, :], lam, A.support, A.parity)
+    # the same |entries|, so the tag check would repeat the operand's
+    return FockOperator._exact(signs[:, None] * A.matrix * signs[None, :], lam, A.support,
+                               A.parity)
 
 
 def parity_decompose(A: FockOperator) -> tuple:
     """Split A = A_even + A_odd via the global parity automorphism."""
-    signs = _parity_signs(A.ambient, tuple(range(len(A.ambient))))
-    flipped = signs[:, None] * A.matrix * signs[None, :]
+    flipped = parity_flip(A).matrix
     even = FockOperator((A.matrix + flipped) / 2, A.ambient, A.support, EVEN)
     odd = FockOperator((A.matrix - flipped) / 2, A.ambient, A.support, ODD)
     return even, odd
@@ -444,20 +468,13 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
     """
     if len(labels) != len(lam):
         raise ValueError(f"label length {len(labels)} != lattice size {len(lam)}")
-    ops = []
-    odd_count = 0
-    support = []
-    for i, sym in enumerate(labels):
-        if sym == "1":
-            continue
+    for sym in labels:
         if sym not in MONOMIAL_SYMBOLS:
             raise ValueError(f"unknown monomial symbol {sym!r}")
-        if sym in ("a", "a*"):
-            odd_count += 1
-        support.append(lam.sites[i])
-        ops.append((i, sym))
-    parity = ODD if odd_count % 2 else EVEN
-    return FockOperator(_string_dense(lam, tuple(ops)), lam, frozenset(support), parity)
+    ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
+    support = frozenset(lam.sites[i] for i, _ in ops)
+    parity = ODD if sum(sym in ("a", "a*") for _, sym in ops) % 2 else EVEN
+    return FockOperator(_string_dense(lam, ops), lam, support, parity)
 
 
 # -- norms and brackets ----------------------------------------------------
@@ -509,74 +526,8 @@ def anticommutator(A: FockOperator, B: FockOperator) -> FockOperator:
 # odd symbols a and a*, 1 for 1 and theta.
 _STRING_SYMBOLS = ("1", "a", "a*", "t")
 
-_SYM_LOCAL = {
-    "a": _LOWER,
-    "a*": _RAISE,
-    "t": _THETA,
-    "a*a": _RAISE @ _LOWER,
-}
-_SYM_ODD = {"a": True, "a*": True, "t": False, "a*a": False}
-
-
-def _string_action(lam: SiteSet, ops: tuple) -> tuple:
-    """Column action of an ordered product of per-site symbols with their
-    Jordan-Wigner strings.
-
-    ``ops`` is a tuple of (position, symbol) pairs in product order.  Every
-    such product has at most one nonzero per matrix column, so it is fully
-    described by (rows, vals): column c maps to entry (rows[c], c) with
-    weight vals[c] (zero when the column is annihilated).  It builds the
-    generators and monomials; the operator-basis strings of ``decompose``
-    and ``_assemble`` take the batched tables of ``_string_blocks``.
-    """
-    n = len(lam)
-    factors = [None] * n
-    for pos, sym in ops:
-        local = _SYM_LOCAL[sym]
-        odd = _SYM_ODD[sym]
-        for y in range(pos):
-            if odd:
-                factors[y] = _THETA if factors[y] is None else factors[y] @ _THETA
-        factors[pos] = local if factors[pos] is None else factors[pos] @ local
-    cols = np.arange(lam.dim)
-    rows = cols.copy()
-    vals = np.ones(lam.dim, dtype=complex)
-    for y, f in enumerate(factors):
-        if f is None:
-            continue
-        bit = (cols >> y) & 1
-        # per column-bit target row-bit and weight of the 2x2 factor
-        r = np.zeros(2, dtype=np.int64)
-        v = np.zeros(2, dtype=complex)
-        for cbit in (0, 1):
-            col = f[:, cbit]
-            if col[0] != 0:
-                r[cbit], v[cbit] = 0, col[0]
-            elif col[1] != 0:
-                r[cbit], v[cbit] = 1, col[1]
-        rows = (rows & ~(1 << y)) | (r[bit] << y)
-        vals = vals * v[bit]
-    return rows, vals
-
-
-def _string_dense(lam: SiteSet, ops: tuple) -> np.ndarray:
-    rows, vals = _string_action(lam, ops)
-    m = np.zeros((lam.dim, lam.dim), dtype=complex)
-    nz = vals != 0
-    m[rows[nz], np.flatnonzero(nz)] = vals[nz]
-    return m
-
-
 # each block of string tables holds at most this many (string, column) entries
 _TABLE_BLOCK = 1 << 14
-
-
-@lru_cache(maxsize=None)
-def _popcount_signs(nsites: int) -> np.ndarray:
-    """(-1)^{popcount(k)} for every basis state k of ``nsites`` sites."""
-    signs = np.where(_occupations(nsites).sum(axis=1) % 2, -1.0, 1.0)
-    signs.flags.writeable = False
-    return signs
 
 
 def _string_blocks(lam: SiteSet, positions: tuple, strings: Iterable):
@@ -588,8 +539,8 @@ def _string_blocks(lam: SiteSet, positions: tuple, strings: Iterable):
     an occupied site, a* a vacant one) and then has weight
     (-1)^{popcount(c & sign)}: an odd symbol at p puts theta on every site
     before p, a theta on p itself.  Yields (block, odd, rows, vals): the
-    block's strings, the (B, k) mask of their odd symbols and the (B, 2^n)
-    tables that _string_action gives one string at a time.
+    block's strings, the (B, k) mask of their odd symbols and their
+    (B, 2^n) row and weight tables.
     """
     bit = np.left_shift(1, np.array(positions, dtype=np.int64))
     cols = np.arange(lam.dim)

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fock
-from .dynamics import Interaction, local_hamiltonian
+from .dynamics import Interaction, local_hamiltonian, term_operator
 from .errors import AmbiguousKernelError, GapClosureError, KernelMismatchError
 from .fock import EVEN, MIXED, FockOperator, SiteSet, identity, op_norm
 
@@ -74,6 +74,17 @@ def _split_kernel(w: np.ndarray, tol: float) -> int:
     return k
 
 
+def _kernel(H: FockOperator, tol: float | None) -> tuple:
+    """(w, k, G): the eigenvalues of H, the dimension of its kernel and the
+    kernel projection G, tagged even when H is."""
+    w, v = np.linalg.eigh(H.matrix)
+    k = _split_kernel(w, _kernel_tol(w, tol))
+    vk = v[:, :k]
+    G = FockOperator(vk @ vk.conj().T, H.ambient, frozenset(H.ambient.sites),
+                     EVEN if H.parity == EVEN else MIXED)
+    return w, k, G
+
+
 def kernel_projection(H: FockOperator, tol: float | None = None) -> FockOperator:
     """Orthogonal projection onto the kernel (eigenvalues <= tol) of a
     nonnegative self-adjoint operator.
@@ -83,13 +94,7 @@ def kernel_projection(H: FockOperator, tol: float | None = None) -> FockOperator
     """
     if not H.is_hermitian(1e-12):
         raise ValueError("operator is not self-adjoint within 1e-12")
-    w, v = np.linalg.eigh(H.matrix)
-    tol = _kernel_tol(w, tol)
-    k = _split_kernel(w, tol)
-    vk = v[:, :k]
-    p = vk @ vk.conj().T
-    parity = EVEN if H.parity == EVEN else MIXED
-    return FockOperator(p, H.ambient, frozenset(H.ambient.sites), parity)
+    return _kernel(H, tol)[2]
 
 
 def smallest_nonzero_eigenvalue(H: FockOperator, tol: float | None = None) -> float:
@@ -136,7 +141,6 @@ def frustration_free_check(phi: Interaction, lam: SiteSet,
     kernel_defect = 0.0
     if minima and min(minima) >= -tol and abs(e0) <= tol:
         ground = v[:, np.abs(w - e0) <= max(tol, 10 * abs(e0))]
-        from .dynamics import term_operator
         for t in phi.terms:
             if set(t.sites) <= set(lam.sites):
                 T = term_operator(t, lam)
@@ -209,7 +213,6 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet,
     """
     if phi.is_time_dependent:
         raise ValueError("gap sequences are defined for static interactions")
-    from .dynamics import term_operator
     inside = [t for t in phi.terms if set(t.sites) <= set(lam.sites)]
     order = sorted(range(len(inside)),
                    key=lambda i: (sorted(lam.positions(inside[i].sites)), i))
@@ -321,31 +324,21 @@ def martingale_certificate(seq: HamiltonianSequence,
 
     gammas, g_projs = [], []
     for h in increments:
-        w, v = np.linalg.eigh(h.matrix)
-        tol = _kernel_tol(w, kernel_tol)
-        k = _split_kernel(w, tol)
+        w, k, g = _kernel(h, kernel_tol)
         if k == w.size:
             raise ValueError("an increment vanishes; refine the grouping")
         gammas.append(float(w[k]))
-        vk = v[:, :k]
-        g_projs.append(FockOperator(vk @ vk.conj().T, h.ambient,
-                                    frozenset(h.ambient.sites),
-                                    EVEN if h.parity == EVEN else MIXED))
+        g_projs.append(g)
     gamma = min(gammas)
 
     big_projs = []
     exact_gap = None
     for idx, H in enumerate(seq.hamiltonians[1:]):
-        w, v = np.linalg.eigh(H.matrix)
-        tol = _kernel_tol(w, kernel_tol)
-        k = _split_kernel(w, tol)
+        w, k, G = _kernel(H, kernel_tol)
         if k == 0:
             raise ValueError(f"H_{idx + 1} has trivial kernel; the method needs "
                              "nonempty ground spaces")
-        vk = v[:, :k]
-        big_projs.append(FockOperator(vk @ vk.conj().T, H.ambient,
-                                      frozenset(H.ambient.sites),
-                                      EVEN if H.parity == EVEN else MIXED))
+        big_projs.append(G)
         if compute_exact_gap and idx == n_steps - 1:
             exact_gap = float(w[k]) if k < w.size else None
 

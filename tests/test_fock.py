@@ -208,6 +208,75 @@ def test_parity_tag_validation(rng, lam4):
         FockOperator(a.matrix, lam4, {0}, EVEN)
 
 
+def _mask_defect(m, parity):
+    """The tag defect over a boolean mask of every entry the tag forbids."""
+    sector = np.array([bin(k).count("1") % 2 for k in range(m.shape[0])])
+    opposite = sector[:, None] != sector[None, :]
+    forbidden = m[opposite if parity == EVEN else ~opposite]
+    return 2.0 * np.abs(forbidden).max() if forbidden.size else 0.0
+
+
+@pytest.mark.parametrize("L", range(9))
+def test_parity_defect_matches_boolean_mask_oracle(L):
+    rng = np.random.default_rng(300 + L)
+    lam = fock.SiteSet(range(L))
+    sector = np.array([bin(k).count("1") % 2 for k in range(lam.dim)])
+    tol = fock.PARITY_TAG_TOL
+    for parity in (EVEN, ODD):
+        A = random_local_operator(lam, lam.sites, rng, parity=parity)
+        forbidden = np.argwhere((sector[:, None] != sector[None, :]) == (parity == EVEN))
+        cases = [A.matrix]
+        for size in (1e-13, tol / 2, 1e-9, 0.3):
+            if forbidden.size:
+                m = A.matrix.copy()
+                i, j = forbidden[rng.integers(len(forbidden))]
+                m[i, j] += size * np.exp(2j * np.pi * rng.random())
+                cases.append(m)
+        for m in cases:
+            for layout in (np.ascontiguousarray(m), np.asfortranarray(m)):
+                want = _mask_defect(layout, parity)
+                assert fock._parity_defect(layout, parity) == want
+                scale = max(1.0, np.abs(m).max())
+                if want > tol * scale:
+                    with pytest.raises(ValueError, match="declared parity"):
+                        FockOperator(layout, lam, None, parity)
+                else:
+                    FockOperator(layout, lam, None, parity)
+
+
+def test_parity_tag_limit_is_inclusive_and_relative_to_the_matrix_scale():
+    lam = chain(3)
+    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    m[0, 0] = 0.5
+    m[1, 0] = fock.PARITY_TAG_TOL / 2      # states 0 and 1 differ in parity
+    A = FockOperator(m, lam, None, EVEN)    # defect exactly PARITY_TAG_TOL * 1
+    assert fock._parity_defect(A.matrix, EVEN) == _mask_defect(m, EVEN) == fock.PARITY_TAG_TOL
+    over = m.copy()
+    over[1, 0] = np.nextafter(fock.PARITY_TAG_TOL / 2, 1.0)
+    with pytest.raises(ValueError, match="declared parity"):
+        FockOperator(over, lam, None, EVEN)
+    # the scale of 4 A is 2 while its defect is 4 times A's: still checked
+    for scaled in (lambda: 4 * A, lambda: A * 4):
+        with pytest.raises(ValueError, match="declared parity"):
+            scaled()
+    # adjoint, negation and parity conjugation keep every |entry|: unchecked
+    for op in (A.adjoint(), -A, fock.parity_flip(A, (0,))):
+        assert fock._parity_defect(op.matrix, EVEN) == fock.PARITY_TAG_TOL
+
+
+def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
+    A = random_local_operator(lam4, lam4.sites, rng, parity=ODD)
+
+    def no_check(*args):
+        raise AssertionError("parity tag re-checked")
+
+    monkeypatch.setattr(fock, "_parity_defect", no_check)
+    for op in (A.adjoint(), -A, fock.parity_flip(A, (1, 2))):
+        assert op.parity == ODD
+    with pytest.raises(AssertionError, match="re-checked"):
+        2 * A
+
+
 def test_embed_matches_direct_construction():
     # embedding across an intermediate site must reproduce the string
     big = fock.SiteSet((1, 2, 3))
@@ -280,6 +349,106 @@ def test_operators_are_frozen(lam4):
         a.matrix[0, 0] = 5.0
 
 
+# -- Jordan-Wigner strings against the per-site 2x2 factor loop -------------
+
+# local 2x2 blocks in the (vacant, occupied) basis
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # a
+_RAISE = _LOWER.conj().T                                      # a*
+_THETA = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)   # 1 - 2 a*a
+
+_SYM_LOCAL = {
+    "a": _LOWER,
+    "a*": _RAISE,
+    "t": _THETA,
+    "a*a": _RAISE @ _LOWER,
+}
+_SYM_ODD = {"a": True, "a*": True, "t": False, "a*a": False}
+
+
+def _string_action(lam, ops):
+    """Column action of an ordered product of per-site symbols with their
+    Jordan-Wigner strings, as a product of per-site 2x2 factors.
+
+    ``ops`` is a tuple of (position, symbol) pairs in product order.  Every
+    such product has at most one nonzero per matrix column, so it is fully
+    described by (rows, vals): column c maps to entry (rows[c], c) with
+    weight vals[c] (zero when the column is annihilated).
+    """
+    n = len(lam)
+    factors = [None] * n
+    for pos, sym in ops:
+        local = _SYM_LOCAL[sym]
+        odd = _SYM_ODD[sym]
+        for y in range(pos):
+            if odd:
+                factors[y] = _THETA if factors[y] is None else factors[y] @ _THETA
+        factors[pos] = local if factors[pos] is None else factors[pos] @ local
+    cols = np.arange(lam.dim)
+    rows = cols.copy()
+    vals = np.ones(lam.dim, dtype=complex)
+    for y, f in enumerate(factors):
+        if f is None:
+            continue
+        bit = (cols >> y) & 1
+        # per column-bit target row-bit and weight of the 2x2 factor
+        r = np.zeros(2, dtype=np.int64)
+        v = np.zeros(2, dtype=complex)
+        for cbit in (0, 1):
+            col = f[:, cbit]
+            if col[0] != 0:
+                r[cbit], v[cbit] = 0, col[0]
+            elif col[1] != 0:
+                r[cbit], v[cbit] = 1, col[1]
+        rows = (rows & ~(1 << y)) | (r[bit] << y)
+        vals = vals * v[bit]
+    return rows, vals
+
+
+def _string_dense_oracle(lam, ops):
+    rows, vals = _string_action(lam, ops)
+    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    nz = vals != 0
+    m[rows[nz], np.flatnonzero(nz)] = vals[nz]
+    return m
+
+
+def _bits(m):
+    return np.ascontiguousarray(m).view(np.uint64)
+
+
+def _assert_same_string(got, want):
+    # the oracle's complex products leave -0.0 in some imaginary parts, so
+    # those are compared by value and the real parts bit for bit
+    assert np.array_equal(got != 0, want != 0)
+    assert np.array_equal(_bits(got.real), _bits(want.real))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("L", range(6))
+def test_monomials_match_factor_loop_oracle(L):
+    lam = fock.SiteSet(range(L))
+    for labels in itertools.product(fock.MONOMIAL_SYMBOLS, repeat=L):
+        ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
+        _assert_same_string(monomial(lam, labels).matrix, _string_dense_oracle(lam, ops))
+
+
+@pytest.mark.parametrize("L", range(1, 11))
+def test_generators_match_factor_loop_oracle(L):
+    lam = chain(L)
+    for x in lam:
+        _assert_same_string(annihilator(lam, x).matrix, _string_dense_oracle(lam, ((x, "a"),)))
+        _assert_same_string(creator(lam, x).matrix, _string_dense_oracle(lam, ((x, "a*"),)))
+
+
+def test_parity_signs_read_from_the_popcount_table():
+    for L in range(7):
+        lam = fock.SiteSet(range(L))
+        for r in range(L + 1):
+            for pos in itertools.combinations(range(L), r):
+                want = [(-1) ** sum((k >> p) & 1 for p in pos) for k in range(lam.dim)]
+                assert np.array_equal(fock._parity_signs(lam, pos), want)
+
+
 # -- batched string tables against the per-string loop ----------------------
 
 _ORACLE_WEIGHTS = {"1": 1.0, "a": 0.5, "a*": 0.5, "t": 1.0}
@@ -296,7 +465,7 @@ def _decompose_per_string(A, subset):
     coeffs = {}
     for symbols in itertools.product(fock._STRING_SYMBOLS, repeat=len(subset)):
         ops = tuple((p, s) for p, s in zip(pos, symbols) if s != "1")
-        rows, vals = fock._string_action(lam, ops)
+        rows, vals = _string_action(lam, ops)
         inner = np.sum(vals.conj() * A.matrix[rows, cols]) / dim
         weight = 1.0
         for sym in symbols:
@@ -312,13 +481,9 @@ def _assemble_per_string(dim, positions, coeffs, lam):
     cols = np.arange(dim)
     for symbols, c in coeffs.items():
         ops = tuple((p, s) for p, s in zip(positions, symbols) if s != "1")
-        rows, vals = fock._string_action(lam, ops)
+        rows, vals = _string_action(lam, ops)
         np.add.at(m, (rows, cols), c * vals)
     return m
-
-
-def _bits(m):
-    return np.ascontiguousarray(m).view(np.uint64)
 
 
 @pytest.fixture(scope="module")
@@ -471,8 +636,10 @@ def test_from_blocks_rejects_wrong_shapes():
 
 
 # every constructor that skips the parity re-check: products and brackets
-# on the blocks, from_blocks itself and embed
+# on the blocks, from_blocks itself, embed, adjoint and negation
 _TRUSTED = {
+    "adjoint": lambda A, B: A.adjoint(),
+    "negation": lambda A, B: -A,
     "product": lambda A, B: A @ B,
     "commutator": commutator,
     "anticommutator": anticommutator,
