@@ -32,7 +32,7 @@ from .errors import (AmbiguousKernelError, CertificationError,
                      GapClosureError, KernelMismatchError, SiteNotInLattice)
 from .fock import (MONOMIAL_SYMBOLS, SiteSet, annihilator, creator, monomial,
                    number_operator)
-from .geometry import DecayFunction, MetricGraph, chain_graph, grid_graph
+from .geometry import DecayFunction, MetricGraph, grid_graph
 from .lr_bounds import certify
 
 TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info")
@@ -99,9 +99,9 @@ def _number(value, integer: bool = False) -> bool:
             and not isinstance(value, bool) and abs(value) <= sys.float_info.max)
 
 
-def _int(lo: int, hi: int = COUNT_CAP):
-    return _is(lambda v: _number(v, integer=True) and lo <= v <= hi,
-               f"an integer in [{lo}, {hi}]")
+def _int(lo: int):
+    return _is(lambda v: _number(v, integer=True) and lo <= v <= COUNT_CAP,
+               f"an integer in [{lo}, {COUNT_CAP}]")
 
 
 def _choice(*options):
@@ -292,8 +292,6 @@ def validate(config) -> list:
 # -- construction helpers ----------------------------------------------------
 
 def _build_graph(lattice) -> MetricGraph:
-    if len(lattice.lengths) == 1:
-        return chain_graph(lattice.lengths[0], lattice.boundary)
     return grid_graph(lattice.lengths, lattice.boundary)
 
 

@@ -34,6 +34,7 @@ Kraus sums are kept in the tests as oracles.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -192,8 +193,7 @@ class FamilyReport:
 
 
 def expectation_family_report(lam: SiteSet, X: Iterable, Y: Iterable,
-                              samples: int = 10, seed: int = 0,
-                              enlarged: SiteSet | None = None) -> FamilyReport:
+                              samples: int = 10, seed: int = 0) -> FamilyReport:
     """Measure on random inputs that the family behaves like a commuting
     system of projections:
 
@@ -201,24 +201,18 @@ def expectation_family_report(lam: SiteSet, X: Iterable, Y: Iterable,
     - idempotence: E_X . E_X = E_X;
     - product split: E_X(AB) = E_{X u Y}(A) E_{X u Y^c}(B) for even A, B
       supported in Y^c and Y respectively;
-    - volume independence: computing E_X inside ``enlarged`` (default: the
-      lattice extended by two fresh sites) agrees with computing it in
-      ``lam`` for even observables.
+    - volume independence: computing E_X inside the lattice extended by
+      two fresh sites agrees with computing it in ``lam`` for even
+      observables.
     """
     rng = np.random.default_rng(seed)
     X = frozenset(X)
     Y = frozenset(Y)
     inter = X & Y
     comp_d = idem_d = prod_d = vol_d = 0.0
-    if enlarged is None:
-        extra = []
-        probe = 0
-        existing = set(lam.sites)
-        while len(extra) < 2:
-            if probe not in existing:
-                extra.append(probe)
-            probe += 1
-        enlarged = SiteSet(tuple(lam.sites) + tuple(extra))
+    existing = set(lam.sites)
+    fresh = (probe for probe in itertools.count() if probe not in existing)
+    enlarged = SiteSet(lam.sites + tuple(itertools.islice(fresh, 2)))
     y_comp = tuple(s for s in lam.sites if s not in Y)
     for _ in range(samples):
         A = fock.random_local_operator(lam, lam.sites, rng)

@@ -57,7 +57,7 @@ class InteractionTerm:
         object.__setattr__(self, "sites", tuple(self.sites))
         if self.operator.ambient.sites != self.sites:
             raise ValueError("term operator must live on exactly its sites, in order")
-        if not self.operator.is_hermitian(1e-12):
+        if not self.operator.is_hermitian():
             raise ValueError("term template must be self-adjoint")
         object.__setattr__(self, "norm", fock.op_norm(self.operator))
 
@@ -116,9 +116,9 @@ def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> sparse.coo_matr
     return sparse.coo_matrix(fock.embed(term_obj.operator, lam).matrix)
 
 
-def term_operator(term_obj: InteractionTerm, lam: SiteSet, t: float = 0.0) -> FockOperator:
-    """Phi(X, t) represented on the Fock space of ``lam``."""
-    m = np.asarray(_embedded_sparse(term_obj, lam).todense()) * term_obj.coefficient(t)
+def term_operator(term_obj: InteractionTerm, lam: SiteSet) -> FockOperator:
+    """Phi(X, 0) represented on the Fock space of ``lam``."""
+    m = np.asarray(_embedded_sparse(term_obj, lam).todense()) * term_obj.coefficient(0.0)
     return FockOperator(m, lam, frozenset(term_obj.sites), term_obj.operator.parity)
 
 

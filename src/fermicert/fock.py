@@ -38,6 +38,9 @@ MIXED = "mixed"
 #: to absorb propagator roundoff on evolved observables
 PARITY_TAG_TOL = 1e-10
 
+#: relative tolerance of ``FockOperator.is_hermitian``
+HERMITIAN_RTOL = 1e-12
+
 # density below which products are routed through scipy.sparse
 _SPARSE_CUTOFF = 0.02
 
@@ -106,20 +109,14 @@ def chain(length: int) -> SiteSet:
 
 
 @lru_cache(maxsize=None)
-def _occupations(nsites: int) -> np.ndarray:
-    """(2^n, n) array of occupation bits; row k column i is bit i of k."""
-    states = np.arange(1 << nsites)
-    bits = (states[:, None] >> np.arange(nsites)[None, :]) & 1
-    bits.flags.writeable = False
-    return bits
-
-
-@lru_cache(maxsize=None)
 def _popcount_signs(nsites: int) -> np.ndarray:
     """(-1)^{popcount(k)} for every basis state k of ``nsites`` sites: the
     one parity table.  The sign of k under the sites of a bitmask is
-    ``_popcount_signs(n)[k & mask]``."""
-    signs = np.where(_occupations(nsites).sum(axis=1) % 2, -1.0, 1.0)
+    ``_popcount_signs(n)[k & mask]``.  Built by doubling: the states with
+    bit i set follow those without it, with the opposite sign."""
+    signs = np.ones(1)
+    for _ in range(nsites):
+        signs = np.concatenate([signs, -signs])
     signs.flags.writeable = False
     return signs
 
@@ -307,9 +304,10 @@ class FockOperator:
         return FockOperator._exact(self.matrix.conj().T, self.ambient, self.support,
                                    self.parity)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
+        """Self-adjoint within HERMITIAN_RTOL of the matrix scale (at least 1)."""
         scale = max(1.0, np.abs(self.matrix).max())
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= tol * scale
+        return np.abs(self.matrix - self.matrix.conj().T).max() <= HERMITIAN_RTOL * scale
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -410,7 +408,7 @@ def zero(lam: SiteSet) -> FockOperator:
 def annihilator(lam: SiteSet, x) -> FockOperator:
     """Jordan-Wigner annihilation operator a_x on the Fock space of ``lam``."""
     i = lam.position(x)
-    return FockOperator(_string_dense(lam, ((i, "a"),)), lam, frozenset({x}), ODD)
+    return FockOperator._exact(_string_dense(lam, ((i, "a"),)), lam, frozenset({x}), ODD)
 
 
 def creator(lam: SiteSet, x) -> FockOperator:
@@ -423,10 +421,9 @@ def number_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperato
     if subset is None:
         subset = lam.sites
     subset = tuple(subset)
-    pos = lam.positions(subset)
-    bits = _occupations(len(lam))
-    diag = bits[:, list(pos)].sum(axis=1).astype(complex) if pos else np.zeros(lam.dim, dtype=complex)
-    return FockOperator(np.diag(diag), lam, frozenset(subset), EVEN)
+    states = np.arange(lam.dim)
+    diag = sum((states >> p & 1 for p in lam.positions(subset)), np.zeros(lam.dim, dtype=int))
+    return FockOperator(np.diag(diag.astype(complex)), lam, frozenset(subset), EVEN)
 
 
 def parity_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperator:
@@ -474,7 +471,7 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
     ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
     support = frozenset(lam.sites[i] for i, _ in ops)
     parity = ODD if sum(sym in ("a", "a*") for _, sym in ops) % 2 else EVEN
-    return FockOperator(_string_dense(lam, ops), lam, support, parity)
+    return FockOperator._exact(_string_dense(lam, ops), lam, support, parity)
 
 
 # -- norms and brackets ----------------------------------------------------
@@ -602,8 +599,12 @@ def _assemble(dim: int, positions: tuple, coeffs: dict, lam: SiteSet) -> np.ndar
 
 def _state_offsets(positions: tuple) -> np.ndarray:
     """Basis index contributed by each configuration of the sites at
-    ``positions`` (configuration bit j sits at bit positions[j])."""
-    return _occupations(len(positions)) @ (1 << np.array(positions, dtype=np.int64))
+    ``positions`` (configuration bit j sits at bit positions[j]), built by
+    doubling like ``_popcount_signs``."""
+    offsets = np.zeros(1, dtype=np.int64)
+    for p in positions:
+        offsets = np.concatenate([offsets, offsets + (1 << p)])
+    return offsets
 
 
 @lru_cache(maxsize=128)
@@ -615,16 +616,17 @@ def _front_reordering(nsites: int, positions: tuple) -> tuple:
     read c and whose X bits read s, and sign[c, s] is the Jordan-Wigner
     sign (-1)^{#(occupied C site before occupied X site)} picked up by that
     state when X is moved ahead of C.  In the reordered basis an operator
-    supported in X is M (x) 1_C.
+    supported in X is M (x) 1_C.  The sign is the product, over occupied
+    X sites p, of the popcount sign of the occupied C sites below p: one
+    table read at the XOR of those masks.
     """
     comp = tuple(p for p in range(nsites) if p not in positions)
     index = _state_offsets(comp)[:, None] + _state_offsets(positions)[None, :]
-    bits = _occupations(nsites)
-    in_x = np.zeros(nsites, dtype=bool)
-    in_x[list(positions)] = True
-    comp_seen = np.cumsum(bits * ~in_x, axis=1)  # occupied C sites up to each site
-    crossings = (bits * in_x * comp_seen).sum(axis=1)
-    sign = np.where(crossings % 2, -1.0, 1.0)[index]
+    occupied_c = index & sum(1 << p for p in comp)
+    crossed = np.zeros_like(index)
+    for p in positions:
+        crossed ^= (occupied_c & ((1 << p) - 1)) * (index >> p & 1)
+    sign = _popcount_signs(nsites)[crossed]
     index.flags.writeable = False
     sign.flags.writeable = False
     return index, sign
@@ -690,9 +692,9 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
 
 
 def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generator,
-                          parity: str = MIXED, norm: float = 1.0) -> FockOperator:
+                          parity: str = MIXED) -> FockOperator:
     """Random operator supported in ``subset`` with the requested parity,
-    normalized to the given operator norm.  Deterministic from ``rng``."""
+    normalized to operator norm 1.  Deterministic from ``rng``."""
     subset = lam.sorted_subset(subset)
     sub = lam.restrict(subset)
     m = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal((sub.dim, sub.dim))
@@ -703,5 +705,5 @@ def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generat
         local = parity_decompose(local)[1]
     scale = op_norm(local)
     if scale > 0:
-        local = local * (norm / scale)
+        local = local * (1.0 / scale)
     return embed(local, lam) if sub != lam else local

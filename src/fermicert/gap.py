@@ -39,10 +39,25 @@ KERNEL_RTOL = 1e-8
 #: required separation factor between the kernel cluster and the rest
 KERNEL_GUARD = 10.0
 
+#: norm above which a commutator [E_k, g_n] or a resolution defect counts as nonzero
+COMMUTE_TOL = 1e-10
+
+#: increment eigenvalue below -MONOTONICITY_TOL breaks H_{n-1} <= H_n
+MONOTONICITY_TOL = 1e-10
+
+#: ground energy and term minima within FRUSTRATION_TOL count as equal
+FRUSTRATION_TOL = 1e-9
+
+#: kernel tolerance of ``sandwich_check`` relative to ||H_N||; its root bounds |D v| there
+SANDWICH_TOL = 1e-10
+
+#: relative width of the bracket to which a gap closure is bisected
+CLOSURE_RESOLUTION = 1e-3
+
 
 def spectrum(H: FockOperator) -> np.ndarray:
     """Sorted eigenvalues of a self-adjoint operator."""
-    if not H.is_hermitian(1e-12):
+    if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
     return np.linalg.eigvalsh(H.matrix)
 
@@ -92,17 +107,16 @@ def kernel_projection(H: FockOperator, tol: float | None = None) -> FockOperator
     Default tolerance is 1e-8 ||H||; the next eigenvalue must clear ten
     times the tolerance or the kernel is declared ambiguous.
     """
-    if not H.is_hermitian(1e-12):
+    if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
     return _kernel(H, tol)[2]
 
 
-def smallest_nonzero_eigenvalue(H: FockOperator, tol: float | None = None) -> float:
-    """Smallest eigenvalue above the kernel tolerance (the gap of a
+def smallest_nonzero_eigenvalue(H: FockOperator) -> float:
+    """Smallest eigenvalue above the default kernel tolerance (the gap of a
     nonnegative operator with nontrivial kernel)."""
     w = spectrum(H)
-    tol = _kernel_tol(w, tol)
-    k = _split_kernel(w, tol)
+    k = _split_kernel(w, _kernel_tol(w, None))
     if k == w.size:
         raise ValueError("operator is zero within tolerance; no nonzero eigenvalue")
     return float(w[k])
@@ -119,13 +133,12 @@ class FrustrationReport:
     term_kernel_defect: float
 
 
-def frustration_free_check(phi: Interaction, lam: SiteSet,
-                           tol: float = 1e-9) -> FrustrationReport:
+def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
     """Check inf spec(H_Lambda) = sum of term-wise spectral minima.
 
     When every term is nonnegative (so the minima sum to ~0) the ground
     vectors must be annihilated by every individual term; the worst such
-    residual is reported as ``term_kernel_defect``.
+    residual is reported as ``term_kernel_defect``; both tests use FRUSTRATION_TOL.
     """
     if phi.is_time_dependent:
         raise ValueError("frustration-freeness is defined for static interactions")
@@ -139,14 +152,14 @@ def frustration_free_check(phi: Interaction, lam: SiteSet,
     msum = float(sum(minima))
     residual = abs(e0 - msum)
     kernel_defect = 0.0
-    if minima and min(minima) >= -tol and abs(e0) <= tol:
-        ground = v[:, np.abs(w - e0) <= max(tol, 10 * abs(e0))]
+    if minima and min(minima) >= -FRUSTRATION_TOL and abs(e0) <= FRUSTRATION_TOL:
+        ground = v[:, np.abs(w - e0) <= max(FRUSTRATION_TOL, 10 * abs(e0))]
         for t in phi.terms:
             if set(t.sites) <= set(lam.sites):
                 T = term_operator(t, lam)
                 kernel_defect = max(kernel_defect,
                                     float(np.linalg.norm(T.matrix @ ground, ord=2)))
-    return FrustrationReport(residual <= tol, residual, e0, msum, kernel_defect)
+    return FrustrationReport(residual <= FRUSTRATION_TOL, residual, e0, msum, kernel_defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +168,6 @@ class HamiltonianSequence:
     even Hamiltonians, stored with its increments."""
 
     hamiltonians: tuple
-    tol: float = 1e-10
 
     def __post_init__(self):
         hams = tuple(self.hamiltonians)
@@ -168,7 +180,7 @@ class HamiltonianSequence:
         for H in hams:
             if H.ambient != lam:
                 raise ValueError("sequence members live on different lattices")
-            if not H.is_hermitian(1e-12):
+            if not H.is_hermitian():
                 raise ValueError("sequence members must be self-adjoint")
 
     @property
@@ -191,19 +203,18 @@ class HamiltonianSequence:
         return -worst
 
     def monotonicity_defect(self) -> float:
-        """Most negative eigenvalue across increments (>= -tol required),
+        """Most negative eigenvalue across increments (>= -MONOTONICITY_TOL required),
         computed once per sequence."""
         return self._monotonicity_defect
 
     def validate(self):
         defect = self.monotonicity_defect()
-        if defect > self.tol:
+        if defect > MONOTONICITY_TOL:
             raise ValueError(f"sequence is not increasing: increment defect {defect:.3e}")
 
 
 def hamiltonian_sequence(phi: Interaction, lam: SiteSet,
-                         grouping: Sequence[Sequence[int]] | None = None,
-                         tol: float = 1e-10) -> HamiltonianSequence:
+                         grouping: Sequence[Sequence[int]] | None = None) -> HamiltonianSequence:
     """Partial sums of the interaction terms inside ``lam``.
 
     Terms are added left to right (ordered by their leftmost site, then
@@ -225,7 +236,7 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet,
             acc = acc + term_operator(inside[i], lam).matrix
         hams.append(FockOperator(np.array(acc), lam,
                                  frozenset(lam.sites), EVEN if phi.even else MIXED))
-    seq = HamiltonianSequence(tuple(hams), tol)
+    seq = HamiltonianSequence(tuple(hams))
     seq.validate()
     return seq
 
@@ -306,15 +317,12 @@ def martingale_bound(gamma: float, ell: int, epsilon: float) -> float | None:
     return gamma * (1.0 - x) ** 2
 
 
-def martingale_certificate(seq: HamiltonianSequence,
-                           kernel_tol: float | None = None,
-                           commute_tol: float = 1e-10,
-                           compute_exact_gap: bool = True) -> GapCertificate:
+def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     """Extract (gamma, ell, eps) from the sequence and certify the gap.
 
     gamma is the smallest nonzero eigenvalue across increments; ell is the
-    smallest window width absorbing all nonzero commutators [E_k, g_{n+1}]
-    with k <= n; eps^2 is the largest norm of E_n g_{n+1} E_n.  A bound is
+    smallest window width absorbing all commutators [E_k, g_{n+1}] above
+    COMMUTE_TOL with k <= n; eps^2 is the largest norm of E_n g_{n+1} E_n.  A bound is
     emitted only when eps sqrt(1 + ell) < 1; failure to certify is a
     result, not an exception.
     """
@@ -324,7 +332,7 @@ def martingale_certificate(seq: HamiltonianSequence,
 
     gammas, g_projs = [], []
     for h in increments:
-        w, k, g = _kernel(h, kernel_tol)
+        w, k, g = _kernel(h, None)
         if k == w.size:
             raise ValueError("an increment vanishes; refine the grouping")
         gammas.append(float(w[k]))
@@ -334,15 +342,15 @@ def martingale_certificate(seq: HamiltonianSequence,
     big_projs = []
     exact_gap = None
     for idx, H in enumerate(seq.hamiltonians[1:]):
-        w, k, G = _kernel(H, kernel_tol)
+        w, k, G = _kernel(H, None)
         if k == 0:
             raise ValueError(f"H_{idx + 1} has trivial kernel; the method needs "
                              "nonempty ground spaces")
         big_projs.append(G)
-        if compute_exact_gap and idx == n_steps - 1:
+        if idx == n_steps - 1:
             exact_gap = float(w[k]) if k < w.size else None
 
-    es = resolution_family(big_projs, tol=commute_tol)
+    es = resolution_family(big_projs, tol=COMMUTE_TOL)
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     assumption_i = 0.0
@@ -358,7 +366,7 @@ def martingale_certificate(seq: HamiltonianSequence,
         for k in range(n_steps + 1):
             d = op_norm(fock.commutator(es[k], g_projs[n]))
             commute_defects[k, n] = d
-            if d > commute_tol:
+            if d > COMMUTE_TOL:
                 if k > n:
                     forward_defect = max(forward_defect, d)
                 else:
@@ -411,32 +419,30 @@ class SandwichResult:
     ground_energy: float
 
 
-def sandwich_check(H_target: FockOperator, H_N: FockOperator,
-                   tol: float = 1e-10) -> SandwichResult:
+def sandwich_check(H_target: FockOperator, H_N: FockOperator) -> SandwichResult:
     """Largest c and smallest C sandwiching the shifted target between
     multiples of H_N, via the generalized eigenproblem restricted to the
-    orthogonal complement of ker(H_N).
+    orthogonal complement of ker(H_N) (kernel tolerance SANDWICH_TOL).
 
     Requires ker(H_N) inside ker(H_target - E_0); otherwise no finite
     sandwich exists and a KernelMismatchError carries a witness vector.
     """
     for H in (H_target, H_N):
-        if not H.is_hermitian(1e-12):
+        if not H.is_hermitian():
             raise ValueError("sandwich members must be self-adjoint")
     w_t = np.linalg.eigvalsh(H_target.matrix)
     e0 = float(w_t[0])
     D = H_target.matrix - e0 * np.eye(H_target.dim)
 
     w, v = np.linalg.eigh(H_N.matrix)
-    ktol = _kernel_tol(w, None if tol is None else tol * max(1.0, float(np.abs(w).max())))
-    k = _split_kernel(w, ktol)
+    k = _split_kernel(w, SANDWICH_TOL * max(1.0, float(np.abs(w).max())))
     if k:
         kernel_vecs = v[:, :k]
         img = D @ kernel_vecs
         norms = np.linalg.norm(img, axis=0)
         worst = int(np.argmax(norms))
         scale = max(1.0, float(np.abs(D).max()))
-        if norms[worst] > math.sqrt(tol) * scale:
+        if norms[worst] > math.sqrt(SANDWICH_TOL) * scale:
             raise KernelMismatchError(
                 f"ker(H_N) leaks out of ker(H_target - E0): |D v| = {norms[worst]:.3e}",
                 witness=kernel_vecs[:, worst], defect=float(norms[worst]))
@@ -468,17 +474,17 @@ def _expm_antihermitian(K: np.ndarray) -> np.ndarray:
 
 def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
                     parameters: Iterable[float], gamma_min: float,
-                    rank: int | None = None, defect_target: float = 1e-6,
-                    max_substeps: int = 512,
-                    closure_resolution: float = 1e-3) -> FlowReport:
+                    defect_target: float = 1e-6,
+                    max_substeps: int = 512) -> FlowReport:
     """Track the low-energy spectral projection P(s) along a family of
     interactions and transport it with the commutator generator
     K(s) = [dP/ds, P(s)] (central differences, internally refined), so
     that U(s) P(0) U(s)* follows P(s).
 
-    The spectral gap separating the tracked block must stay above
-    ``gamma_min`` everywhere probed; a closure raises GapClosureError with
-    a bisected crossing location.
+    The tracked block lies below the largest gap at the first parameter
+    (the lowest one on ties); that gap must stay above ``gamma_min``
+    everywhere probed, and a closure raises GapClosureError with a
+    crossing location bisected to CLOSURE_RESOLUTION.
     """
     s_grid = np.asarray(sorted(float(s) for s in parameters))
     if s_grid.size < 2:
@@ -497,13 +503,10 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
             eig_cache[key] = hit
         return hit
 
-    w0 = eig_at(s_grid[0])[0]
-    if rank is None:
-        gaps0 = np.diff(w0)
-        best = float(gaps0.max())
-        # first gap within tolerance of the largest, so equal gaps resolve
-        # to the lowest spectral block rather than by float noise
-        rank = int(np.flatnonzero(gaps0 >= best * (1 - 1e-9))[0]) + 1
+    gaps0 = np.diff(eig_at(s_grid[0])[0])
+    # first gap within tolerance of the largest, so equal gaps resolve to
+    # the lowest spectral block rather than by float noise
+    rank = int(np.flatnonzero(gaps0 >= float(gaps0.max()) * (1 - 1e-9))[0]) + 1
 
     last_good = None
 
@@ -516,8 +519,7 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         g = float(w[rank] - w[rank - 1])
         if g < gamma_min:
             lo = last_good if last_good is not None else s_grid[0]
-            location, bracket = _bisect_closure(gap_at, lo, s, gamma_min,
-                                                closure_resolution)
+            location, bracket = _bisect_closure(gap_at, lo, s, gamma_min)
             raise GapClosureError(
                 f"gap {g:.3e} below {gamma_min} near s = {location:.6f}",
                 location=location, bracket=bracket, gap=g)
@@ -574,12 +576,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
 
 
 def _bisect_closure(gap_at: Callable[[float], float], lo: float, hi: float,
-                    gamma_min: float, resolution: float) -> tuple:
-    """Bisect the first crossing of gap(s) below gamma_min in [lo, hi]."""
+                    gamma_min: float) -> tuple:
+    """Bisect the first crossing of gap(s) below gamma_min in [lo, hi] to a
+    bracket of CLOSURE_RESOLUTION times max(1, hi - lo)."""
     if gap_at(lo) < gamma_min:
         return lo, (lo, lo)
     a, b = lo, hi
-    while b - a > resolution * max(1.0, abs(hi - lo)):
+    while b - a > CLOSURE_RESOLUTION * max(1.0, abs(hi - lo)):
         mid = 0.5 * (a + b)
         if gap_at(mid) < gamma_min:
             b = mid

@@ -70,14 +70,8 @@ class MetricGraph:
 
 def chain_graph(length: int, boundary: str = "open") -> MetricGraph:
     """One-dimensional slab with sites 0..length-1 and |i-j| (open) or
-    ring (periodic) distance."""
-    idx = np.arange(length)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    if boundary == "periodic":
-        diff = np.minimum(diff, length - diff)
-    elif boundary != "open":
-        raise ValueError(f"unknown boundary {boundary!r}")
-    return MetricGraph(SiteSet(range(length)), diff.astype(float), boundary)
+    ring (periodic) distance: the one-axis ``grid_graph``."""
+    return grid_graph([length], boundary)
 
 
 def grid_graph(lengths: Sequence[int], boundary: str = "open") -> MetricGraph:
@@ -261,12 +255,11 @@ def surface_sets(lam: SiteSet, X: Iterable, phi) -> list:
     return sorted(seen, key=lambda z: sorted(lam.positions(z)))
 
 
-def phi_boundary(phi, X: Iterable, interval: tuple | None = None,
-                 samples: int = 64) -> frozenset:
+def phi_boundary(phi, X: Iterable, interval: tuple | None = None) -> frozenset:
     """Sites of X contained in some interaction term that crosses out of X
     and is nonzero somewhere on the sampled time window.
 
-    Time dependence is probed on a uniform grid (default 64 points) over
+    Time dependence is probed on a uniform grid of 64 points over
     ``interval`` (default: the interaction's own interval); this is the
     documented grid semantics, faithful for piecewise-smooth profiles.
     """
@@ -288,7 +281,7 @@ def phi_boundary(phi, X: Iterable, interval: tuple | None = None,
                     raise ValueError(
                         "time-dependent interaction on an unbounded interval: "
                         "pass an explicit finite interval")
-                times = np.linspace(lo, hi, samples)
+                times = np.linspace(lo, hi, 64)
             active = any(abs(term.coefficient(r)) > 0.0 for r in times)
         if active:
             boundary |= (z & X)

@@ -36,8 +36,7 @@ import numpy as np
 from .dynamics import Interaction, heisenberg, propagate_grid
 from .errors import CertificationError
 from .fock import EVEN, ODD, FockOperator, anticommutator, commutator, op_norm
-from .geometry import (GFunction, interaction_g_norm,
-                       interaction_norm_integral, phi_boundary)
+from .geometry import GFunction, interaction_norm_integral, phi_boundary
 
 COMMUTATOR = "commutator"
 ANTICOMMUTATOR = "anticommutator"
@@ -168,17 +167,13 @@ def certify(A: FockOperator, B: FockOperator, phi: Interaction, G: GFunction,
     measured = np.zeros(times.size)
     bound = np.zeros(times.size)
     integrals = np.zeros(times.size)
-    static_rate = None if phi.is_time_dependent else interaction_g_norm(phi, G, s)
 
     floor = CERT_ATOL_SCALE * max(1.0, norm_a * norm_b)
     worst = None
     for i, (t, U) in enumerate(zip(times, propagate_grid(phi, lam, s, times, step=step))):
         tau_a = heisenberg(A, U)
         measured[i] = op_norm(bracket(tau_a, B))
-        if static_rate is not None:
-            integral = static_rate * (t - s)
-        else:
-            integral = interaction_norm_integral(phi, G, s, t)
+        integral = interaction_norm_integral(phi, G, s, t)
         integrals[i] = integral
         bound[i] = lr_rhs(norm_a, norm_b, integral, geometry)
         if measured[i] > bound[i] * (1 + CERT_RTOL) + floor:

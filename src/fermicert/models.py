@@ -19,6 +19,9 @@ from .dynamics import Interaction, InteractionTerm
 from .fock import ODD, FockOperator, SiteSet, annihilator, creator, identity
 from .geometry import MetricGraph
 
+#: tolerance of every orbital-set check (``OrbitalSet.validate``, ``band_operators``)
+ORBITAL_TOL = 1e-12
+
 
 def hopping_chain(L: int, J: float = 1.0, mu: float = 0.0,
                   boundary: str = "open") -> Interaction:
@@ -76,8 +79,9 @@ class OrbitalSet:
         v.flags.writeable = False
         c.flags.writeable = False
 
-    def validate(self, graph: MetricGraph, tol: float = 1e-12) -> dict:
-        """Defect report for the orbital-set structure on ``graph``."""
+    def validate(self, graph: MetricGraph) -> dict:
+        """Defect report for the orbital-set structure on ``graph``; every
+        defect must be at most ORBITAL_TOL."""
         norms = np.concatenate([np.linalg.norm(self.valence, axis=1),
                                 np.linalg.norm(self.conduction, axis=1)])
         norm_defect = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
@@ -98,7 +102,7 @@ class OrbitalSet:
                 leak = max(leak, float(np.abs(g[outside]).max()))
         report = {"normalization": norm_defect, "cross_orthogonality": cross_defect,
                   "span_rank": rank, "support_leak": leak}
-        if norm_defect > tol or cross_defect > tol or leak > tol or rank < len(self.lattice):
+        if max(norm_defect, cross_defect, leak) > ORBITAL_TOL or rank < len(self.lattice):
             raise ValueError(f"orbital set violates its structure: {report}")
         return report
 
@@ -115,26 +119,23 @@ def _dressed_annihilator(lam: SiteSet, coeffs: np.ndarray) -> FockOperator:
     return FockOperator(m, lam, frozenset(support), ODD)
 
 
-def band_operators(lam: SiteSet, orbitals: OrbitalSet, *,
-                   require_orthonormal: bool = True) -> tuple:
+def band_operators(lam: SiteSet, orbitals: OrbitalSet) -> tuple:
     """Dressed annihilators (b_k for valence, c_l for conduction).
 
-    With ``require_orthonormal`` each family must be orthonormal, so the
-    dressed modes satisfy the canonical anticommutation relations among
-    themselves; the flat-band builder relaxes this for overlapping
-    orbitals.
+    Each family must be orthonormal and the two orthogonal (to
+    ORBITAL_TOL), so the dressed modes satisfy the canonical
+    anticommutation relations among themselves.
     """
     if orbitals.lattice != lam:
         raise ValueError("orbital set lives on a different lattice")
-    if require_orthonormal:
-        for fam, name in ((orbitals.valence, "valence"), (orbitals.conduction, "conduction")):
-            if fam.size:
-                gram = fam @ fam.conj().T
-                if np.abs(gram - np.eye(fam.shape[0])).max() > 1e-12:
-                    raise ValueError(f"{name} orbitals are not orthonormal")
-        if orbitals.valence.size and orbitals.conduction.size:
-            if np.abs(orbitals.valence @ orbitals.conduction.conj().T).max() > 1e-12:
-                raise ValueError("valence and conduction orbitals are not orthogonal")
+    for fam, name in ((orbitals.valence, "valence"), (orbitals.conduction, "conduction")):
+        if fam.size:
+            gram = fam @ fam.conj().T
+            if np.abs(gram - np.eye(fam.shape[0])).max() > ORBITAL_TOL:
+                raise ValueError(f"{name} orbitals are not orthonormal")
+    if orbitals.valence.size and orbitals.conduction.size:
+        if np.abs(orbitals.valence @ orbitals.conduction.conj().T).max() > ORBITAL_TOL:
+            raise ValueError("valence and conduction orbitals are not orthogonal")
     b_ops = [_dressed_annihilator(lam, f) for f in orbitals.valence]
     c_ops = [_dressed_annihilator(lam, g) for g in orbitals.conduction]
     return b_ops, c_ops

@@ -221,8 +221,8 @@ def test_sector_eigh_exponential_matches_full_eigh(L, rng):
     assert np.abs(U - _spectral_expm(H, -0.7j)).max() <= 1e-12
     # the sectors partition the basis by particle-number parity
     even, odd = (index for index, _, _ in sector_eigh(H))
-    counts = fock._occupations(L).sum(axis=1) % 2
-    assert np.all(counts[even] == 0) and np.all(counts[odd] == 1)
+    signs = fock._popcount_signs(L)
+    assert np.all(signs[even] == 1) and np.all(signs[odd] == -1)
     assert sorted(np.concatenate([even, odd])) == list(range(2 ** L))
 
 

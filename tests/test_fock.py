@@ -449,6 +449,25 @@ def test_parity_signs_read_from_the_popcount_table():
                 assert np.array_equal(fock._parity_signs(lam, pos), want)
 
 
+@pytest.mark.parametrize("L", range(9))
+def test_front_reordering_counts_crossings_state_by_state(L):
+    # oracle: read each state's C and X bits and count, pair by pair, the
+    # occupied C sites that lie before an occupied X site
+    for r in range(min(L, 4) + 1):
+        for pos in itertools.combinations(range(L), r):
+            comp = [p for p in range(L) if p not in pos]
+            index, sign = fock._front_reordering(L, pos)
+            assert index.shape == sign.shape == (2 ** len(comp), 2 ** r)
+            assert sorted(index.ravel()) == list(range(2 ** L))
+            for c, s in itertools.product(range(2 ** len(comp)), range(2 ** r)):
+                k = int(index[c, s])
+                assert [k >> p & 1 for p in comp] == [c >> j & 1 for j in range(len(comp))]
+                assert [k >> p & 1 for p in pos] == [s >> j & 1 for j in range(r)]
+                crossings = sum(k >> y & 1 and k >> x & 1
+                                for x in pos for y in comp if y < x)
+                assert sign[c, s] == (-1) ** crossings
+
+
 # -- batched string tables against the per-string loop ----------------------
 
 _ORACLE_WEIGHTS = {"1": 1.0, "a": 0.5, "a*": 0.5, "t": 1.0}
@@ -636,7 +655,9 @@ def test_from_blocks_rejects_wrong_shapes():
 
 
 # every constructor that skips the parity re-check: products and brackets
-# on the blocks, from_blocks itself, embed, adjoint and negation
+# on the blocks, from_blocks itself, embed, adjoint, negation, and the
+# generators and monomials of _string_dense (here a_x at the last site, and
+# a monomial cycling through every symbol, odd for L = 1, 3, 5)
 _TRUSTED = {
     "adjoint": lambda A, B: A.adjoint(),
     "negation": lambda A, B: -A,
@@ -646,6 +667,9 @@ _TRUSTED = {
     "from_blocks": lambda A, B: FockOperator.from_blocks(
         [2 * b for b in A.blocks], A.ambient, A.support, A.parity),
     "embed": lambda A, B: embed(A, chain(len(A.ambient) + 2)),
+    "annihilator": lambda A, B: annihilator(A.ambient, A.ambient.sites[-1]),
+    "monomial": lambda A, B: monomial(
+        A.ambient, [("a*", "a", "a*a", "1")[i % 4] for i in range(len(A.ambient))]),
 }
 
 

@@ -425,7 +425,7 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
                                  geometry.chain_graph(L))
     seq = hamiltonian_sequence(phi, chain(L))
-    fresh = HamiltonianSequence(seq.hamiltonians, seq.tol).monotonicity_defect()
+    fresh = HamiltonianSequence(seq.hamiltonians).monotonicity_defect()
     calls = []
     real = HamiltonianSequence.increments
     monkeypatch.setattr(HamiltonianSequence, "increments",

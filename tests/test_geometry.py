@@ -19,6 +19,20 @@ def test_chain_graph_metric():
     assert ring.distance(0, 5) == 1
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_graph_is_the_one_axis_grid(boundary):
+    for L in range(1, 17):
+        g = chain_graph(L, boundary)
+        diff = np.abs(np.arange(L)[:, None] - np.arange(L)[None, :])
+        want = np.minimum(diff, L - diff) if boundary == "periodic" else diff
+        assert g.sites.sites == tuple(range(L))
+        assert all(type(x) is int for x in g.sites)
+        assert g.distances.dtype == float and np.array_equal(g.distances, want)
+        assert g.boundary == boundary
+    with pytest.raises(ValueError, match="unknown boundary 'twisted'"):
+        chain_graph(4, "twisted")
+
+
 def test_grid_graph_l1_metric():
     g = grid_graph([3, 3])
     assert g.distance((0, 0), (2, 2)) == 4
