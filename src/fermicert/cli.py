@@ -441,7 +441,6 @@ def _run_flow_check(task, config, out_dir, prefix):
     lam = graph.sites
     flow = task.flow
     a0, a1 = float(flow.angle_start), float(flow.angle_stop)
-    base = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph)
 
     if flow.kind == "rotation":
         def family(s):
@@ -449,6 +448,8 @@ def _run_flow_check(task, config, out_dir, prefix):
             return models.flat_band_model(
                 models.paired_cell_orbitals(len(lam), angle), graph)
     else:
+        base = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph)
+
         def family(s):
             terms = [InteractionTerm(t.sites, (1.0 - 2.0 * s) * t.operator, label=t.label)
                      if t.label.startswith("conduction") else t

@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from . import fock
 from .fock import EVEN, MIXED, FockOperator, SiteSet
@@ -110,16 +109,24 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
 
 
 @lru_cache(maxsize=4096)
-def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> sparse.coo_matrix:
-    """Term template embedded into ``lam``, kept as its nonzero entries
-    (coordinate format, one entry per position) for accumulation."""
-    return sparse.coo_matrix(fock.embed(term_obj.operator, lam).matrix)
+def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
+    """Term template embedded into ``lam``, kept as its nonzero entries:
+    (rows, cols, values) in row-major order, for accumulation."""
+    m = fock.embed(term_obj.operator, lam).matrix
+    rows, cols = np.nonzero(m)
+    entries = rows, cols, m[rows, cols]
+    for a in entries:
+        a.flags.writeable = False
+    return entries
 
 
 def term_operator(term_obj: InteractionTerm, lam: SiteSet) -> FockOperator:
     """Phi(X, 0) represented on the Fock space of ``lam``."""
-    m = np.asarray(_embedded_sparse(term_obj, lam).todense()) * term_obj.coefficient(0.0)
-    return FockOperator(m, lam, frozenset(term_obj.sites), term_obj.operator.parity)
+    rows, cols, values = _embedded_sparse(term_obj, lam)
+    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    m[rows, cols] = values
+    return FockOperator(m * term_obj.coefficient(0.0), lam, frozenset(term_obj.sites),
+                        term_obj.operator.parity)
 
 
 def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOperator:
@@ -134,8 +141,8 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
         c = term_obj.coefficient(t)
         if c == 0.0:
             continue
-        mat = _embedded_sparse(term_obj, lam)
-        acc[mat.row, mat.col] += c * mat.data
+        rows, cols, values = _embedded_sparse(term_obj, lam)
+        acc[rows, cols] += c * values
         support |= set(term_obj.sites)
     parity = EVEN if phi.even else MIXED
     return FockOperator(acc, lam, frozenset(support), parity)

@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .errors import SiteNotInLattice
 
@@ -40,9 +39,6 @@ PARITY_TAG_TOL = 1e-10
 
 #: relative tolerance of ``FockOperator.is_hermitian``
 HERMITIAN_RTOL = 1e-12
-
-# density below which products are routed through scipy.sparse
-_SPARSE_CUTOFF = 0.02
 
 
 @dataclass(frozen=True)
@@ -127,27 +123,6 @@ def _parity_signs(lam: SiteSet, positions: tuple) -> np.ndarray:
     for p in positions:
         mask ^= 1 << p
     return _popcount_signs(len(lam))[np.arange(lam.dim) & mask]
-
-
-def _as_sparse(m: np.ndarray):
-    """csr view of a dense matrix when it is sparse enough, else None;
-    a single nonzero scan decides and builds the matrix."""
-    rows, cols = np.nonzero(m)
-    if rows.size > m.size * _SPARSE_CUTOFF:
-        return None
-    return sparse.csr_matrix((m[rows, cols], (rows, cols)), shape=m.shape)
-
-
-def _sparse_pair(a: np.ndarray, b: np.ndarray):
-    """csr forms of both factors when both are large and very sparse
-    (Jordan-Wigner generators are), else None; each is converted once."""
-    if a.size >= 1 << 14:
-        sa = _as_sparse(a)
-        if sa is not None:
-            sb = _as_sparse(b)
-            if sb is not None:
-                return sa, sb
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -353,22 +328,15 @@ class FockOperator:
 def _product(A: FockOperator, B: FockOperator, sign: float | None) -> FockOperator:
     """A B (sign None) or A B + sign * B A.
 
-    Two definite-parity operands multiply on their parity blocks, unless
-    both are large and very sparse: that pair, like any pair with a mixed
-    operand, keeps the full matrices (through scipy.sparse when sparse).
+    Two definite-parity operands multiply on their parity blocks; a pair
+    with a mixed operand multiplies the full matrices.
     """
     A._check_ambient(B)
     support, parity = A.support | B.support, _mul_parity(A.parity, B.parity)
-    a, b = A.matrix, B.matrix
-    pair = _sparse_pair(a, b)
-    if pair is not None:
-        sa, sb = pair
-        ab = (sa @ sb).toarray()
-        m = ab if sign is None else ab + sign * (sb @ sa).toarray()
-    elif parity == MIXED:
-        m = a @ b if sign is None else a @ b + sign * (b @ a)
-    else:
+    if parity != MIXED:
         return FockOperator.from_blocks(_block_bracket(A, B, sign), A.ambient, support, parity)
+    a, b = A.matrix, B.matrix
+    m = a @ b if sign is None else a @ b + sign * (b @ a)
     return FockOperator(m, A.ambient, support, parity)
 
 

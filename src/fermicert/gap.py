@@ -69,9 +69,8 @@ def _lowest_eigenvalue(H: FockOperator) -> float:
     return min(float(np.linalg.eigvalsh(m).min()) for m in parts)
 
 
-def _kernel_tol(w: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
+def _kernel_tol(w: np.ndarray) -> float:
+    """KERNEL_RTOL times the largest |eigenvalue| in w, and at least KERNEL_RTOL."""
     scale = float(np.abs(w).max()) if w.size else 1.0
     return KERNEL_RTOL * max(scale, 1.0)
 
@@ -89,34 +88,32 @@ def _split_kernel(w: np.ndarray, tol: float) -> int:
     return k
 
 
-def _kernel(H: FockOperator, tol: float | None) -> tuple:
+def _kernel(H: FockOperator) -> tuple:
     """(w, k, G): the eigenvalues of H, the dimension of its kernel and the
     kernel projection G, tagged even when H is."""
     w, v = np.linalg.eigh(H.matrix)
-    k = _split_kernel(w, _kernel_tol(w, tol))
+    k = _split_kernel(w, _kernel_tol(w))
     vk = v[:, :k]
     G = FockOperator(vk @ vk.conj().T, H.ambient, frozenset(H.ambient.sites),
                      EVEN if H.parity == EVEN else MIXED)
     return w, k, G
 
 
-def kernel_projection(H: FockOperator, tol: float | None = None) -> FockOperator:
-    """Orthogonal projection onto the kernel (eigenvalues <= tol) of a
-    nonnegative self-adjoint operator.
-
-    Default tolerance is 1e-8 ||H||; the next eigenvalue must clear ten
-    times the tolerance or the kernel is declared ambiguous.
+def kernel_projection(H: FockOperator) -> FockOperator:
+    """Orthogonal projection onto the kernel (eigenvalues <= 1e-8 ||H||) of
+    a nonnegative self-adjoint operator; the next eigenvalue must clear ten
+    times that tolerance or the kernel is declared ambiguous.
     """
     if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
-    return _kernel(H, tol)[2]
+    return _kernel(H)[2]
 
 
 def smallest_nonzero_eigenvalue(H: FockOperator) -> float:
-    """Smallest eigenvalue above the default kernel tolerance (the gap of a
+    """Smallest eigenvalue above the kernel tolerance (the gap of a
     nonnegative operator with nontrivial kernel)."""
     w = spectrum(H)
-    k = _split_kernel(w, _kernel_tol(w, None))
+    k = _split_kernel(w, _kernel_tol(w))
     if k == w.size:
         raise ValueError("operator is zero within tolerance; no nonzero eigenvalue")
     return float(w[k])
@@ -241,15 +238,14 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet,
     return seq
 
 
-def resolution_family(kernel_projections: Sequence[FockOperator],
-                      tol: float = 1e-10) -> list:
+def resolution_family(kernel_projections: Sequence[FockOperator]) -> list:
     """Resolution of the identity from nested kernel projections
     G_1 >= G_2 >= ... >= G_N:
 
         E_0 = 1 - G_1,  E_n = G_n - G_{n+1},  E_N = G_N.
 
     Nesting, mutual orthogonality and completeness are all verified to
-    ``tol``.
+    COMMUTE_TOL.
     """
     gs = list(kernel_projections)
     if not gs:
@@ -257,7 +253,7 @@ def resolution_family(kernel_projections: Sequence[FockOperator],
     lam = gs[0].ambient
     for g_prev, g_next in zip(gs, gs[1:]):
         defect = op_norm(g_next - g_next @ g_prev)
-        if defect > tol:
+        if defect > COMMUTE_TOL:
             raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
     one = identity(lam)
     es = [one - gs[0]]
@@ -267,13 +263,13 @@ def resolution_family(kernel_projections: Sequence[FockOperator],
     total = es[0]
     for e in es[1:]:
         total = total + e
-    if op_norm(total - one) > tol:
+    if op_norm(total - one) > COMMUTE_TOL:
         raise ValueError("resolution does not sum to the identity")
     for i, e in enumerate(es):
         for j in range(i, len(es)):
             prod = e @ es[j]
             defect = op_norm(prod - e) if i == j else op_norm(prod)
-            if defect > tol:
+            if defect > COMMUTE_TOL:
                 raise ValueError(f"E_{i} E_{j} defect {defect:.3e}")
     return es
 
@@ -332,7 +328,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
 
     gammas, g_projs = [], []
     for h in increments:
-        w, k, g = _kernel(h, None)
+        w, k, g = _kernel(h)
         if k == w.size:
             raise ValueError("an increment vanishes; refine the grouping")
         gammas.append(float(w[k]))
@@ -342,7 +338,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     big_projs = []
     exact_gap = None
     for idx, H in enumerate(seq.hamiltonians[1:]):
-        w, k, G = _kernel(H, None)
+        w, k, G = _kernel(H)
         if k == 0:
             raise ValueError(f"H_{idx + 1} has trivial kernel; the method needs "
                              "nonempty ground spaces")
@@ -350,7 +346,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
         if idx == n_steps - 1:
             exact_gap = float(w[k]) if k < w.size else None
 
-    es = resolution_family(big_projs, tol=COMMUTE_TOL)
+    es = resolution_family(big_projs)
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     assumption_i = 0.0

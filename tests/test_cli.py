@@ -405,3 +405,14 @@ def test_unknown_or_wrong_typed_keys_are_config_errors(tmp_path, capsys, path, v
     config = _load("model_info_flatband.json")
     _set(config, path, value)
     _assert_config_error(config, tmp_path, capsys, field)
+
+
+def test_cli_does_not_import_scipy_sparse():
+    import os
+    import subprocess
+    import sys
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "import sys\nimport fermicert.cli\nprint('scipy.sparse' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"

@@ -636,12 +636,12 @@ def test_mixed_operands_fall_back_to_dense(rng):
         assert op_norm(got) == pytest.approx(_dense_norm(want), rel=1e-12)
 
 
-def test_large_sparse_pairs_keep_the_sparse_route():
+def test_large_sparse_pairs_run_on_the_blocks():
     lam = chain(8)
     a0, a5 = annihilator(lam, 0), annihilator(lam, 5)
     prod = a0 @ creator(lam, 5)
     bracket = anticommutator(a0, a5.adjoint())
-    assert "_blocks" not in prod.__dict__ and "_blocks" not in bracket.__dict__
+    assert "_blocks" in prod.__dict__ and "_blocks" in bracket.__dict__
     assert np.array_equal(prod.matrix, a0.matrix @ creator(lam, 5).matrix)
     assert op_norm(bracket) == 0.0
 

@@ -97,11 +97,11 @@ def test_kernel_projection_ambiguity_guard():
     m = np.diag([0.0, 5e-8, 1.0, 2.0]).astype(complex)
     H = FockOperator(m, lam, frozenset(lam.sites), EVEN)
     with pytest.raises(AmbiguousKernelError):
-        kernel_projection(H, tol=1e-8)
+        kernel_projection(H)
     # far-separated spectrum is fine
     clean = FockOperator(np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex),
                          lam, frozenset(lam.sites), EVEN)
-    P = kernel_projection(clean, tol=1e-8)
+    P = kernel_projection(clean)
     assert round(P.trace().real) == 2
 
 
