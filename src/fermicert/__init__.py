@@ -7,11 +7,9 @@ lower bounds on spectral gaps of frustration-free models.
 """
 
 from .cond_exp import (conditional_expectation, expectation_family_report,
-                       kraus_unitaries, local_approximation,
-                       trace_invariant_expectation, tracial_state)
+                       local_approximation, trace_invariant_expectation)
 from .dynamics import (Interaction, InteractionTerm, Propagator, heisenberg,
-                       inverse_heisenberg, local_hamiltonian, propagate,
-                       propagate_grid, sector_eigh)
+                       local_hamiltonian, propagate, propagate_grid, sector_eigh)
 from .fock import (EVEN, MIXED, ODD, FockOperator, SiteSet, annihilator,
                    anticommutator, chain, commutator, creator, embed,
                    identity, monomial, number_operator, op_norm,
@@ -20,10 +18,10 @@ from .fock import (EVEN, MIXED, ODD, FockOperator, SiteSet, annihilator,
 from .gap import (GapCertificate, frustration_free_check,
                   hamiltonian_sequence, kernel_projection,
                   martingale_certificate, projection_flow, resolution_family,
-                  sandwich_check, spectrum)
+                  sandwich_check)
 from .geometry import (DecayFunction, GFunction, MetricGraph, chain_graph,
                        f_conv_constant, f_norm, g_from_f, grid_graph,
-                       interaction_g_norm, phi_boundary, surface_sets)
+                       interaction_g_norm, phi_boundary)
 from .lr_bounds import LRBoundReport, certify, lr_rhs, series_diagnostics
 
 __version__ = "0.1.0"

@@ -41,24 +41,7 @@ from typing import Iterable
 import numpy as np
 
 from . import fock
-from .fock import (EVEN, ODD, FockOperator, SiteSet, annihilator, identity,
-                   op_norm, parity_operator)
-
-
-def tracial_state(A: FockOperator) -> complex:
-    """Normalized trace tr(A) / 2^|Lambda|."""
-    return A.trace() / A.dim
-
-
-def kraus_unitaries(lam: SiteSet, x) -> tuple:
-    """The four single-site Kraus unitaries at x, parities (+, -, -, +)."""
-    a = annihilator(lam, x)
-    ad = a.adjoint()
-    u0 = identity(lam)
-    u1 = ad + a
-    u2 = FockOperator(ad.matrix - a.matrix, lam, frozenset({x}), ODD)
-    u3 = identity(lam) - 2 * (ad @ a)
-    return (u0, u1, u2, FockOperator(u3.matrix, lam, frozenset({x}), EVEN))
+from .fock import EVEN, FockOperator, SiteSet, identity, op_norm, parity_operator
 
 
 def _complement(lam: SiteSet, X: Iterable) -> tuple:
@@ -118,27 +101,14 @@ def local_approximation(A: FockOperator, X: Iterable) -> tuple:
 
     The error never exceeds max_alpha ||[A, u(alpha)]|| over the Kraus
     words outside X, since E_X averages the unitaries u(alpha)* A u(alpha);
-    ``kraus_commutator_bound`` bounds that maximum site by site, which is
-    how light-cone estimates turn into localization errors.
+    bounding that maximum site by site is how light-cone estimates turn
+    into localization errors.
     """
     if A.parity != EVEN:
         raise ValueError("local approximation is defined for even observables")
     approx = conditional_expectation(A, X)
     err = op_norm(A - approx)
     return approx, err
-
-
-def kraus_commutator_bound(A: FockOperator, X: Iterable) -> float:
-    """Upper bound on max_alpha ||[A, u(alpha)]|| over Kraus words outside X:
-    the site-wise triangle estimate sum_y max_i ||[A, u_y^(i)]||, valid
-    because each factor is unitary.
-    """
-    lam = A.ambient
-    total = 0.0
-    for x in _complement(lam, X):
-        total += max(op_norm(A.matrix @ u.matrix - u.matrix @ A.matrix)
-                     for u in kraus_unitaries(lam, x)[1:])
-    return total
 
 
 @dataclass(frozen=True)

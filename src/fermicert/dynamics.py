@@ -264,28 +264,16 @@ def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
     return next(propagate_grid(phi, lam, s, (t,), step))
 
 
-def _conjugate(A: FockOperator, U: Propagator, inverse: bool) -> FockOperator:
-    """U* A U, or U A U* when ``inverse``.  A definite-parity A is
-    conjugated block by block: (U* A U)[c] = U[c ^ p]* A[c] U[c]."""
+def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
+    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving.  A
+    definite-parity A is conjugated block by block:
+    (U* A U)[c] = U[c ^ p]* A[c] U[c]."""
     if A.ambient != U.lattice:
         raise ValueError("observable and propagator live on different site sets")
-
-    def sandwich(left, a, right):
-        return left @ a @ right.conj().T if inverse else left.conj().T @ a @ right
-
     support = frozenset(A.ambient.sites)
     if A.parity == MIXED:
-        return FockOperator(sandwich(U.matrix, A.matrix, U.matrix), A.ambient, support, MIXED)
+        u = U.matrix
+        return FockOperator(u.conj().T @ A.matrix @ u, A.ambient, support, MIXED)
     u, p = U.blocks, fock._parity_bit(A.parity)
-    blocks = [sandwich(u[c ^ p], a, u[c]) for c, a in enumerate(A.blocks)]
+    blocks = [u[c ^ p].conj().T @ a @ u[c] for c, a in enumerate(A.blocks)]
     return FockOperator.from_blocks(blocks, A.ambient, support, A.parity)
-
-
-def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
-    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving."""
-    return _conjugate(A, U, inverse=False)
-
-
-def inverse_heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
-    """The inverse automorphism: U(t,s) A U(t,s)*."""
-    return _conjugate(A, U, inverse=True)

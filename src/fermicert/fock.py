@@ -403,11 +403,10 @@ def parity_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperato
     return FockOperator(np.diag(signs.astype(complex)), lam, frozenset(subset), EVEN)
 
 
-def parity_flip(A: FockOperator, subset: Iterable | None = None) -> FockOperator:
-    """Conjugation of A by theta_X (the parity automorphism over X)."""
+def parity_flip(A: FockOperator) -> FockOperator:
+    """Conjugation of A by theta_Lambda (the global parity automorphism)."""
     lam = A.ambient
-    pos = range(len(lam)) if subset is None else lam.positions(tuple(subset))
-    signs = _parity_signs(lam, pos)
+    signs = _parity_signs(lam, range(len(lam)))
     # the same |entries|, so the tag check would repeat the operand's
     return FockOperator._exact(signs[:, None] * A.matrix * signs[None, :], lam, A.support,
                                A.parity)
@@ -523,9 +522,9 @@ def _string_blocks(lam: SiteSet, positions: tuple, strings: Iterable):
         yield block, odd, cols ^ flip, vals
 
 
-def decompose(A: FockOperator, subset: Iterable | None = None) -> dict:
+def decompose(A: FockOperator, subset: Iterable) -> dict:
     """Expansion coefficients of A over the trace-orthogonal operator basis
-    built from {1, a_x, a*_x, theta_x} on ``subset`` (default: A.support).
+    built from {1, a_x, a*_x, theta_x} on ``subset``.
 
     Exact whenever A is supported in ``subset``; the coefficients identify
     the abstract algebra element independently of the ambient lattice.  The
@@ -534,7 +533,7 @@ def decompose(A: FockOperator, subset: Iterable | None = None) -> dict:
     bit.
     """
     lam = A.ambient
-    subset = lam.sorted_subset(A.support if subset is None else subset)
+    subset = lam.sorted_subset(subset)
     pos = lam.positions(subset)
     if len(subset) > 8:
         raise ValueError(f"operator-basis expansion over {len(subset)} sites is too large")

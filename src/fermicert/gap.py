@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from . import fock
 from .dynamics import Interaction, local_hamiltonian, term_operator
@@ -53,13 +52,6 @@ SANDWICH_TOL = 1e-10
 
 #: relative width of the bracket to which a gap closure is bisected
 CLOSURE_RESOLUTION = 1e-3
-
-
-def spectrum(H: FockOperator) -> np.ndarray:
-    """Sorted eigenvalues of a self-adjoint operator."""
-    if not H.is_hermitian():
-        raise ValueError("operator is not self-adjoint within 1e-12")
-    return np.linalg.eigvalsh(H.matrix)
 
 
 def _lowest_eigenvalue(H: FockOperator) -> float:
@@ -107,16 +99,6 @@ def kernel_projection(H: FockOperator) -> FockOperator:
     if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
     return _kernel(H)[2]
-
-
-def smallest_nonzero_eigenvalue(H: FockOperator) -> float:
-    """Smallest eigenvalue above the kernel tolerance (the gap of a
-    nonnegative operator with nontrivial kernel)."""
-    w = spectrum(H)
-    k = _split_kernel(w, _kernel_tol(w))
-    if k == w.size:
-        raise ValueError("operator is zero within tolerance; no nonzero eigenvalue")
-    return float(w[k])
 
 
 @dataclass(frozen=True)
@@ -210,27 +192,18 @@ class HamiltonianSequence:
             raise ValueError(f"sequence is not increasing: increment defect {defect:.3e}")
 
 
-def hamiltonian_sequence(phi: Interaction, lam: SiteSet,
-                         grouping: Sequence[Sequence[int]] | None = None) -> HamiltonianSequence:
-    """Partial sums of the interaction terms inside ``lam``.
-
-    Terms are added left to right (ordered by their leftmost site, then
-    extent), one term per step by default; ``grouping`` instead selects
-    explicit batches, as lists of indices into the interaction's term
-    list restricted to the volume (original order).
-    """
+def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
+    """Partial sums of the interaction terms inside ``lam``, one term per
+    step, added left to right (ordered by their leftmost site, then
+    extent)."""
     if phi.is_time_dependent:
         raise ValueError("gap sequences are defined for static interactions")
     inside = [t for t in phi.terms if set(t.sites) <= set(lam.sites)]
-    order = sorted(range(len(inside)),
-                   key=lambda i: (sorted(lam.positions(inside[i].sites)), i))
-    if grouping is None:
-        grouping = [[i] for i in order]
+    inside.sort(key=lambda t: sorted(lam.positions(t.sites)))
     hams = [fock.zero(lam)]
     acc = np.zeros((lam.dim, lam.dim), dtype=complex)
-    for group in grouping:
-        for i in group:
-            acc = acc + term_operator(inside[i], lam).matrix
+    for t in inside:
+        acc = acc + term_operator(t, lam).matrix
         hams.append(FockOperator(np.array(acc), lam,
                                  frozenset(lam.sites), EVEN if phi.even else MIXED))
     seq = HamiltonianSequence(tuple(hams))
@@ -330,7 +303,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     for h in increments:
         w, k, g = _kernel(h)
         if k == w.size:
-            raise ValueError("an increment vanishes; refine the grouping")
+            raise ValueError("an increment vanishes; every step must add a nonzero operator")
         gammas.append(float(w[k]))
         g_projs.append(g)
     gamma = min(gammas)
@@ -417,8 +390,10 @@ class SandwichResult:
 
 def sandwich_check(H_target: FockOperator, H_N: FockOperator) -> SandwichResult:
     """Largest c and smallest C sandwiching the shifted target between
-    multiples of H_N, via the generalized eigenproblem restricted to the
-    orthogonal complement of ker(H_N) (kernel tolerance SANDWICH_TOL).
+    multiples of H_N: the extreme eigenvalues of the pencil (H_target - E_0,
+    H_N) on the orthogonal complement of ker(H_N) (kernel tolerance
+    SANDWICH_TOL), solved as an ordinary Hermitian problem in the
+    eigenbasis of H_N.
 
     Requires ker(H_N) inside ker(H_target - E_0); otherwise no finite
     sandwich exists and a KernelMismatchError carries a witness vector.
@@ -445,9 +420,10 @@ def sandwich_check(H_target: FockOperator, H_N: FockOperator) -> SandwichResult:
     vr = v[:, k:]
     if vr.shape[1] == 0:
         raise ValueError("H_N vanishes; sandwich constants are undefined")
-    d_r = vr.conj().T @ D @ vr
-    h_r = vr.conj().T @ H_N.matrix @ vr
-    gen = scipy.linalg.eigvalsh(d_r, h_r)
+    # vr* H_N vr = diag(w[k:]), so the pencil (vr* D vr, vr* H_N vr) is the
+    # ordinary problem of S vr* D vr S with S = diag(w[k:])^(-1/2)
+    sv = vr / np.sqrt(w[k:])
+    gen = np.linalg.eigvalsh(sv.conj().T @ D @ sv)
     return SandwichResult(c=float(gen[0]), C=float(gen[-1]), ground_energy=e0)
 
 

@@ -30,6 +30,9 @@ import numpy as np
 
 from .fock import SiteSet
 
+#: uniform points (an odd number) of the composite Simpson rule for the integral of ||Phi||_G
+SIMPSON_SAMPLES = 65
+
 
 @dataclass(frozen=True, eq=False)
 class MetricGraph:
@@ -49,23 +52,11 @@ class MetricGraph:
             raise ValueError("distances must be symmetric, nonnegative, zero on the diagonal")
         d.flags.writeable = False
 
-    def distance(self, x, y) -> float:
-        return float(self.distances[self.sites.position(x), self.sites.position(y)])
-
     def ball(self, center, radius: float) -> tuple:
         """Sites within ``radius`` of ``center``, in lattice order."""
         i = self.sites.position(center)
         mask = self.distances[i] <= radius + 1e-12
         return tuple(x for x, m in zip(self.sites.sites, mask) if m)
-
-    def triangle_defect(self) -> float:
-        """max over all triples of d(x,y) - d(x,z) - d(z,y); <= 0 for a metric."""
-        d = self.distances
-        worst = -math.inf
-        n = d.shape[0]
-        for z in range(n):
-            worst = max(worst, float((d - d[:, [z]] - d[[z], :]).max()))
-        return worst
 
 
 def chain_graph(length: int, boundary: str = "open") -> MetricGraph:
@@ -155,9 +146,6 @@ class GFunction:
     def norm(self) -> float:
         return float(self.values.sum(axis=1).max())
 
-    def value(self, x, y) -> float:
-        return float(self.values[self.graph.sites.position(x), self.graph.sites.position(y)])
-
     def pair_sum(self, xs: Iterable, ys: Iterable) -> float:
         """sum_{x in xs} sum_{y in ys} G(x,y)."""
         pi = list(self.graph.sites.positions(xs))
@@ -179,14 +167,6 @@ def g_from_f(F: Callable, graph: MetricGraph) -> GFunction:
     if not math.isfinite(c) or c <= 0:
         raise ValueError("convolution constant must be finite and positive")
     return GFunction(graph, F(graph.distances) / c)
-
-
-def spatially_weighted(G: GFunction, weight: Callable) -> GFunction:
-    """G_g(x,y) = g(x) g(y) G(x,y) for a site weight g with values in (0, 1]."""
-    w = np.array([float(weight(x)) for x in G.graph.sites.sites])
-    if w.min() <= 0 or w.max() > 1:
-        raise ValueError("site weights must lie in (0, 1]")
-    return GFunction(G.graph, w[:, None] * G.values * w[None, :])
 
 
 # -- interaction decay bookkeeping ------------------------------------------
@@ -216,43 +196,22 @@ def interaction_g_norm(phi, G: GFunction, t: float = 0.0) -> float:
     return float(_g_norms(phi, G, (t,))[0])
 
 
-def interaction_norm_integral(phi, G: GFunction, s: float, t: float,
-                              samples: int = 65) -> float:
+def interaction_norm_integral(phi, G: GFunction, s: float, t: float) -> float:
     """Integral of r -> ||Phi||_G(r) over [s, t].
 
     Exact for time-independent interactions ((t-s) times the constant);
-    composite Simpson on ``samples`` uniform points otherwise, which needs
-    an odd number of at least 3.
+    composite Simpson on SIMPSON_SAMPLES uniform points otherwise.
     """
-    if samples < 3 or samples % 2 == 0:
-        raise ValueError(f"composite Simpson needs an odd samples >= 3, got {samples}")
     if t == s:
         return 0.0
     if not phi.is_time_dependent:
         return abs(t - s) * interaction_g_norm(phi, G, s)
-    grid = np.linspace(s, t, samples)
+    grid = np.linspace(s, t, SIMPSON_SAMPLES)
     vals = _g_norms(phi, G, grid)
-    weights = np.ones(samples)
+    weights = np.ones(SIMPSON_SAMPLES)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return abs(float((t - s) / (samples - 1) / 3.0 * (weights @ vals)))
-
-
-def surface_sets(lam: SiteSet, X: Iterable, phi) -> list:
-    """Interaction-supported subsets of ``lam`` meeting both X and its
-    complement in ``lam`` (term-list scan, never a powerset sweep)."""
-    X = frozenset(X)
-    for x in X:
-        lam.position(x)
-    ambient = frozenset(lam.sites)
-    seen = []
-    for term in phi.terms:
-        z = frozenset(term.sites)
-        if not z <= ambient:
-            continue
-        if z & X and not z <= X and z not in seen:
-            seen.append(z)
-    return sorted(seen, key=lambda z: sorted(lam.positions(z)))
+    return abs(float((t - s) / (SIMPSON_SAMPLES - 1) / 3.0 * (weights @ vals)))
 
 
 def phi_boundary(phi, X: Iterable, interval: tuple | None = None) -> frozenset:

@@ -47,11 +47,6 @@ CERT_RTOL = 1e-9
 CERT_ATOL_SCALE = 1e-12
 
 
-def delta_indicator(X: Iterable, Y: Iterable) -> int:
-    """1 if the two site sets intersect, else 0."""
-    return 1 if frozenset(X) & frozenset(Y) else 0
-
-
 def lr_rhs(norm_a: float, norm_b: float, phi_norm_integral: float,
            geometry: float) -> float:
     """2 ||A|| ||B|| (exp(2 * integral) - 1) * geometry factor."""

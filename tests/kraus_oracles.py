@@ -1,7 +1,7 @@
 """Brute-force oracles for the conditional expectations of ``fermicert.cond_exp``.
 
 Each one works straight from the Kraus form: the single-site unitaries
-{1, a* + a, a* - a, 1 - 2 a*a} of ``cond_exp.kraus_unitaries`` at every site
+{1, a* + a, a* - a, 1 - 2 a*a} of ``kraus_unitaries`` at every site
 outside a region X, either one site at a time or as all 4^k words over the
 k complement sites (refused beyond BRUTE_FORCE_CAP).
 """
@@ -10,11 +10,20 @@ import itertools
 
 import numpy as np
 
-from fermicert.cond_exp import kraus_unitaries
-from fermicert.fock import annihilator, op_norm, parity_operator
+from fermicert.fock import (EVEN, ODD, FockOperator, annihilator, identity, op_norm,
+                            parity_operator)
 
 #: refuse Kraus-word sums beyond this complement size (4^k words)
 BRUTE_FORCE_CAP = 10
+
+
+def kraus_unitaries(lam, x) -> tuple:
+    """The four single-site Kraus unitaries at x, parities (+, -, -, +)."""
+    a = annihilator(lam, x)
+    ad = a.adjoint()
+    u2 = FockOperator(ad.matrix - a.matrix, lam, frozenset({x}), ODD)
+    u3 = identity(lam) - 2 * (ad @ a)
+    return (identity(lam), ad + a, u2, FockOperator(u3.matrix, lam, frozenset({x}), EVEN))
 
 
 def complement(lam, X) -> tuple:

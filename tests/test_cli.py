@@ -408,11 +408,23 @@ def test_unknown_or_wrong_typed_keys_are_config_errors(tmp_path, capsys, path, v
 
 
 def test_cli_does_not_import_scipy_sparse():
+    # no scipy module at all, after the import and a 4-site ramped certify
     import os
     import subprocess
     import sys
     src = Path(__file__).resolve().parent.parent / "src"
-    script = "import sys\nimport fermicert.cli\nprint('scipy.sparse' in sys.modules)\n"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import fermicert.cli\n"
+        "from fermicert import fock, geometry, lr_bounds, models\n"
+        "from fermicert.dynamics import scaled_profile\n"
+        "lam = fock.chain(4)\n"
+        "phi = scaled_profile(models.hopping_chain(4), lambda r: 1 + r, (0.0, 1.0))\n"
+        "G = geometry.g_from_f(geometry.DecayFunction(1, 1.0), geometry.chain_graph(4))\n"
+        "lr_bounds.certify(fock.number_operator(lam, [0]), fock.number_operator(lam, [3]),\n"
+        "                  phi, G, 0.0, np.linspace(0.0, 1.0, 3))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

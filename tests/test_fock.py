@@ -96,11 +96,12 @@ def test_parity_conjugation_flips_annihilators():
 
 def test_parity_flip_region_automorphism(lam4):
     from fermicert.fock import parity_flip
+    th = parity_operator(lam4, [1, 2])
     for x in lam4:
         a = annihilator(lam4, x)
-        flipped = parity_flip(a, [1, 2])
+        assert np.abs(parity_flip(a).matrix + a.matrix).max() == 0
         sign = -1.0 if x in (1, 2) else 1.0
-        assert np.abs(flipped.matrix - sign * a.matrix).max() == 0
+        assert np.abs((th @ a @ th).matrix - sign * a.matrix).max() == 0
 
 
 def test_parity_decompose_reconstructs(rng, lam4):
@@ -260,7 +261,7 @@ def test_parity_tag_limit_is_inclusive_and_relative_to_the_matrix_scale():
         with pytest.raises(ValueError, match="declared parity"):
             scaled()
     # adjoint, negation and parity conjugation keep every |entry|: unchecked
-    for op in (A.adjoint(), -A, fock.parity_flip(A, (0,))):
+    for op in (A.adjoint(), -A, fock.parity_flip(A)):
         assert fock._parity_defect(op.matrix, EVEN) == fock.PARITY_TAG_TOL
 
 
@@ -271,7 +272,7 @@ def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
         raise AssertionError("parity tag re-checked")
 
     monkeypatch.setattr(fock, "_parity_defect", no_check)
-    for op in (A.adjoint(), -A, fock.parity_flip(A, (1, 2))):
+    for op in (A.adjoint(), -A, fock.parity_flip(A)):
         assert op.parity == ODD
     with pytest.raises(AssertionError, match="re-checked"):
         2 * A

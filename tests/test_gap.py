@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 
 from fermicert import fock, geometry, models
-from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
+from fermicert.dynamics import (Interaction, InteractionTerm, local_hamiltonian,
+                                term_operator)
 from fermicert.errors import (AmbiguousKernelError, GapClosureError,
                               KernelMismatchError)
 from fermicert.fock import (EVEN, FockOperator, annihilator, chain, creator,
                             number_operator, op_norm, zero)
-from fermicert.gap import (HamiltonianSequence, frustration_free_check,
-                           hamiltonian_sequence, kernel_projection,
-                           martingale_bound, martingale_certificate,
-                           projection_flow, resolution_family, sandwich_check,
-                           smallest_nonzero_eigenvalue, spectrum)
+from fermicert.gap import (SANDWICH_TOL, HamiltonianSequence, _kernel,
+                           frustration_free_check, hamiltonian_sequence,
+                           kernel_projection, martingale_bound,
+                           martingale_certificate, projection_flow,
+                           resolution_family, sandwich_check)
 
 
 def _onsite_number_interaction(L):
@@ -26,18 +27,19 @@ def _onsite_number_interaction(L):
 
 
 def test_spectrum_examples(lam4, rng):
-    assert np.array_equal(spectrum(zero(lam4)), np.zeros(16))
+    assert np.array_equal(_kernel(zero(lam4))[0], np.zeros(16))
     lam3 = chain(3)
-    w = spectrum(number_operator(lam3))
+    w, kernel_dim, _ = _kernel(number_operator(lam3))
     # occupation-count oracle over all 8 configurations
     oracle = sorted(bin(k).count("1") for k in range(8))
     assert np.allclose(w, oracle, atol=1e-12)
+    assert kernel_dim == 1
     lam2 = chain(2)
     H = local_hamiltonian(models.hopping_chain(2), lam2)
-    assert np.allclose(spectrum(H), [-1, 0, 0, 1], atol=1e-12)
+    assert np.allclose(np.linalg.eigvalsh(H.matrix), [-1, 0, 0, 1], atol=1e-12)
     nonherm = fock.random_local_operator(lam4, (0, 1), rng)
-    with pytest.raises(ValueError):
-        spectrum(nonherm)
+    with pytest.raises(ValueError, match="self-adjoint"):
+        kernel_projection(nonherm)
 
 
 def test_frustration_free_flat_band():
@@ -150,7 +152,11 @@ def test_hamiltonian_sequence_grouping():
     L = 4
     lam = chain(L)
     phi = _onsite_number_interaction(L)
-    grouped = hamiltonian_sequence(phi, lam, grouping=[[0, 1], [2, 3]])
+    # two terms per step: the on-site terms of sites {0, 1}, then of {2, 3}
+    terms = [term_operator(t, lam).matrix for t in phi.terms]
+    grouped = HamiltonianSequence((zero(lam),) + tuple(
+        FockOperator(sum(terms[:n]), lam, frozenset(lam.sites), EVEN) for n in (2, 4)))
+    grouped.validate()
     assert grouped.size == 2
     full = hamiltonian_sequence(phi, lam)
     assert np.abs(grouped.hamiltonians[-1].matrix
@@ -276,6 +282,28 @@ def test_sandwich_polynomial_target():
     assert res.c > 0
 
 
+def test_sandwich_noncommuting_target_matches_the_generalized_oracle(rng):
+    # target = H^(1/2) B H^(1/2) with B > 0: the kernel of H, but no common eigenbasis
+    from scipy.linalg import eigvalsh
+    lam = chain(5)
+    H = local_hamiltonian(models.kitaev_chain(5), lam)
+    w, v = np.linalg.eigh(H.matrix)
+    root = (v * np.sqrt(np.where(w > 1e-8, w, 0.0))) @ v.conj().T
+    raw = fock.random_local_operator(lam, lam.sites, rng, parity=EVEN).matrix
+    m = root @ (raw @ raw.conj().T + 0.5 * np.eye(lam.dim)) @ root
+    target = FockOperator((m + m.conj().T) / 2, lam, H.support, EVEN)
+    assert op_norm(fock.commutator(target, H)) > 0.1
+    res = sandwich_check(target, H)
+    k = int(np.searchsorted(w, SANDWICH_TOL * np.abs(w).max(), side="right"))
+    assert k == 2
+    vr = v[:, k:]
+    d_r = vr.conj().T @ (target.matrix - res.ground_energy * np.eye(lam.dim)) @ vr
+    want = eigvalsh(d_r, vr.conj().T @ H.matrix @ vr)
+    assert res.c == pytest.approx(want[0], rel=1e-10)
+    assert res.C == pytest.approx(want[-1], rel=1e-10)
+    assert want[-1] > 2 * want[0] > 0
+
+
 def test_sandwich_kernel_mismatch():
     lam = chain(3)
     H_N = number_operator(lam, [0])      # kernel: site 0 empty
@@ -336,10 +364,12 @@ def test_projection_flow_gap_closure(small_flow_setup):
 
 
 def test_smallest_nonzero_eigenvalue():
+    # the first eigenvalue above the kernel split, as gamma_n and exact_gap read it
     lam = chain(3)
-    assert smallest_nonzero_eigenvalue(number_operator(lam)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        smallest_nonzero_eigenvalue(zero(lam))
+    w, k, _ = _kernel(number_operator(lam))
+    assert w[k] == pytest.approx(1.0)
+    w, k, _ = _kernel(zero(lam))
+    assert k == w.size
 
 
 def test_spectrum_monotone_under_positive_perturbation(rng):
@@ -349,9 +379,9 @@ def test_spectrum_monotone_under_positive_perturbation(rng):
     raw = fock.random_local_operator(lam, (1, 2), rng, parity=EVEN)
     herm = 0.5 * (raw + raw.adjoint())
     positive = herm @ herm
-    w0 = spectrum(H)
+    w0 = np.linalg.eigvalsh(H.matrix)
     for t in (0.1, 0.5, 1.5):
-        wt = spectrum(H + t * positive)
+        wt = np.linalg.eigvalsh((H + t * positive).matrix)
         assert np.all(wt >= w0 - 1e-10)
         w0 = wt
 

@@ -1,22 +1,27 @@
-"""Metric graphs, F/G decay functions, interaction norms, surface sets."""
+"""Metric graphs, F/G decay functions, interaction norms, boundaries."""
 
 import numpy as np
 import pytest
 
 from fermicert import dynamics, fock, models
-from fermicert.geometry import (DecayFunction, chain_graph, f_conv_constant,
-                                f_norm, g_from_f, grid_graph,
-                                interaction_g_norm, interaction_norm_integral,
-                                phi_boundary, spatially_weighted, surface_sets)
+from fermicert.geometry import (SIMPSON_SAMPLES, DecayFunction, GFunction,
+                                chain_graph, f_conv_constant, f_norm, g_from_f,
+                                grid_graph, interaction_g_norm,
+                                interaction_norm_integral, phi_boundary)
+
+
+def _triangle_defect(d):
+    """max over all triples of d(x,y) - d(x,z) - d(z,y); <= 0 for a metric."""
+    return float((d[:, :, None] - d[:, None, :] - d.T[None, :, :]).max())
 
 
 def test_chain_graph_metric():
     g = chain_graph(6)
-    assert g.distance(0, 5) == 5
-    assert g.distance(2, 2) == 0
-    assert g.triangle_defect() <= 0
+    assert g.distances[0, 5] == 5
+    assert g.distances[2, 2] == 0
+    assert _triangle_defect(g.distances) <= 0
     ring = chain_graph(6, boundary="periodic")
-    assert ring.distance(0, 5) == 1
+    assert ring.distances[0, 5] == 1
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
@@ -35,10 +40,11 @@ def test_chain_graph_is_the_one_axis_grid(boundary):
 
 def test_grid_graph_l1_metric():
     g = grid_graph([3, 3])
-    assert g.distance((0, 0), (2, 2)) == 4
-    assert g.triangle_defect() <= 0
+    pos = g.sites.position
+    assert g.distances[pos((0, 0)), pos((2, 2))] == 4
+    assert _triangle_defect(g.distances) <= 0
     per = grid_graph([4, 4], boundary="periodic")
-    assert per.distance((0, 0), (3, 3)) == 2
+    assert per.distances[per.sites.position((0, 0)), per.sites.position((3, 3))] == 2
 
 
 def test_f_norm_single_site_and_chain():
@@ -85,12 +91,14 @@ def test_g_function_properties_on_chain():
 def test_spatially_weighted_g_keeps_properties():
     g = chain_graph(8)
     G = g_from_f(DecayFunction(1, 1.0), g)
-    Gw = spatially_weighted(G, lambda x: 0.5 + 0.05 * x)
+    # G_g(x, y) = g(x) g(y) G(x, y) for a site weight g with values in (0, 1]
+    w = 0.5 + 0.05 * np.arange(8)
+    Gw = GFunction(g, w[:, None] * G.values * w[None, :])
     d = Gw.defects()
     assert d["symmetry"] <= 1e-15
     assert d["convolution"] <= 1e-12
-    with pytest.raises(ValueError):
-        spatially_weighted(G, lambda x: 1.5)
+    with pytest.raises(ValueError, match="strictly positive"):
+        GFunction(g, 0.0 * G.values)
 
 
 def test_interaction_g_norm_hopping_oracle():
@@ -149,54 +157,12 @@ def test_interaction_norm_integral_is_scipy_simpson():
     G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
     phi = scaled_profile(models.hopping_chain(L), lambda r: 1.0 + 0.5 * np.sin(3 * r),
                          (0.0, 3.0))
-    for s, t, samples in [(0.0, 2.0, 65), (0.3, 1.7, 65), (2.5, 0.5, 65), (0.0, 3.0, 9),
-                          (0.0, 1.0, 3)]:
-        grid = np.linspace(s, t, samples)
+    for s, t in [(0.0, 2.0), (0.3, 1.7), (2.5, 0.5), (0.0, 3.0)]:
+        grid = np.linspace(s, t, SIMPSON_SAMPLES)
         vals = [interaction_g_norm(phi, G, r) for r in grid]
         want = abs(float(simpson(vals, x=grid)))
-        got = interaction_norm_integral(phi, G, s, t, samples=samples)
+        got = interaction_norm_integral(phi, G, s, t)
         assert got == pytest.approx(want, rel=1e-14)
-
-
-@pytest.mark.parametrize("samples", [64, 2, 1, 0, -3])
-def test_interaction_norm_integral_rejects_bad_sample_counts(samples):
-    L = 4
-    G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
-    with pytest.raises(ValueError, match="odd"):
-        interaction_norm_integral(models.hopping_chain(L), G, 0.0, 1.0, samples=samples)
-
-
-def test_ramped_certify_does_not_import_scipy_integrate():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-    src = Path(__file__).resolve().parent.parent / "src"
-    script = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from fermicert import fock, geometry, lr_bounds, models\n"
-        "from fermicert.dynamics import scaled_profile\n"
-        "lam = fock.chain(4)\n"
-        "phi = scaled_profile(models.hopping_chain(4), lambda r: 1 + r, (0.0, 1.0))\n"
-        "G = geometry.g_from_f(geometry.DecayFunction(1, 1.0), geometry.chain_graph(4))\n"
-        "lr_bounds.certify(fock.number_operator(lam, [0]), fock.number_operator(lam, [3]),\n"
-        "                  phi, G, 0.0, np.linspace(0.0, 1.0, 3))\n"
-        "print('scipy.integrate' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.strip() == "False"
-
-
-def test_surface_sets_chain():
-    L = 6
-    lam = fock.chain(L)
-    phi = models.hopping_chain(L)
-    X = {0, 1, 2}
-    crossing = surface_sets(lam, X, phi)
-    assert crossing == [frozenset({2, 3})]
-    assert surface_sets(lam, set(lam.sites), phi) == []
-    assert surface_sets(lam, set(), phi) == []
 
 
 def test_phi_boundary_chain_segment():

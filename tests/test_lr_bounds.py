@@ -11,14 +11,8 @@ from fermicert.dynamics import scaled_profile
 from fermicert.errors import CertificationError
 from fermicert.fock import annihilator, chain, number_operator
 from fermicert.geometry import DecayFunction, chain_graph, g_from_f
-from fermicert.lr_bounds import (ANTICOMMUTATOR, COMMUTATOR, certify,
-                                 delta_indicator, lr_rhs, series_diagnostics)
-
-
-def test_delta_indicator():
-    assert delta_indicator({1, 2}, {3}) == 0
-    assert delta_indicator({1, 2}, {2, 5}) == 1
-    assert delta_indicator(set(), {1}) == 0
+from fermicert.lr_bounds import (ANTICOMMUTATOR, COMMUTATOR, certify, lr_rhs,
+                                 series_diagnostics)
 
 
 def test_lr_rhs_closed_form():
@@ -157,7 +151,9 @@ def test_series_remainder_factorial_decay():
 
 def test_certify_with_spatially_weighted_g(chain_setup):
     lam, phi, G = chain_setup
-    Gw = geometry.spatially_weighted(G, lambda x: 0.6 + 0.04 * x)
+    # G_g(x, y) = g(x) g(y) G(x, y) for the site weight g(x) = 0.6 + 0.04 x in (0, 1]
+    w = 0.6 + 0.04 * np.arange(len(lam))
+    Gw = geometry.GFunction(G.graph, w[:, None] * G.values * w[None, :])
     rep = certify(number_operator(lam, [0]), number_operator(lam, [7]),
                   phi, Gw, 0.0, [0.5, 1.5])
     assert np.all(rep.measured <= rep.bound * (1 + 1e-9) + 1e-12)
