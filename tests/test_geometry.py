@@ -165,6 +165,28 @@ def test_interaction_norm_integral_is_scipy_simpson():
         assert got == pytest.approx(want, rel=1e-14)
 
 
+def test_ramped_certify_does_not_import_scipy_integrate():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fermicert import fock, geometry, lr_bounds, models\n"
+        "from fermicert.dynamics import scaled_profile\n"
+        "lam = fock.chain(4)\n"
+        "phi = scaled_profile(models.hopping_chain(4), lambda r: 1 + r, (0.0, 1.0))\n"
+        "G = geometry.g_from_f(geometry.DecayFunction(1, 1.0), geometry.chain_graph(4))\n"
+        "lr_bounds.certify(fock.number_operator(lam, [0]), fock.number_operator(lam, [3]),\n"
+        "                  phi, G, 0.0, np.linspace(0.0, 1.0, 3))\n"
+        "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_phi_boundary_chain_segment():
     phi = models.hopping_chain(8)
     assert phi_boundary(phi, {3, 4, 5}) == {3, 5}
