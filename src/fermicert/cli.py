@@ -487,7 +487,7 @@ def _run_model_info(task, config, out_dir, prefix):
         "sites": [repr(s) for s in lam.sites],
         "n_sites": len(lam),
         "n_terms": len(phi.terms),
-        "even": phi.even,
+        "even": True,
         "time_dependent": phi.is_time_dependent,
         "terms": [{"label": t.label, "sites": [repr(s) for s in t.sites],
                    "norm": t.norm, "parity": t.operator.parity}

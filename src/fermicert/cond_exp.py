@@ -44,22 +44,6 @@ from . import fock
 from .fock import EVEN, FockOperator, SiteSet, identity, op_norm, parity_operator
 
 
-def _complement(lam: SiteSet, X: Iterable) -> tuple:
-    X = frozenset(X)
-    for x in X:
-        lam.position(x)
-    return tuple(x for x in lam.sites if x not in X)
-
-
-def _result_tags(A: FockOperator, X: frozenset, strictly_local: bool) -> tuple:
-    if A.parity == EVEN or strictly_local:
-        support = X
-    else:
-        # range contains B theta_Lambda pieces, which are global
-        support = frozenset(A.ambient.sites)
-    return support, A.parity
-
-
 def conditional_expectation(A: FockOperator, X: Iterable) -> FockOperator:
     """E_X(A): Kraus average over all single-site unitaries outside X.
 
@@ -69,7 +53,7 @@ def conditional_expectation(A: FockOperator, X: Iterable) -> FockOperator:
     """
     lam = A.ambient
     X = frozenset(X)
-    theta_c = fock._popcount_signs(len(_complement(lam, X)))[:, None, None]
+    theta_c = fock._popcount_signs(len(lam) - len(lam.restrict(X)))[:, None, None]
     theta_x = fock._popcount_signs(len(X))
     flips_x = theta_x[:, None] != theta_x[None, :]
 
@@ -77,8 +61,9 @@ def conditional_expectation(A: FockOperator, X: Iterable) -> FockOperator:
         return np.where(flips_x, theta_c * (theta_c * blocks).mean(axis=0),
                         blocks.mean(axis=0))
 
-    support, parity = _result_tags(A, X, strictly_local=False)
-    return FockOperator(fock.signed_partial_trace(A, X, average), lam, support, parity)
+    # the range of a non-even A holds B theta_Lambda pieces, which are global
+    support = X if A.parity == EVEN else frozenset(lam.sites)
+    return FockOperator(fock.signed_partial_trace(A, X, average), lam, support, A.parity)
 
 
 def trace_invariant_expectation(A: FockOperator, X: Iterable) -> FockOperator:
@@ -91,8 +76,7 @@ def trace_invariant_expectation(A: FockOperator, X: Iterable) -> FockOperator:
     any lattice size.  Agrees with E_X on even observables.
     """
     X = frozenset(X)
-    support, parity = _result_tags(A, X, strictly_local=True)
-    return FockOperator(fock.project_support(A, X).matrix, A.ambient, support, parity)
+    return FockOperator(fock.project_support(A, X).matrix, A.ambient, X, A.parity)
 
 
 def local_approximation(A: FockOperator, X: Iterable) -> tuple:
@@ -138,7 +122,7 @@ def expectation_diagnostics(A: FockOperator, X: Iterable) -> ExpectationDiagnost
     odd_local = odd @ theta
     parity_defect = fock.support_defect(odd_local, X)
     return ExpectationDiagnostics(
-        region=lam.sorted_subset(X),
+        region=lam.restrict(X).sites,
         projection_defect=projection, contraction_excess=contraction,
         range_support_defect=support_defect, range_parity_defect=parity_defect)
 
@@ -205,6 +189,6 @@ def expectation_family_report(lam: SiteSet, X: Iterable, Y: Iterable,
         big = conditional_expectation(fock.embed(C, enlarged), X)
         vol_d = max(vol_d, op_norm(fock.embed(small, enlarged) - big))
     return FamilyReport(
-        region_x=lam.sorted_subset(X), region_y=lam.sorted_subset(Y),
+        region_x=lam.restrict(X).sites, region_y=lam.restrict(Y).sites,
         samples=samples, composition_defect=comp_d, idempotence_defect=idem_d,
         product_defect=prod_d, volume_defect=vol_d)

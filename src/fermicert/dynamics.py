@@ -22,21 +22,22 @@ block-diagonal in the even and odd particle-number states, so
 ``sector_eigh`` diagonalizes the two half-size blocks (and refuses a matrix
 with any nonzero entry between them).  A time-independent interaction is
 diagonalized once for a whole time grid, U(t, s) = V e^{-i w (t-s)} V*.
-A propagator keeps those two blocks, and the Heisenberg evolution of a
-definite-parity observable conjugates its parity blocks one by one.
+The propagator is an even ``FockOperator`` built from those two blocks,
+which assembles its dense matrix only when it is first read, and
+``heisenberg`` computes U* A U through the block product of ``fock``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import fock
-from .fock import EVEN, MIXED, FockOperator, SiteSet
+from .fock import EVEN, FockOperator, SiteSet
 
 #: propagator unitarity defect above which a polar correction is applied
 UNITARITY_TOL = 1e-9
@@ -69,20 +70,17 @@ class InteractionTerm:
 @dataclass(frozen=True, eq=False)
 class Interaction:
     """Finite collection of interaction terms with a time interval of
-    validity.  With even=True every term must carry the even parity tag."""
+    validity.  Every term must carry the even parity tag."""
 
     terms: tuple
     interval: tuple = (-math.inf, math.inf)
-    even: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.even:
-            for term in self.terms:
-                if term.operator.parity != EVEN:
-                    raise ValueError(
-                        f"term on sites {term.sites} is not even-tagged; "
-                        "construct with even=False for general interactions")
+        for term in self.terms:
+            if term.operator.parity != EVEN:
+                raise ValueError(f"term on sites {term.sites} is not even-tagged; only "
+                                 "even interactions generate the certified dynamics")
 
     @property
     def is_time_dependent(self) -> bool:
@@ -105,7 +103,7 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
         else:
             combined = (lambda r, old=t.profile: old(r) * profile(r))
         new_terms.append(InteractionTerm(t.sites, t.operator, combined, t.label))
-    return Interaction(tuple(new_terms), interval, phi.even)
+    return Interaction(tuple(new_terms), interval)
 
 
 @lru_cache(maxsize=4096)
@@ -144,8 +142,7 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
         rows, cols, values = _embedded_sparse(term_obj, lam)
         acc[rows, cols] += c * values
         support |= set(term_obj.sites)
-    parity = EVEN if phi.even else MIXED
-    return FockOperator(acc, lam, frozenset(support), parity)
+    return FockOperator(acc, lam, frozenset(support), EVEN)
 
 
 def sector_eigh(H: np.ndarray) -> tuple:
@@ -187,29 +184,17 @@ class Propagator:
     """Unitary U(t, s) solving the Schroedinger equation for the local
     Hamiltonian, with step-size and unitarity metadata.
 
-    U is even, so it is kept as its two parity blocks (even sector, odd
-    sector); the dense ``matrix`` is assembled only when asked for.
+    ``operator`` is U, an even ``FockOperator`` built from its two parity
+    blocks (even sector, odd sector).
     """
 
-    blocks: tuple
-    lattice: SiteSet
+    operator: FockOperator
     s: float
     t: float
     step: float
     unitarity_defect: float
-    corrections: int = 0
-    steps_taken: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for block in self.blocks:
-            block.flags.writeable = False
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = fock.sector_matrix(self.blocks, EVEN, self.lattice.dim)
-        m.flags.writeable = False
-        return m
+    corrections: int
+    steps_taken: int
 
 
 def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
@@ -221,22 +206,23 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
     is its exact exponential.  Otherwise U is carried from one grid time to
     the next by second-order midpoint stepping, ceil(|dt|/step) steps per
     segment, with per-step exponentials.  U(s, s) is the exact identity.
-    Rejects non-even interactions.
     """
-    if not phi.even:
-        raise ValueError("only even interactions generate the certified dynamics")
     if step <= 0:
         raise ValueError("step must be positive")
     times = sorted(float(t) for t in times)
     for r in (s, *times):
         phi.check_time(r)
     static = None     # sector_eigh(H) of a time-independent interaction
+
+    def unitary(blocks):
+        return FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), EVEN)
+
     identity = [np.eye(len(index), dtype=complex) for index in fock._sector_index(lam.dim)]
     blocks = identity
     prev, dt, defect, corrections, steps = s, step, 0.0, 0, 0
     for t in times:
         if t == s:
-            yield Propagator(identity, lam, s, t, step, 0.0, 0, 0)
+            yield Propagator(unitary(identity), s, t, step, 0.0, 0, 0)
             continue
         if not phi.is_time_dependent:
             if static is None:
@@ -254,7 +240,7 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
             corrections += fixed
             steps += n_steps
             prev = t
-        yield Propagator(blocks, lam, s, t, abs(dt), defect, corrections, steps)
+        yield Propagator(unitary(blocks), s, t, abs(dt), defect, corrections, steps)
 
 
 def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
@@ -265,15 +251,7 @@ def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,
 
 
 def heisenberg(A: FockOperator, U: Propagator) -> FockOperator:
-    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving.  A
-    definite-parity A is conjugated block by block:
-    (U* A U)[c] = U[c ^ p]* A[c] U[c]."""
-    if A.ambient != U.lattice:
-        raise ValueError("observable and propagator live on different site sets")
-    support = frozenset(A.ambient.sites)
-    if A.parity == MIXED:
-        u = U.matrix
-        return FockOperator(u.conj().T @ A.matrix @ u, A.ambient, support, MIXED)
-    u, p = U.blocks, fock._parity_bit(A.parity)
-    blocks = [u[c ^ p].conj().T @ a @ u[c] for c, a in enumerate(A.blocks)]
-    return FockOperator.from_blocks(blocks, A.ambient, support, A.parity)
+    """tau_{t,s}(A) = U(t,s)* A U(t,s); norm and parity preserving.  The
+    block product conjugates a definite-parity A block by block,
+    (U* A U)[c] = U[c ^ p]* A[c] U[c], and a mixed A densely."""
+    return U.operator.adjoint() @ A @ U.operator

@@ -11,7 +11,7 @@ class CertificationError(RuntimeError):
     Carries the worst offending point as (where, measured, bound).
     """
 
-    def __init__(self, message, where=None, measured=None, bound=None):
+    def __init__(self, message, where, measured, bound):
         super().__init__(message)
         self.where = where
         self.measured = measured
@@ -22,7 +22,7 @@ class AmbiguousKernelError(RuntimeError):
     """Eigenvalues cluster around the kernel tolerance; the kernel cannot
     be identified reliably."""
 
-    def __init__(self, message, eigenvalues=None, tol=None):
+    def __init__(self, message, eigenvalues, tol):
         super().__init__(message)
         self.eigenvalues = eigenvalues
         self.tol = tol
@@ -33,7 +33,7 @@ class GapClosureError(RuntimeError):
     parameter path.  ``location`` is the bisected crossing estimate and
     ``bracket`` the interval that contains it."""
 
-    def __init__(self, message, location=None, bracket=None, gap=None):
+    def __init__(self, message, location, bracket, gap):
         super().__init__(message)
         self.location = location
         self.bracket = bracket
@@ -44,7 +44,7 @@ class KernelMismatchError(RuntimeError):
     """ker(H_N) is not contained in the kernel of the shifted target
     Hamiltonian; ``witness`` is a kernel vector violating the inclusion."""
 
-    def __init__(self, message, witness=None, defect=None):
+    def __init__(self, message, witness, defect):
         super().__init__(message)
         self.witness = witness
         self.defect = defect

@@ -14,8 +14,11 @@ relations
 
 exact at the matrix level (all entries are small integers).
 
-Everything here is a pure function over immutable inputs; matrices are
-frozen after construction and operators are safe to share across threads.
+Products, brackets and Heisenberg-evolved observables of definite-parity
+operators are built from their two parity blocks alone (``from_blocks``)
+and assemble their dense matrix the first time it is read.  Everything
+here is a pure function over immutable inputs; matrices are frozen once
+set and operators are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -90,11 +93,6 @@ class SiteSet:
         if missing:
             raise SiteNotInLattice(f"sites {sorted(map(repr, missing))} not in lattice")
         return SiteSet(x for x in self.sites if x in chosen)
-
-    def sorted_subset(self, subset: Iterable) -> tuple:
-        """Subset as a tuple ordered like the lattice."""
-        chosen = set(subset)
-        return tuple(x for x in self.sites if x in chosen)
 
 
 def chain(length: int) -> SiteSet:
@@ -196,7 +194,8 @@ class FockOperator:
 
     A definite-parity operator is block-diagonal up to the sector swap of an
     odd one; ``blocks`` holds its two nonzero blocks, and products,
-    brackets and ``op_norm`` of such operators run on them.
+    brackets, adjoints and ``op_norm`` of such operators run on them.  One
+    built ``from_blocks`` assembles ``matrix`` when it is first read.
     """
 
     matrix: np.ndarray
@@ -251,11 +250,23 @@ class FockOperator:
                   for rows, cols in _sector_mesh(ambient.dim, _parity_bit(parity))]
         if [b.shape for b in blocks] != shapes:
             raise ValueError(f"block shapes {[b.shape for b in blocks]} != {shapes}")
-        op = cls._exact(sector_matrix(blocks, parity, ambient.dim), ambient, support, parity)
+        op = object.__new__(cls)
+        for name, value in (("_blocks", blocks), ("ambient", ambient),
+                            ("support", frozenset(support)), ("parity", parity)):
+            object.__setattr__(op, name, value)
         for b in blocks:
             b.flags.writeable = False
-        object.__setattr__(op, "_blocks", blocks)
         return op
+
+    def __getattr__(self, name: str):
+        # reached only while ``matrix`` is unset: assemble it from the blocks
+        blocks = self.__dict__.get("_blocks")
+        if name != "matrix" or blocks is None:
+            raise AttributeError(name)
+        m = sector_matrix(blocks, self.parity, self.ambient.dim)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def blocks(self) -> tuple:
@@ -272,9 +283,15 @@ class FockOperator:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.ambient.dim
 
     def adjoint(self) -> "FockOperator":
+        kept = self.__dict__.get("_blocks")
+        if kept is not None:
+            # A*[c] = A[c ^ p]*: A* on sector c is the adjoint of A into sector c
+            p = _parity_bit(self.parity)
+            return FockOperator.from_blocks([kept[c ^ p].conj().T for c in (0, 1)],
+                                            self.ambient, self.support, self.parity)
         # the same |entries|, so the tag check would repeat the operand's
         return FockOperator._exact(self.matrix.conj().T, self.ambient, self.support,
                                    self.parity)
@@ -533,7 +550,7 @@ def decompose(A: FockOperator, subset: Iterable) -> dict:
     bit.
     """
     lam = A.ambient
-    subset = lam.sorted_subset(subset)
+    subset = lam.restrict(subset).sites
     pos = lam.positions(subset)
     if len(subset) > 8:
         raise ValueError(f"operator-basis expansion over {len(subset)} sites is too large")
@@ -662,8 +679,8 @@ def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generat
                           parity: str = MIXED) -> FockOperator:
     """Random operator supported in ``subset`` with the requested parity,
     normalized to operator norm 1.  Deterministic from ``rng``."""
-    subset = lam.sorted_subset(subset)
     sub = lam.restrict(subset)
+    subset = sub.sites
     m = rng.standard_normal((sub.dim, sub.dim)) + 1j * rng.standard_normal((sub.dim, sub.dim))
     local = FockOperator(m, sub, frozenset(subset), MIXED)
     if parity == EVEN:

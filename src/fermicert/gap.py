@@ -204,8 +204,7 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     acc = np.zeros((lam.dim, lam.dim), dtype=complex)
     for t in inside:
         acc = acc + term_operator(t, lam).matrix
-        hams.append(FockOperator(np.array(acc), lam,
-                                 frozenset(lam.sites), EVEN if phi.even else MIXED))
+        hams.append(FockOperator(np.array(acc), lam, frozenset(lam.sites), EVEN))
     seq = HamiltonianSequence(tuple(hams))
     seq.validate()
     return seq
@@ -259,7 +258,7 @@ class GapCertificate:
     exact_gap: float | None
     defects: dict
     per_step: dict
-    no_certificate_reason: str | None = None
+    no_certificate_reason: str | None
 
     @property
     def certified(self) -> bool:

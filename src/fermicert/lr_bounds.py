@@ -156,8 +156,8 @@ def certify(A: FockOperator, B: FockOperator, phi: Interaction, G: GFunction,
         raise ValueError("grid times must not precede the start time")
 
     window = (s, float(times[-1]))
-    boundary = lam.sorted_subset(phi_boundary(phi, X, interval=window))
-    geometry = G.pair_sum(boundary, lam.sorted_subset(Y))
+    boundary = lam.restrict(phi_boundary(phi, X, interval=window)).sites
+    geometry = G.pair_sum(boundary, lam.restrict(Y).sites)
 
     measured = np.zeros(times.size)
     bound = np.zeros(times.size)
@@ -185,7 +185,7 @@ def certify(A: FockOperator, B: FockOperator, phi: Interaction, G: GFunction,
     return LRBoundReport(
         mode=mode, start=s, times=times, measured=measured, bound=bound,
         ratio=ratio, norm_a=norm_a, norm_b=norm_b,
-        support_a=lam.sorted_subset(X), support_b=lam.sorted_subset(Y),
+        support_a=lam.restrict(X).sites, support_b=lam.restrict(Y).sites,
         boundary_sites=tuple(boundary), geometry_factor=geometry,
         g_norm=G.norm, phi_integrals=integrals, step=step)
 

@@ -90,16 +90,12 @@ class OrbitalSet:
         combined = np.vstack([self.valence, self.conduction])
         rank = int(np.linalg.matrix_rank(combined, tol=1e-10))
         leak = 0.0
-        for f, x in zip(self.valence, self.valence_centers):
+        centers = (*self.valence_centers, *self.conduction_centers)
+        for f, x in zip(combined, centers):
             ball = set(graph.ball(x, self.radius))
             outside = [i for i, s in enumerate(self.lattice.sites) if s not in ball]
             if outside:
                 leak = max(leak, float(np.abs(f[outside]).max()))
-        for g, y in zip(self.conduction, self.conduction_centers):
-            ball = set(graph.ball(y, self.radius))
-            outside = [i for i, s in enumerate(self.lattice.sites) if s not in ball]
-            if outside:
-                leak = max(leak, float(np.abs(g[outside]).max()))
         report = {"normalization": norm_defect, "cross_orthogonality": cross_defect,
                   "span_rank": rank, "support_leak": leak}
         if max(norm_defect, cross_defect, leak) > ORBITAL_TOL or rank < len(self.lattice):
@@ -153,20 +149,15 @@ def flat_band_model(orbitals: OrbitalSet, graph: MetricGraph) -> Interaction:
     orbitals.validate(graph)
     lam = orbitals.lattice
     terms = []
-    for k, (f, x) in enumerate(zip(orbitals.valence, orbitals.valence_centers)):
-        ball = graph.ball(x, orbitals.radius)
-        sub = lam.restrict(ball)
-        coeffs = np.array([f[lam.position(s)] for s in sub.sites])
-        b = _dressed_annihilator(sub, coeffs)
-        op = identity(sub) - (b.adjoint() @ b)
-        terms.append(InteractionTerm(sub.sites, op, label=f"valence[{k}]"))
-    for l, (g, y) in enumerate(zip(orbitals.conduction, orbitals.conduction_centers)):
-        ball = graph.ball(y, orbitals.radius)
-        sub = lam.restrict(ball)
-        coeffs = np.array([g[lam.position(s)] for s in sub.sites])
-        c = _dressed_annihilator(sub, coeffs)
-        op = c.adjoint() @ c
-        terms.append(InteractionTerm(sub.sites, op, label=f"conduction[{l}]"))
+    for name, family, centers in (
+            ("valence", orbitals.valence, orbitals.valence_centers),
+            ("conduction", orbitals.conduction, orbitals.conduction_centers)):
+        for k, (f, x) in enumerate(zip(family, centers)):
+            sub = lam.restrict(graph.ball(x, orbitals.radius))
+            b = _dressed_annihilator(sub, np.array([f[lam.position(s)] for s in sub.sites]))
+            number = b.adjoint() @ b
+            op = identity(sub) - number if name == "valence" else number
+            terms.append(InteractionTerm(sub.sites, op, label=f"{name}[{k}]"))
     return Interaction(tuple(terms))
 
 

@@ -10,8 +10,8 @@ from fermicert.dynamics import (UNITARITY_TOL, Interaction, InteractionTerm,
                                 heisenberg, local_hamiltonian, propagate,
                                 propagate_grid, scaled_profile, sector_eigh,
                                 term_operator)
-from fermicert.fock import (annihilator, chain, commutator, creator,
-                            number_operator, op_norm, parity_operator)
+from fermicert.fock import (annihilator, anticommutator, chain, commutator,
+                            creator, number_operator, op_norm, parity_operator)
 
 
 def _spectral_expm(H, z):
@@ -85,7 +85,7 @@ def test_local_hamiltonian_time_domain():
 def test_propagate_identity_at_equal_times():
     lam = chain(3)
     U = propagate(models.hopping_chain(3), lam, 0.5, 0.5)
-    assert np.array_equal(U.matrix, np.eye(8, dtype=complex))
+    assert np.array_equal(U.operator.matrix, np.eye(8, dtype=complex))
 
 
 def test_propagate_matches_spectral_exponential():
@@ -94,7 +94,7 @@ def test_propagate_matches_spectral_exponential():
     H = local_hamiltonian(phi, lam).matrix
     for t in (0.7, 2.0):
         U = propagate(phi, lam, 0.0, t)
-        assert np.abs(U.matrix - _spectral_expm(H, -1j * t)).max() <= 1e-8
+        assert np.abs(U.operator.matrix - _spectral_expm(H, -1j * t)).max() <= 1e-8
         assert U.unitarity_defect <= 1e-9
 
 
@@ -104,37 +104,38 @@ def test_propagate_cocycle():
     U20 = propagate(phi, lam, 0.0, 2.0, step=0.01)
     U10 = propagate(phi, lam, 0.0, 1.0, step=0.01)
     U21 = propagate(phi, lam, 1.0, 2.0, step=0.01)
-    assert op_norm(U20.matrix - U21.matrix @ U10.matrix) <= 1e-8
+    assert op_norm(U20.operator.matrix - U21.operator.matrix @ U10.operator.matrix) <= 1e-8
 
 
 def test_propagate_step_halving_second_order():
     lam = chain(4)
     phi = scaled_profile(models.hopping_chain(4), lambda r: 1.0 + np.cos(2 * r), (0.0, 2.0))
     steps = [0.2, 0.1, 0.05, 0.025]
-    mats = [propagate(phi, lam, 0.0, 1.0, step=h).matrix for h in steps]
+    mats = [propagate(phi, lam, 0.0, 1.0, step=h).operator.matrix for h in steps]
     errs = [np.abs(m - mats[-1]).max() for m in mats[:-1]]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.9
 
 
 def test_propagate_rejects_odd_interactions(rng):
-    lam = chain(3)
+    # an odd-tagged term cannot even enter an interaction
     sub = chain(2)
     odd_op = fock.random_local_operator(sub, (0, 1), rng, parity=fock.ODD)
-    hermitian_odd = 0.5 * (odd_op + odd_op.adjoint())
-    phi = Interaction((InteractionTerm((0, 1), hermitian_odd),), even=False)
-    with pytest.raises(ValueError):
-        propagate(phi, lam, 0.0, 1.0)
+    term = InteractionTerm((0, 1), 0.5 * (odd_op + odd_op.adjoint()))
+    with pytest.raises(ValueError, match="not even-tagged"):
+        Interaction((term,))
+    with pytest.raises(ValueError, match="not even-tagged"):
+        Interaction((models.hopping_chain(2).terms[0], term))
 
 
 def test_energy_conservation_and_parity_superselection():
     lam = chain(5)
     phi = models.hopping_chain(5, mu=0.2)
     H = local_hamiltonian(phi, lam)
-    U = propagate(phi, lam, 0.0, 1.7)
-    assert op_norm(U.matrix.conj().T @ H.matrix @ U.matrix - H.matrix) <= 1e-9
+    u = propagate(phi, lam, 0.0, 1.7).operator.matrix
+    assert op_norm(u.conj().T @ H.matrix @ u - H.matrix) <= 1e-9
     th = parity_operator(lam).matrix
-    assert op_norm(th @ U.matrix - U.matrix @ th) <= 1e-9
+    assert op_norm(th @ u - u @ th) <= 1e-9
 
 
 def test_heisenberg_basics(rng):
@@ -171,7 +172,8 @@ def test_inverse_heisenberg_inverts(rng):
     phi = models.hopping_chain(4)
     U = propagate(phi, lam, 0.0, 0.8)
     A = fock.random_local_operator(lam, (0, 2), rng)
-    back = U.matrix @ heisenberg(A, U).matrix @ U.matrix.conj().T
+    u = U.operator.matrix
+    back = u @ heisenberg(A, U).matrix @ u.conj().T
     assert np.abs(back - A.matrix).max() <= 1e-9
     U0 = propagate(phi, lam, 0.3, 0.3)
     assert np.abs(heisenberg(A, U0).matrix - A.matrix).max() == 0
@@ -196,7 +198,7 @@ def test_propagate_backward_time_inverts():
     phi = scaled_profile(models.hopping_chain(4), lambda r: 1.0 + 0.3 * r, (0.0, 3.0))
     fwd = propagate(phi, lam, 0.5, 2.0, step=0.01)
     bwd = propagate(phi, lam, 2.0, 0.5, step=0.01)
-    assert op_norm(bwd.matrix @ fwd.matrix - np.eye(16)) <= 1e-8
+    assert op_norm(bwd.operator.matrix @ fwd.operator.matrix - np.eye(16)) <= 1e-8
 
 
 def test_term_operator_embedding():
@@ -254,10 +256,10 @@ def test_propagate_grid_matches_stitched_full_matrix_oracle(name):
     want = _stitched_grid(phi, lam, 0.0, times, 0.02)
     assert [U.t for U in got] == times
     for U, oracle in zip(got, want):
-        assert np.abs(U.matrix - oracle).max() <= 1e-12
+        assert np.abs(U.operator.matrix - oracle).max() <= 1e-12
         assert U.unitarity_defect <= UNITARITY_TOL
         assert U.corrections == 0
-    assert np.array_equal(got[0].matrix, np.eye(lam.dim))
+    assert np.array_equal(got[0].operator.matrix, np.eye(lam.dim))
 
 
 def test_propagate_grid_sorts_times_and_matches_propagate():
@@ -267,7 +269,7 @@ def test_propagate_grid_sorts_times_and_matches_propagate():
     assert [U.t for U in grid] == [0.5, 1.5]
     assert grid[-1].steps_taken == 150
     direct = propagate(phi, lam, 0.0, 1.5, step=0.01)
-    assert np.abs(grid[-1].matrix - direct.matrix).max() <= 1e-12
+    assert np.abs(grid[-1].operator.matrix - direct.operator.matrix).max() <= 1e-12
 
 
 def test_propagate_grid_rejects_times_outside_interval():
@@ -296,7 +298,7 @@ def test_heisenberg_on_blocks_matches_dense(L):
     phi = models.random_even_interaction(lam, max_range=2, seed=L)
     ramped = scaled_profile(phi, lambda r: 1.0 + 0.5 * r, (0.0, 1.0))
     for U in (propagate(phi, lam, 0.0, 0.7), propagate(ramped, lam, 0.0, 0.05, step=0.02)):
-        u = U.matrix
+        u = U.operator.matrix
         for parity in (fock.EVEN, fock.ODD):
             A = fock.random_local_operator(lam, lam.sites, rng, parity=parity)
             a = A.matrix
@@ -311,7 +313,28 @@ def test_mixed_observable_is_conjugated_densely(rng):
     lam = chain(4)
     U = propagate(models.hopping_chain(4), lam, 0.0, 0.9)
     A = fock.random_local_operator(lam, (0, 2), rng)
-    assert np.array_equal(heisenberg(A, U).matrix, U.matrix.conj().T @ A.matrix @ U.matrix)
+    u = U.operator.matrix
+    assert np.array_equal(heisenberg(A, U).matrix, u.conj().T @ A.matrix @ u)
+
+
+def test_block_built_results_assemble_their_matrix_on_first_read(rng):
+    lam = chain(6)
+    A = fock.random_local_operator(lam, lam.sites, rng, parity=fock.EVEN)
+    B = fock.random_local_operator(lam, lam.sites, rng, parity=fock.ODD)
+    U = propagate(models.hopping_chain(6), lam, 0.0, 0.5)
+    for op in (A @ B, commutator(A, B), anticommutator(B, B), heisenberg(B, U)):
+        blocks = op.blocks
+        assert "matrix" not in op.__dict__
+        m = op.matrix
+        assert op.__dict__["matrix"] is m and op.matrix is m and not m.flags.writeable
+        want = fock.sector_matrix(blocks, op.parity, lam.dim)
+        assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+
+
+def test_heisenberg_rejects_another_lattice():
+    U = propagate(models.hopping_chain(3), chain(3), 0.0, 0.5)
+    with pytest.raises(ValueError, match="different site sets"):
+        heisenberg(number_operator(chain(4), [0]), U)
 
 
 @pytest.mark.parametrize("L", [1, 3, 6])
@@ -321,6 +344,7 @@ def test_propagator_matrix_is_the_assembled_blocks_bitwise(L):
     ramped = scaled_profile(static, lambda r: 0.7 + 0.5 * r, (0.0, 1.0))
     for phi in (static, ramped):
         for U in propagate_grid(phi, lam, 0.0, [0.0, 0.3, 0.8], step=0.05):
-            assert len(U.blocks) == 2
-            want = _assembled_oracle(U.blocks, L)
-            assert np.array_equal(U.matrix.view(np.uint64), want.view(np.uint64))
+            assert U.operator.parity == fock.EVEN and "matrix" not in U.operator.__dict__
+            assert len(U.operator.blocks) == 2
+            want = _assembled_oracle(U.operator.blocks, L)
+            assert np.array_equal(U.operator.matrix.view(np.uint64), want.view(np.uint64))

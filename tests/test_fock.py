@@ -55,6 +55,16 @@ def test_unknown_site_rejected():
         number_operator(lam, [0, 9])
 
 
+def test_subset_outside_the_lattice_raises(rng):
+    # neither the random operator nor the expansion drops site 9 silently
+    lam = chain(4)
+    with pytest.raises(SiteNotInLattice):
+        random_local_operator(lam, [0, 9], rng)
+    A = random_local_operator(lam, [0, 1], rng)
+    with pytest.raises(SiteNotInLattice):
+        decompose(A, [0, 9])
+
+
 def test_number_operator_basics():
     lam = chain(1)
     n = number_operator(lam, [0])
@@ -339,7 +349,7 @@ def test_sitesset_restrict_and_order():
     lam = fock.SiteSet(("a", "b", "c", "d"))
     sub = lam.restrict({"d", "b"})
     assert sub.sites == ("b", "d")
-    assert lam.sorted_subset({"c", "a"}) == ("a", "c")
+    assert lam.restrict(["c", "a"]).sites == ("a", "c")
     with pytest.raises(SiteNotInLattice):
         lam.restrict({"z"})
 
@@ -478,7 +488,7 @@ def _decompose_per_string(A, subset):
     """The operator-basis expansion one string at a time, as the production
     code computed it before the tables were batched."""
     lam = A.ambient
-    subset = lam.sorted_subset(subset)
+    subset = lam.restrict(subset).sites
     pos = lam.positions(subset)
     dim = lam.dim
     cols = np.arange(dim)
@@ -645,6 +655,25 @@ def test_large_sparse_pairs_run_on_the_blocks():
     assert "_blocks" in prod.__dict__ and "_blocks" in bracket.__dict__
     assert np.array_equal(prod.matrix, a0.matrix @ creator(lam, 5).matrix)
     assert op_norm(bracket) == 0.0
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_block_built_adjoint_is_the_conjugate_transpose_bitwise(L):
+    rng = np.random.default_rng(300 + L)
+    lam = chain(L)
+    for parity in PARITIES:
+        mesh = fock._sector_mesh(lam.dim, 0 if parity == EVEN else 1)
+        shapes = [(rows.size, cols.size) for rows, cols in mesh]
+        blocks = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shapes]
+        A = FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), parity)
+        adj = A.adjoint()
+        assert adj.parity == parity and "_blocks" in adj.__dict__
+        assert "matrix" not in A.__dict__ and "matrix" not in adj.__dict__
+        want = A.matrix.conj().T
+        assert np.array_equal(adj.matrix, want)
+        for block, (rows, cols) in zip(adj.blocks, mesh):
+            assert np.array_equal(np.ascontiguousarray(block).view(np.uint64),
+                                  want[rows, cols].view(np.uint64))
 
 
 def test_from_blocks_rejects_wrong_shapes():
