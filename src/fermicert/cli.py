@@ -138,6 +138,7 @@ def _moderate(value) -> bool:
 _REAL = _is(_number, "a finite number")
 _MODERATE = _is(_moderate, f"a number of magnitude at most {MAGNITUDE_CAP:g}")
 _POSITIVE = _is(lambda v: _number(v) and v > 0, "a finite number > 0")
+_NONNEGATIVE = _is(lambda v: _number(v) and v >= 0, "a finite number >= 0")
 _SITE = _is(_is_site, "an integer or a list of integers",
             lambda v: tuple(v) if isinstance(v, list) else v)   # a grid site is a tuple
 _SITES = _is(lambda v: isinstance(v, list) and all(map(_is_site, v)),
@@ -200,7 +201,7 @@ LRCertify = _schema(
     f_function=(partial(_parse, _schema(
         "FFunction", nu=(_optional(_REAL), None),   # None: the lattice dimension
         epsilon=(_POSITIVE, 1.0),
-        rate=(_is(lambda v: _number(v) and v >= 0, "a finite number >= 0"), 0.0))),),
+        rate=(_NONNEGATIVE, 0.0))),),
     observables=(partial(_parse, _schema("Observables", A=(_OBSERVABLE,),
                                          B=(_OBSERVABLE,))),),
     time=(partial(_parse, _schema("TimeGrid", start=(_MODERATE,), stop=(_MODERATE,),
@@ -208,7 +209,7 @@ LRCertify = _schema(
     mode=(_optional(_choice("commutator", "anticommutator")), None),   # None: by parity
     step=(_POSITIVE, 1e-2))   # midpoint step of a ramped interaction
 CondexpCheck = _schema("CondexpCheck", **_EVERY_TASK, region_x=(_SITES,), region_y=(_SITES,),
-                       samples=(_int(1), 20), tol=(_REAL, 1e-12))
+                       samples=(_int(1), 20), tol=(_NONNEGATIVE, 1e-12))
 ModelTask = _schema("ModelTask", **_MODEL_TASK)   # gap-certify, model-info
 FlowCheck = _schema(   # the flat-band family rotated, or its conduction band closing
     "FlowCheck", **dict(_MODEL_TASK, model=(_one_of("name", {

@@ -17,14 +17,17 @@ re-orthonormalization is applied if it ever exceeds the tolerance.
 Only even interactions are accepted: evenness is what makes the dynamics
 preserve the parity sectors and is assumed by every bound downstream.
 
-Every exponential is taken per parity sector: an even Hamiltonian is
-block-diagonal in the even and odd particle-number states, so
-``sector_eigh`` diagonalizes the two half-size blocks (and refuses a matrix
-with any nonzero entry between them).  A time-independent interaction is
-diagonalized once for a whole time grid, U(t, s) = V e^{-i w (t-s)} V*.
-The propagator is an even ``FockOperator`` built from those two blocks,
-which assembles its dense matrix only when it is first read, and
-``heisenberg`` computes U* A U through the block product of ``fock``.
+Everything runs on the two parity blocks: an even Hamiltonian is
+block-diagonal in the even and odd particle-number states.
+``local_hamiltonian`` adds each term's cached entries straight into the two
+blocks and returns an even ``FockOperator`` built from them, and
+``sector_eigh`` diagonalizes those half-size blocks.  The one parity check
+is the even tag of every term, made when the term is built.  A
+time-independent interaction is diagonalized once for a whole time grid,
+U(t, s) = V e^{-i w (t-s)} V*.  The propagator is an even ``FockOperator``
+built from its two blocks, and ``heisenberg`` computes U* A U through the
+block product of ``fock``; a dense matrix is assembled only when one of
+these operators' ``matrix`` is first read.
 """
 
 from __future__ import annotations
@@ -108,30 +111,25 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
 
 @lru_cache(maxsize=4096)
 def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
-    """Term template embedded into ``lam``, kept as its nonzero entries:
-    (rows, cols, values) in row-major order, for accumulation."""
-    m = fock.embed(term_obj.operator, lam).matrix
-    rows, cols = np.nonzero(m)
-    entries = rows, cols, m[rows, cols]
+    """Term template embedded into ``lam``, kept as its nonzero entries on
+    the two parity blocks stacked flat, even block first: (flat index,
+    values).  Basis state k is the (k >> 1)-th state of its sector."""
+    stacked = np.concatenate([b.ravel() for b in fock.embed(term_obj.operator, lam).blocks])
+    flat = np.flatnonzero(stacked)
+    entries = flat, stacked[flat]
     for a in entries:
         a.flags.writeable = False
     return entries
 
 
-def term_operator(term_obj: InteractionTerm, lam: SiteSet) -> FockOperator:
-    """Phi(X, 0) represented on the Fock space of ``lam``."""
-    rows, cols, values = _embedded_sparse(term_obj, lam)
-    m = np.zeros((lam.dim, lam.dim), dtype=complex)
-    m[rows, cols] = values
-    return FockOperator(m * term_obj.coefficient(0.0), lam, frozenset(term_obj.sites),
-                        term_obj.operator.parity)
-
-
 def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOperator:
-    """Sum of all terms supported inside ``lam``, on the ambient Fock space."""
+    """Sum of all terms supported inside ``lam``, on the ambient Fock space:
+    an even operator built from its two parity blocks, each term's entries
+    added into them in term order."""
     phi.check_time(t)
     ambient = set(lam.sites)
-    acc = np.zeros((lam.dim, lam.dim), dtype=complex)
+    n0, n1 = (index.size for index in fock._sector_index(lam.dim))
+    acc = np.zeros(n0 * n0 + n1 * n1, dtype=complex)
     support = set()
     for term_obj in phi.terms:
         if not set(term_obj.sites) <= ambient:
@@ -139,31 +137,29 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
         c = term_obj.coefficient(t)
         if c == 0.0:
             continue
-        rows, cols, values = _embedded_sparse(term_obj, lam)
-        acc[rows, cols] += c * values
+        flat, values = _embedded_sparse(term_obj, lam)
+        acc[flat] += c * values
         support |= set(term_obj.sites)
-    return FockOperator(acc, lam, frozenset(support), EVEN)
+    blocks = acc[:n0 * n0].reshape(n0, n0), acc[n0 * n0:].reshape(n1, n1)
+    return FockOperator.from_blocks(blocks, lam, frozenset(support), EVEN)
 
 
-def sector_eigh(H: np.ndarray) -> tuple:
-    """Eigendecompositions of the two parity blocks of an even Hermitian
-    matrix.
+def sector_eigh(H: FockOperator) -> tuple:
+    """Eigendecompositions ``((w, v), (w, v))`` of the even and the odd
+    parity block of an even self-adjoint operator: the block of H on the
+    basis states of sector c (``fock._sector_index``) is v diag(w) v*.
 
-    Returns ``((index, w, v), (index, w, v))`` for the even and the odd
-    sector: ``index`` lists the sector's basis states and the block of H
-    on them is ``v diag(w) v*``.  Raises ValueError if any entry of the two
-    blocks between the sectors is nonzero.
+    Only the blocks are read: the even tag, checked where H was built, is
+    the one parity check.  An operator not tagged even raises ValueError.
     """
-    dim = H.shape[0]
-    if any(H[rows, cols].any() for rows, cols in fock._sector_mesh(dim, 1)):
-        raise ValueError("matrix couples the even and odd parity sectors")
-    return tuple((index, *np.linalg.eigh(H[rows, cols])) for index, (rows, cols)
-                 in zip(fock._sector_index(dim), fock._sector_mesh(dim, 0)))
+    if H.parity != EVEN:
+        raise ValueError(f"sector_eigh needs an even operator, got {H.parity!r}")
+    return tuple(np.linalg.eigh(b) for b in H.blocks)
 
 
 def _sector_exp(sectors: tuple, factor: complex) -> list:
     """exp(factor * H) on each sector block, from ``sector_eigh(H)``."""
-    return [(v * np.exp(factor * w)) @ v.conj().T for _, w, v in sectors]
+    return [(v * np.exp(factor * w)) @ v.conj().T for w, v in sectors]
 
 
 def _unitarize(blocks: list) -> tuple:
@@ -226,14 +222,14 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
             continue
         if not phi.is_time_dependent:
             if static is None:
-                static = sector_eigh(local_hamiltonian(phi, lam, s).matrix)
+                static = sector_eigh(local_hamiltonian(phi, lam, s))
             blocks, defect, corrections = _unitarize(_sector_exp(static, -1j * (t - s)))
             steps = 1
         elif t != prev:
             n_steps = max(1, math.ceil(abs(t - prev) / step))
             dt = (t - prev) / n_steps
             for k in range(n_steps):
-                H = local_hamiltonian(phi, lam, prev + (k + 0.5) * dt).matrix
+                H = local_hamiltonian(phi, lam, prev + (k + 0.5) * dt)
                 phases = _sector_exp(sector_eigh(H), -1j * dt)
                 blocks = [e @ b for e, b in zip(phases, blocks)]
             blocks, defect, fixed = _unitarize(blocks)

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fock
-from .dynamics import Interaction, local_hamiltonian, term_operator
+from .dynamics import Interaction, local_hamiltonian
 from .errors import AmbiguousKernelError, GapClosureError, KernelMismatchError
 from .fock import EVEN, MIXED, FockOperator, SiteSet, identity, op_norm
 
@@ -135,7 +135,7 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
         ground = v[:, np.abs(w - e0) <= max(FRUSTRATION_TOL, 10 * abs(e0))]
         for t in phi.terms:
             if set(t.sites) <= set(lam.sites):
-                T = term_operator(t, lam)
+                T = local_hamiltonian(Interaction((t,)), lam)
                 kernel_defect = max(kernel_defect,
                                     float(np.linalg.norm(T.matrix @ ground, ord=2)))
     return FrustrationReport(residual <= FRUSTRATION_TOL, residual, e0, msum, kernel_defect)
@@ -175,19 +175,16 @@ class HamiltonianSequence:
                 for n in range(1, len(self.hamiltonians))]
 
     @cached_property
-    def _monotonicity_defect(self) -> float:
+    def monotonicity_defect(self) -> float:
+        """Most negative eigenvalue across increments (>= -MONOTONICITY_TOL required),
+        computed once per sequence."""
         worst = 0.0
         for h in self.increments():
             worst = min(worst, _lowest_eigenvalue(h))
         return -worst
 
-    def monotonicity_defect(self) -> float:
-        """Most negative eigenvalue across increments (>= -MONOTONICITY_TOL required),
-        computed once per sequence."""
-        return self._monotonicity_defect
-
     def validate(self):
-        defect = self.monotonicity_defect()
+        defect = self.monotonicity_defect
         if defect > MONOTONICITY_TOL:
             raise ValueError(f"sequence is not increasing: increment defect {defect:.3e}")
 
@@ -201,10 +198,8 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     inside = [t for t in phi.terms if set(t.sites) <= set(lam.sites)]
     inside.sort(key=lambda t: sorted(lam.positions(t.sites)))
     hams = [fock.zero(lam)]
-    acc = np.zeros((lam.dim, lam.dim), dtype=complex)
     for t in inside:
-        acc = acc + term_operator(t, lam).matrix
-        hams.append(FockOperator(np.array(acc), lam, frozenset(lam.sites), EVEN))
+        hams.append(hams[-1] + local_hamiltonian(Interaction((t,)), lam))
     seq = HamiltonianSequence(tuple(hams))
     seq.validate()
     return seq
@@ -344,7 +339,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             gamma=gamma, ell=ell, epsilon=math.nan, bound=None,
             exact_gap=exact_gap,
             defects={"assumption_i": assumption_i,
-                     "monotonicity": seq.monotonicity_defect(),
+                     "monotonicity": seq.monotonicity_defect,
                      "forward_commutator": forward_defect},
             per_step={"gamma_n": gammas},
             no_certificate_reason="a kernel projection fails to commute with a "
@@ -364,7 +359,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
         f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
     defects = {
         "assumption_i": assumption_i,
-        "monotonicity": seq.monotonicity_defect(),
+        "monotonicity": seq.monotonicity_defect,
         "forward_commutator": forward_defect,
         "max_allowed_window_commutator": float(commute_defects.max(initial=0.0)),
     }

@@ -387,6 +387,22 @@ def test_tol_override_only_reaches_condexp_check(tmp_path):
     assert report["config"]["tol"] == report["tolerance"] == 1e-3
 
 
+def test_negative_tol_is_config_error(tmp_path, capsys):
+    config = _load("condexp_chain.json")
+    config["tol"] = -1
+    assert cli.validate(config) == ["tol: need a finite number >= 0, got -1"]
+    _assert_config_error(config, tmp_path, capsys, "tol")
+
+
+def test_negative_tol_override_is_config_error(tmp_path, capsys):
+    path = tmp_path / "condexp.json"
+    path.write_text(json.dumps(_load("condexp_chain.json")))
+    assert cli.main(["--config", str(path), "--out", str(tmp_path), "--tol", "-1"]) == 1
+    err = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert err["error"] == "invalid-config"
+    assert err["diagnostics"] == ["tol: need a finite number >= 0, got -1.0"]
+
+
 def test_flow_check_only_transports_the_flat_band_family(tmp_path, capsys):
     config = _load("flow_rotation.json")
     config["lattice"]["lengths"] = [4]

@@ -8,10 +8,10 @@ import math
 from fermicert import fock, models
 from fermicert.dynamics import (UNITARITY_TOL, Interaction, InteractionTerm,
                                 heisenberg, local_hamiltonian, propagate,
-                                propagate_grid, scaled_profile, sector_eigh,
-                                term_operator)
-from fermicert.fock import (annihilator, anticommutator, chain, commutator,
-                            creator, number_operator, op_norm, parity_operator)
+                                propagate_grid, scaled_profile, sector_eigh)
+from fermicert.fock import (PARITY_TAG_TOL, FockOperator, SiteSet, annihilator,
+                            anticommutator, chain, commutator, creator,
+                            number_operator, op_norm, parity_operator)
 
 
 def _spectral_expm(H, z):
@@ -49,7 +49,7 @@ def _stitched_grid(phi, lam, s, times, step):
 def _random_even_hermitian(L, rng):
     lam = chain(L)
     A = fock.random_local_operator(lam, lam.sites, rng, parity=fock.EVEN)
-    return (A + A.adjoint()).matrix.copy()
+    return A + A.adjoint()
 
 
 def test_local_hamiltonian_two_site_spectrum():
@@ -204,7 +204,7 @@ def test_propagate_backward_time_inverts():
 def test_term_operator_embedding():
     phi = models.hopping_chain(4)
     lam = chain(4)
-    T = term_operator(phi.terms[1], lam)
+    T = local_hamiltonian(Interaction((phi.terms[1],)), lam)
     direct = creator(lam, 1) @ annihilator(lam, 2) + creator(lam, 2) @ annihilator(lam, 1)
     assert np.abs(T.matrix - direct.matrix).max() <= 1e-13
 
@@ -219,12 +219,13 @@ def test_interaction_validation(rng):
 @pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
 def test_sector_eigh_exponential_matches_full_eigh(L, rng):
     H = _random_even_hermitian(L, rng)
-    U = np.zeros_like(H)
-    for index, w, v in sector_eigh(H):
+    sectors = fock._sector_index(H.dim)
+    U = np.zeros((H.dim, H.dim), dtype=complex)
+    for index, (w, v) in zip(sectors, sector_eigh(H)):
         U[np.ix_(index, index)] = (v * np.exp(-0.7j * w)) @ v.conj().T
-    assert np.abs(U - _spectral_expm(H, -0.7j)).max() <= 1e-12
+    assert np.abs(U - _spectral_expm(H.matrix, -0.7j)).max() <= 1e-12
     # the sectors partition the basis by particle-number parity
-    even, odd = (index for index, _, _ in sector_eigh(H))
+    even, odd = sectors
     signs = fock._popcount_signs(L)
     assert np.all(signs[even] == 1) and np.all(signs[odd] == -1)
     assert sorted(np.concatenate([even, odd])) == list(range(2 ** L))
@@ -232,12 +233,54 @@ def test_sector_eigh_exponential_matches_full_eigh(L, rng):
 
 def test_sector_eigh_rejects_off_sector_entries(rng):
     H = _random_even_hermitian(4, rng)
-    H[0, 1] = H[1, 0] = 1e-15       # state 0 is even, state 1 odd
-    with pytest.raises(ValueError, match="parity sectors"):
-        sector_eigh(H)
-    H[0, 1] = 0.0                   # one nonzero entry is enough
-    with pytest.raises(ValueError, match="parity sectors"):
-        sector_eigh(H)
+    lam = H.ambient
+    with pytest.raises(ValueError):
+        sector_eigh(FockOperator(H.matrix, lam, parity=fock.MIXED))
+    # an odd operator's blocks are square too, but map each sector into the other
+    odd = fock.random_local_operator(lam, lam.sites, rng, parity=fock.ODD)
+    with pytest.raises(ValueError, match="even operator"):
+        sector_eigh(odd + odd.adjoint())
+    # the even tag is the one parity check: an entry between the sectors
+    # above PARITY_TAG_TOL is refused when the operator is built
+    m = H.matrix.copy()
+    m[0, 1] = m[1, 0] = 10 * PARITY_TAG_TOL   # state 0 is even, state 1 odd
+    with pytest.raises(ValueError, match="declared parity 'even' violated"):
+        FockOperator(m, lam, parity=fock.EVEN)
+
+
+def _dense_hamiltonian(phi, lam, t):
+    """Oracle: every term inside ``lam`` embedded densely, scaled by its
+    coefficient at t and added in term order."""
+    acc = np.zeros((lam.dim, lam.dim), dtype=complex)
+    for term in phi.terms:
+        if set(term.sites) <= set(lam.sites):
+            acc = acc + term.coefficient(t) * fock.embed(term.operator, lam).matrix
+    return acc
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_local_hamiltonian_is_block_built_and_matches_dense_sum_bitwise(L):
+    lam = chain(L)
+    phi = models.random_even_interaction(lam, max_range=2, seed=10 + L)
+    ramped = scaled_profile(models.hopping_chain(L + 1, mu=0.3),
+                            lambda r: 0.2 - 1.3 * r, (0.0, 1.0))
+    cases = [(phi, 0.0)] + [(ramped, t) for t in (0.0, 0.35, 1.0)]
+    for interaction, t in cases:
+        H = local_hamiltonian(interaction, lam, t)
+        assert H.parity == fock.EVEN and "matrix" not in H.__dict__
+        want = _dense_hamiltonian(interaction, lam, t)
+        assert np.array_equal(H.matrix.view(np.uint64), want.view(np.uint64))
+
+
+def test_local_hamiltonian_on_no_sites():
+    # the sectors of the empty lattice have sizes 1 and 0
+    lam = SiteSet(())
+    H = local_hamiltonian(Interaction(()), lam)
+    assert [b.shape for b in H.blocks] == [(1, 1), (0, 0)]
+    assert np.array_equal(H.matrix, np.zeros((1, 1)))
+    term = InteractionTerm((), 0.5 * fock.identity(lam))
+    H = local_hamiltonian(Interaction((term,)), lam)
+    assert np.array_equal(H.matrix, [[0.5]])
 
 
 @pytest.mark.parametrize("name", ["static", "ramped", "random_even"])

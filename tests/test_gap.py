@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from fermicert import fock, geometry, models
-from fermicert.dynamics import (Interaction, InteractionTerm, local_hamiltonian,
-                                term_operator)
+from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import (AmbiguousKernelError, GapClosureError,
                               KernelMismatchError)
 from fermicert.fock import (EVEN, FockOperator, annihilator, chain, creator,
@@ -153,7 +152,7 @@ def test_hamiltonian_sequence_grouping():
     lam = chain(L)
     phi = _onsite_number_interaction(L)
     # two terms per step: the on-site terms of sites {0, 1}, then of {2, 3}
-    terms = [term_operator(t, lam).matrix for t in phi.terms]
+    terms = [local_hamiltonian(Interaction((t,)), lam).matrix for t in phi.terms]
     grouped = HamiltonianSequence((zero(lam),) + tuple(
         FockOperator(sum(terms[:n]), lam, frozenset(lam.sites), EVEN) for n in (2, 4)))
     grouped.validate()
@@ -455,7 +454,7 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
                                  geometry.chain_graph(L))
     seq = hamiltonian_sequence(phi, chain(L))
-    fresh = HamiltonianSequence(seq.hamiltonians).monotonicity_defect()
+    fresh = HamiltonianSequence(seq.hamiltonians).monotonicity_defect
     calls = []
     real = HamiltonianSequence.increments
     monkeypatch.setattr(HamiltonianSequence, "increments",
@@ -464,5 +463,5 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     # only the certificate's own call: validate() and the defects dict reuse
     # the defect computed when hamiltonian_sequence validated the sequence
     assert len(calls) == 1
-    assert seq.monotonicity_defect() == cert.defects["monotonicity"]
+    assert seq.monotonicity_defect == cert.defects["monotonicity"]
     assert _bits(cert.defects["monotonicity"]) == _bits(fresh)
