@@ -27,7 +27,7 @@ time-independent interaction is diagonalized once for a whole time grid,
 U(t, s) = V e^{-i w (t-s)} V*.  The propagator is an even ``FockOperator``
 built from its two blocks, and ``heisenberg`` computes U* A U through the
 block product of ``fock``; a dense matrix is assembled only when one of
-these operators' ``matrix`` is first read.
+these operators' ``matrix`` is read, and never kept.
 """
 
 from __future__ import annotations

@@ -14,11 +14,14 @@ relations
 
 exact at the matrix level (all entries are small integers).
 
-Products, brackets and Heisenberg-evolved observables of definite-parity
-operators are built from their two parity blocks alone (``from_blocks``)
-and assemble their dense matrix the first time it is read.  Everything
-here is a pure function over immutable inputs; matrices are frozen once
-set and operators are safe to share across threads.
+An operator keeps one view, the one it was built from: the checked
+constructor keeps its dense matrix, ``from_blocks`` keeps the two parity
+blocks of a definite-parity operator, and the other view is built on each
+read.  Every definite-parity operator that the algebra makes itself is
+built from its blocks; matrices from outside the parity algebra, sums,
+differences and scalar multiples take the checked constructor.  Everything
+here is a pure function over immutable inputs; arrays are frozen once set
+and operators are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -146,6 +149,17 @@ def _sector_mesh(dim: int, p: int) -> tuple:
     return tuple((sectors[c ^ p][:, None], sectors[c][None, :]) for c in (0, 1))
 
 
+@lru_cache(maxsize=None)
+def _block_shapes(dim: int, p: int) -> tuple:
+    """Shapes of the two blocks of ``_sector_mesh(dim, p)``."""
+    return tuple((rows.size, cols.size) for rows, cols in _sector_mesh(dim, p))
+
+
+def _gather(m: np.ndarray, p: int) -> tuple:
+    """The blocks [sector c ^ p, sector c] of m, for c = 0, 1."""
+    return tuple(m[rows, cols] for rows, cols in _sector_mesh(m.shape[0], p))
+
+
 def _parity_defect(m: np.ndarray, parity: str) -> float:
     """Twice the largest |entry| in the two blocks that an operator of the
     given parity must not have: those of the opposite parity."""
@@ -180,22 +194,22 @@ def _mul_parity(p: str, q: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FockOperator:
-    """Dense complex matrix on the Fock space of ``ambient`` together with a
-    declared support set and parity tag.
+    """Operator on the Fock space of ``ambient`` together with a declared
+    support set and parity tag.
 
-    ``support`` is an upper bound on where the operator acts nontrivially;
-    ``parity`` in {'even', 'odd'} is validated on construction against
-    conjugation by the global parity operator (tolerance PARITY_TAG_TOL
-    relative to the matrix scale) on the two blocks that the tag forbids;
-    'mixed' is accepted unchecked.  Operators whose tag holds by
-    construction (``from_blocks``, ``embed``) and those that keep their
-    operand's entries up to sign and order (``adjoint``, negation) skip
-    the check.
-
+    ``support`` is an upper bound on where the operator acts nontrivially.
     A definite-parity operator is block-diagonal up to the sector swap of an
-    odd one; ``blocks`` holds its two nonzero blocks, and products,
-    brackets, adjoints and ``op_norm`` of such operators run on them.  One
-    built ``from_blocks`` assembles ``matrix`` when it is first read.
+    odd one, and products, brackets, adjoints and ``op_norm`` of such
+    operators run on its two nonzero ``blocks``.
+
+    An operator keeps the one view it was built from.  The checked
+    constructor ``FockOperator(matrix, ...)`` keeps the dense matrix; it
+    validates a parity tag in {'even', 'odd'} on the two blocks that the tag
+    forbids (tolerance PARITY_TAG_TOL relative to the matrix scale) and
+    accepts 'mixed' unchecked.  ``from_blocks`` keeps the two blocks of a
+    definite-parity operator, whose parity is exact.  The other view is
+    built on each read: ``matrix`` assembles the blocks, and ``blocks``
+    gathers them from the matrix.
     """
 
     matrix: np.ndarray
@@ -229,27 +243,14 @@ class FockOperator:
         m.flags.writeable = False
 
     @classmethod
-    def _exact(cls, matrix: np.ndarray, ambient: SiteSet, support: frozenset,
-               parity: str) -> "FockOperator":
-        """An operator whose shape, support and parity tag hold by
-        construction: nothing is re-checked."""
-        op = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("ambient", ambient),
-                            ("support", frozenset(support)), ("parity", parity)):
-            object.__setattr__(op, name, value)
-        matrix.flags.writeable = False
-        return op
-
-    @classmethod
     def from_blocks(cls, blocks, ambient: SiteSet, support: frozenset,
                     parity: str) -> "FockOperator":
         """The definite-parity operator with the given column-sector blocks;
         its parity is exact, so the tag is not re-checked."""
         blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-        shapes = [(rows.size, cols.size)
-                  for rows, cols in _sector_mesh(ambient.dim, _parity_bit(parity))]
-        if [b.shape for b in blocks] != shapes:
-            raise ValueError(f"block shapes {[b.shape for b in blocks]} != {shapes}")
+        shapes = _block_shapes(ambient.dim, _parity_bit(parity))
+        if tuple(b.shape for b in blocks) != shapes:
+            raise ValueError(f"block shapes {[b.shape for b in blocks]} != {list(shapes)}")
         op = object.__new__(cls)
         for name, value in (("_blocks", blocks), ("ambient", ambient),
                             ("support", frozenset(support)), ("parity", parity)):
@@ -259,13 +260,13 @@ class FockOperator:
         return op
 
     def __getattr__(self, name: str):
-        # reached only while ``matrix`` is unset: assemble it from the blocks
+        # reached only for a block-built operator's ``matrix``: assembled on
+        # every read and never kept
         blocks = self.__dict__.get("_blocks")
         if name != "matrix" or blocks is None:
             raise AttributeError(name)
         m = sector_matrix(blocks, self.parity, self.ambient.dim)
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
         return m
 
     @property
@@ -276,8 +277,7 @@ class FockOperator:
         kept = self.__dict__.get("_blocks")
         if kept is not None:
             return kept
-        mesh = _sector_mesh(self.dim, _parity_bit(self.parity))
-        return tuple(self.matrix[rows, cols] for rows, cols in mesh)
+        return _gather(self.matrix, _parity_bit(self.parity))
 
     # -- basic structure ---------------------------------------------------
 
@@ -286,20 +286,18 @@ class FockOperator:
         return self.ambient.dim
 
     def adjoint(self) -> "FockOperator":
-        kept = self.__dict__.get("_blocks")
-        if kept is not None:
-            # A*[c] = A[c ^ p]*: A* on sector c is the adjoint of A into sector c
-            p = _parity_bit(self.parity)
-            return FockOperator.from_blocks([kept[c ^ p].conj().T for c in (0, 1)],
-                                            self.ambient, self.support, self.parity)
-        # the same |entries|, so the tag check would repeat the operand's
-        return FockOperator._exact(self.matrix.conj().T, self.ambient, self.support,
-                                   self.parity)
+        if self.parity == MIXED:
+            return FockOperator(self.matrix.conj().T, self.ambient, self.support, MIXED)
+        # A*[c] = A[c ^ p]*: A* on sector c is the adjoint of A into sector c
+        p, blocks = _parity_bit(self.parity), self.blocks
+        return FockOperator.from_blocks([blocks[c ^ p].conj().T for c in (0, 1)],
+                                        self.ambient, self.support, self.parity)
 
     def is_hermitian(self) -> bool:
         """Self-adjoint within HERMITIAN_RTOL of the matrix scale (at least 1)."""
-        scale = max(1.0, np.abs(self.matrix).max())
-        return np.abs(self.matrix - self.matrix.conj().T).max() <= HERMITIAN_RTOL * scale
+        m = self.matrix
+        scale = max(1.0, np.abs(m).max())
+        return np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * scale
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -327,7 +325,10 @@ class FockOperator:
                             self.support | other.support, parity)
 
     def __neg__(self):
-        return FockOperator._exact(-self.matrix, self.ambient, self.support, self.parity)
+        if self.parity == MIXED:
+            return FockOperator(-self.matrix, self.ambient, self.support, MIXED)
+        return FockOperator.from_blocks([-b for b in self.blocks], self.ambient, self.support,
+                                        self.parity)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FockOperator):
@@ -357,15 +358,16 @@ def _product(A: FockOperator, B: FockOperator, sign: float | None) -> FockOperat
     return FockOperator(m, A.ambient, support, parity)
 
 
-def _string_dense(lam: SiteSet, ops: tuple) -> np.ndarray:
-    """Matrix of an ordered product of symbols a, a* and a*a with their
-    Jordan-Wigner strings; ``ops`` holds (position, symbol) pairs in
-    increasing position, one per site.
+def _string_operator(lam: SiteSet, ops: tuple, support: frozenset) -> FockOperator:
+    """Ordered product of symbols a, a* and a*a with their Jordan-Wigner
+    strings, built from its parity blocks; ``ops`` holds (position, symbol)
+    pairs in increasing position, one per site.
 
     Column c is alive iff c & need == want, maps to row c ^ flip and has
     weight (-1)^{popcount(c & sign)}.  An odd symbol at p flips and needs
     bit p (a occupied, a* vacant) and puts theta on every bit below p; a*a
     needs bit p occupied and flips nothing (the rule of _string_blocks).
+    Basis state k is the (k >> 1)-th state of its sector.
     """
     need = want = flip = sign = 0
     for p, sym in ops:
@@ -376,29 +378,41 @@ def _string_dense(lam: SiteSet, ops: tuple) -> np.ndarray:
         if sym != "a*a":
             flip |= bit
             sign ^= bit - 1
+    signs = _popcount_signs(len(lam))
+    odd = int(signs[flip] < 0)
+    (r0, c0), (r1, c1) = _block_shapes(lam.dim, odd)
     cols = np.flatnonzero((np.arange(lam.dim) & need) == want)
-    m = np.zeros((lam.dim, lam.dim), dtype=complex)
-    m[cols ^ flip, cols] = _popcount_signs(len(lam))[cols & sign]
-    return m
+    # both blocks stacked flat, c0 columns each (at L = 0 the odd one is empty);
+    # column c lies in block popcount(c) mod 2
+    flat = (signs[cols] < 0) * (r0 * c0) + ((cols ^ flip) >> 1) * c0 + (cols >> 1)
+    stacked = np.zeros(r0 * c0 + r1 * c1, dtype=complex)
+    stacked[flat] = signs[cols & sign]
+    blocks = stacked[:r0 * c0].reshape(r0, c0), stacked[r0 * c0:].reshape(r1, c1)
+    return FockOperator.from_blocks(blocks, lam, support, ODD if odd else EVEN)
+
+
+def _diagonal(lam: SiteSet, diag: np.ndarray, support: Iterable) -> FockOperator:
+    """The even operator with the given diagonal."""
+    blocks = [np.diag(diag[index]) for index in _sector_index(lam.dim)]
+    return FockOperator.from_blocks(blocks, lam, frozenset(support), EVEN)
 
 
 def identity(lam: SiteSet) -> FockOperator:
-    return FockOperator(np.eye(lam.dim, dtype=complex), lam, frozenset(), EVEN)
+    return _diagonal(lam, np.ones(lam.dim, dtype=complex), ())
 
 
 def zero(lam: SiteSet) -> FockOperator:
-    return FockOperator(np.zeros((lam.dim, lam.dim), dtype=complex), lam, frozenset(), EVEN)
+    return _diagonal(lam, np.zeros(lam.dim, dtype=complex), ())
 
 
 def annihilator(lam: SiteSet, x) -> FockOperator:
     """Jordan-Wigner annihilation operator a_x on the Fock space of ``lam``."""
-    i = lam.position(x)
-    return FockOperator._exact(_string_dense(lam, ((i, "a"),)), lam, frozenset({x}), ODD)
+    return _string_operator(lam, ((lam.position(x), "a"),), frozenset({x}))
 
 
 def creator(lam: SiteSet, x) -> FockOperator:
     """Creation operator a*_x."""
-    return annihilator(lam, x).adjoint()
+    return _string_operator(lam, ((lam.position(x), "a*"),), frozenset({x}))
 
 
 def number_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperator:
@@ -408,7 +422,7 @@ def number_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperato
     subset = tuple(subset)
     states = np.arange(lam.dim)
     diag = sum((states >> p & 1 for p in lam.positions(subset)), np.zeros(lam.dim, dtype=int))
-    return FockOperator(np.diag(diag.astype(complex)), lam, frozenset(subset), EVEN)
+    return _diagonal(lam, diag.astype(complex), subset)
 
 
 def parity_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperator:
@@ -417,24 +431,16 @@ def parity_operator(lam: SiteSet, subset: Iterable | None = None) -> FockOperato
         subset = lam.sites
     subset = tuple(subset)
     signs = _parity_signs(lam, lam.positions(subset))
-    return FockOperator(np.diag(signs.astype(complex)), lam, frozenset(subset), EVEN)
-
-
-def parity_flip(A: FockOperator) -> FockOperator:
-    """Conjugation of A by theta_Lambda (the global parity automorphism)."""
-    lam = A.ambient
-    signs = _parity_signs(lam, range(len(lam)))
-    # the same |entries|, so the tag check would repeat the operand's
-    return FockOperator._exact(signs[:, None] * A.matrix * signs[None, :], lam, A.support,
-                               A.parity)
+    return _diagonal(lam, signs.astype(complex), subset)
 
 
 def parity_decompose(A: FockOperator) -> tuple:
-    """Split A = A_even + A_odd via the global parity automorphism."""
-    flipped = parity_flip(A).matrix
-    even = FockOperator((A.matrix + flipped) / 2, A.ambient, A.support, EVEN)
-    odd = FockOperator((A.matrix - flipped) / 2, A.ambient, A.support, ODD)
-    return even, odd
+    """Split A = A_even + A_odd: the blocks of A that keep and the blocks
+    that change the particle-number parity.  These are (A +- theta A
+    theta)/2 to the bit, since a + a = 2a and a - a = 0 are exact."""
+    m = A.matrix
+    return tuple(FockOperator.from_blocks(_gather(m, p), A.ambient, A.support, parity)
+                 for p, parity in ((0, EVEN), (1, ODD)))
 
 
 #: per-site monomial symbols
@@ -454,8 +460,7 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
             raise ValueError(f"unknown monomial symbol {sym!r}")
     ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
     support = frozenset(lam.sites[i] for i, _ in ops)
-    parity = ODD if sum(sym in ("a", "a*") for _, sym in ops) % 2 else EVEN
-    return FockOperator._exact(_string_dense(lam, ops), lam, support, parity)
+    return _string_operator(lam, ops, support)
 
 
 # -- norms and brackets ----------------------------------------------------
@@ -477,17 +482,16 @@ def op_norm(A) -> float:
     """Operator (spectral) norm: the largest singular value.
 
     Accepts a FockOperator or a plain matrix.  A definite-parity operator
-    takes the larger norm of its two parity blocks; everything else the
-    full matrix.  Hermitian inputs, and anti-Hermitian ones such as
-    commutators of Hermitian operators, go through the symmetric
-    eigensolver; an exactly-zero input short-circuits to 0.
+    takes the larger norm of its two parity blocks and reads nothing else;
+    everything else the full matrix.  Hermitian inputs, and anti-Hermitian
+    ones such as commutators of Hermitian operators, go through the
+    symmetric eigensolver; an exactly-zero input short-circuits to 0.
     """
-    m = A.matrix if isinstance(A, FockOperator) else np.asarray(A)
-    if not m.any():
-        return 0.0
-    if isinstance(A, FockOperator) and A.parity != MIXED:
-        return max(_matrix_norm(b) for b in A.blocks)
-    return _matrix_norm(m)
+    if isinstance(A, FockOperator):
+        if A.parity != MIXED:
+            return max(_matrix_norm(b) for b in A.blocks)
+        A = A.matrix
+    return _matrix_norm(np.asarray(A))
 
 
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
@@ -556,10 +560,11 @@ def decompose(A: FockOperator, subset: Iterable) -> dict:
         raise ValueError(f"operator-basis expansion over {len(subset)} sites is too large")
     dim = lam.dim
     cols = np.arange(dim)
+    m = A.matrix
     coeffs = {}
     strings = itertools.product(_STRING_SYMBOLS, repeat=len(subset))
     for block, odd, rows, vals in _string_blocks(lam, pos, strings):
-        inner = (vals * A.matrix[rows, cols]).sum(axis=1) / dim
+        inner = (vals * m[rows, cols]).sum(axis=1) / dim
         weight = np.where(odd, 0.5, 1.0).prod(axis=1)
         c = inner / weight
         for i in np.flatnonzero(np.abs(c) > 0.0):
@@ -631,11 +636,12 @@ def signed_partial_trace(A: FockOperator, subset: Iterable, average) -> np.ndarr
     index, sign = _front_reordering(len(lam), lam.positions(lam.restrict(subset).sites))
     rows, cols = index[:, :, None], index[:, None, :]
     signs = sign[:, :, None] * sign[:, None, :]
-    block = A.matrix[rows, cols]
+    m = A.matrix
+    block = m[rows, cols]
     block *= signs
-    m = np.zeros_like(A.matrix)
-    m[rows, cols] = signs * average(block)
-    return m
+    out = np.zeros_like(m)
+    out[rows, cols] = signs * average(block)
+    return out
 
 
 def project_support(A: FockOperator, subset: Iterable) -> FockOperator:
@@ -671,8 +677,10 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
         raise ValueError("target ordering is inconsistent with the operator's lattice")
     coeffs = decompose(A, small.sites)
     m = _assemble(target.dim, tgt_pos, coeffs, target)
-    # the string coefficients carry A's parity defect over unchanged
-    return FockOperator._exact(m, target, A.support, A.parity)
+    if A.parity == MIXED:
+        return FockOperator(m, target, A.support, MIXED)
+    return FockOperator.from_blocks(_gather(m, _parity_bit(A.parity)), target, A.support,
+                                    A.parity)
 
 
 def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generator,

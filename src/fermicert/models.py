@@ -104,15 +104,17 @@ class OrbitalSet:
 
 
 def _dressed_annihilator(lam: SiteSet, coeffs: np.ndarray) -> FockOperator:
-    """b = sum_x conj(f(x)) a_x for a coefficient vector f over ``lam``."""
-    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    """b = sum_x conj(f(x)) a_x for a coefficient vector f over ``lam``, its
+    parity blocks added up in site order."""
+    blocks = [np.zeros(shape, dtype=complex) for shape in fock._block_shapes(lam.dim, 1)]
     support = []
     for i, x in enumerate(lam.sites):
         w = coeffs[i]
         if w != 0:
-            m += np.conj(w) * annihilator(lam, x).matrix
+            for block, a in zip(blocks, annihilator(lam, x).blocks):
+                block += np.conj(w) * a
             support.append(x)
-    return FockOperator(m, lam, frozenset(support), ODD)
+    return FockOperator.from_blocks(blocks, lam, frozenset(support), ODD)
 
 
 def band_operators(lam: SiteSet, orbitals: OrbitalSet) -> tuple:

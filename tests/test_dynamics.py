@@ -360,18 +360,19 @@ def test_mixed_observable_is_conjugated_densely(rng):
     assert np.array_equal(heisenberg(A, U).matrix, u.conj().T @ A.matrix @ u)
 
 
-def test_block_built_results_assemble_their_matrix_on_first_read(rng):
+def test_block_built_results_assemble_their_matrix_on_every_read(rng):
     lam = chain(6)
     A = fock.random_local_operator(lam, lam.sites, rng, parity=fock.EVEN)
     B = fock.random_local_operator(lam, lam.sites, rng, parity=fock.ODD)
     U = propagate(models.hopping_chain(6), lam, 0.0, 0.5)
     for op in (A @ B, commutator(A, B), anticommutator(B, B), heisenberg(B, U)):
         blocks = op.blocks
-        assert "matrix" not in op.__dict__
-        m = op.matrix
-        assert op.__dict__["matrix"] is m and op.matrix is m and not m.flags.writeable
+        first, second = op.matrix, op.matrix
+        assert "matrix" not in op.__dict__ and op.blocks is blocks
+        assert first is not second and not first.flags.writeable
         want = fock.sector_matrix(blocks, op.parity, lam.dim)
-        assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+        for m in (first, second):
+            assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
 
 
 def test_heisenberg_rejects_another_lattice():

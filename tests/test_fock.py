@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermicert import fock
+from fermicert import fock, models
 from fermicert.errors import SiteNotInLattice
 from fermicert.fock import (EVEN, ODD, FockOperator, annihilator,
                             anticommutator, chain, commutator, creator,
@@ -105,11 +105,9 @@ def test_parity_conjugation_flips_annihilators():
 
 
 def test_parity_flip_region_automorphism(lam4):
-    from fermicert.fock import parity_flip
     th = parity_operator(lam4, [1, 2])
     for x in lam4:
         a = annihilator(lam4, x)
-        assert np.abs(parity_flip(a).matrix + a.matrix).max() == 0
         sign = -1.0 if x in (1, 2) else 1.0
         assert np.abs((th @ a @ th).matrix - sign * a.matrix).max() == 0
 
@@ -270,9 +268,6 @@ def test_parity_tag_limit_is_inclusive_and_relative_to_the_matrix_scale():
     for scaled in (lambda: 4 * A, lambda: A * 4):
         with pytest.raises(ValueError, match="declared parity"):
             scaled()
-    # adjoint, negation and parity conjugation keep every |entry|: unchecked
-    for op in (A.adjoint(), -A, fock.parity_flip(A)):
-        assert fock._parity_defect(op.matrix, EVEN) == fock.PARITY_TAG_TOL
 
 
 def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
@@ -282,7 +277,8 @@ def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
         raise AssertionError("parity tag re-checked")
 
     monkeypatch.setattr(fock, "_parity_defect", no_check)
-    for op in (A.adjoint(), -A, fock.parity_flip(A)):
+    # built from A's blocks, so the entries that the tag tolerated are dropped
+    for op in (A.adjoint(), -A):
         assert op.parity == ODD
     with pytest.raises(AssertionError, match="re-checked"):
         2 * A
@@ -686,8 +682,8 @@ def test_from_blocks_rejects_wrong_shapes():
 
 # every constructor that skips the parity re-check: products and brackets
 # on the blocks, from_blocks itself, embed, adjoint, negation, and the
-# generators and monomials of _string_dense (here a_x at the last site, and
-# a monomial cycling through every symbol, odd for L = 1, 3, 5)
+# generators and monomials of _string_operator (here a_x at the last site,
+# and a monomial cycling through every symbol, odd for L = 1, 3, 5)
 _TRUSTED = {
     "adjoint": lambda A, B: A.adjoint(),
     "negation": lambda A, B: -A,
@@ -718,3 +714,126 @@ def test_trusted_constructors_keep_the_parity_tag(L, pa, pb, name, seed):
     parity = np.array([bin(k).count("1") % 2 for k in range(op.dim)])
     flips = parity[:, None] != parity[None, :]
     assert not op.matrix[flips if op.parity == EVEN else ~flips].any()
+
+
+# -- one view per operator ---------------------------------------------------
+
+def _popcount_parity(dim):
+    return np.array([bin(k).count("1") % 2 for k in range(dim)])
+
+
+def _real_string_oracle(lam, ops):
+    """``_string_action`` as a dense matrix with real entries: every string
+    of a, a* and a*a has entries 0 and +-1."""
+    rows, vals = _string_action(lam, ops)
+    assert not vals.imag.any()
+    m = np.zeros((lam.dim, lam.dim), dtype=complex)
+    nz = np.flatnonzero(vals)
+    m[rows[nz], nz] = vals.real[nz]
+    return m
+
+
+def _on_sectors(m, parity):
+    """m with exact zeros on the entries that the parity tag forbids."""
+    signs = _popcount_parity(len(m))
+    flips = signs[:, None] != signs[None, :]
+    out = m.copy()
+    out[flips if parity == EVEN else ~flips] = 0.0
+    return out
+
+
+def _diagonal_oracle(lam, value):
+    return np.diag(np.array([value(k) for k in range(lam.dim)], dtype=complex))
+
+
+def _generator_cases(lam, rng):
+    return [(make(lam, x), _real_string_oracle(lam, ((i, sym),)))
+            for i, x in enumerate(lam.sites)
+            for make, sym in ((annihilator, "a"), (creator, "a*"))]
+
+
+def _monomial_cases(lam, rng):
+    cases = []
+    for shift in range(4):
+        labels = [fock.MONOMIAL_SYMBOLS[(i + shift) % 4] for i in range(len(lam))]
+        ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
+        cases.append((monomial(lam, labels), _real_string_oracle(lam, ops)))
+    return cases
+
+
+def _diagonal_cases(lam, rng):
+    cases = [(identity(lam), _diagonal_oracle(lam, lambda k: 1.0)),
+             (zero(lam), _diagonal_oracle(lam, lambda k: 0.0))]
+    for subset in (None, lam.sites[::2]):
+        mask = sum(1 << p for p in lam.positions(lam.sites if subset is None else subset))
+        cases.append((number_operator(lam, subset),
+                      _diagonal_oracle(lam, lambda k: bin(k & mask).count("1"))))
+        cases.append((parity_operator(lam, subset),
+                      _diagonal_oracle(lam, lambda k: (-1.0) ** bin(k & mask).count("1"))))
+    return cases
+
+
+def _operand_cases(lam, rng):
+    """Even and odd operands, checked (dense) and block-built."""
+    ops = [random_local_operator(lam, lam.sites, rng, parity=p) for p in (EVEN, ODD)]
+    return ops + [FockOperator.from_blocks(A.blocks, lam, A.support, A.parity) for A in ops]
+
+
+def _parity_decompose_cases(lam, rng):
+    A = random_local_operator(lam, lam.sites, rng)
+    a = A.matrix
+    theta = (-1.0) ** _popcount_parity(lam.dim)
+    flipped = theta[:, None] * a * theta[None, :]
+    even, odd = parity_decompose(A)
+    return [(even, (a + flipped) / 2), (odd, (a - flipped) / 2)]
+
+
+def _embed_cases(lam, rng):
+    sub = lam.restrict(lam.sites[::2])
+    cases = []
+    for parity in (EVEN, ODD):
+        A = random_local_operator(sub, sub.sites, rng, parity=parity)
+        coeffs = decompose(A, sub.sites)
+        want = fock._assemble(lam.dim, lam.positions(sub.sites), coeffs, lam)
+        cases.append((embed(A, lam), want))
+    return cases
+
+
+def _dressed_cases(lam, rng):
+    coeffs = rng.standard_normal(len(lam)) + 1j * rng.standard_normal(len(lam))
+    coeffs[len(lam) // 2] = 0.0
+    want = np.zeros((lam.dim, lam.dim), dtype=complex)
+    for i, w in enumerate(coeffs):
+        if w != 0:
+            want += np.conj(w) * _real_string_oracle(lam, ((i, "a"),))
+    return [(models._dressed_annihilator(lam, coeffs), want)]
+
+
+# constructor -> (smallest lattice size, cases): every definite-parity
+# operator the algebra makes itself, paired with a dense oracle
+_BLOCK_BUILT = {
+    "generators": (1, _generator_cases),
+    "monomial": (0, _monomial_cases),
+    "diagonal": (0, _diagonal_cases),
+    "parity_decompose": (0, _parity_decompose_cases),
+    "embed": (0, _embed_cases),
+    "adjoint": (0, lambda lam, rng: [(A.adjoint(), _on_sectors(A.matrix.conj().T, A.parity))
+                                     for A in _operand_cases(lam, rng)]),
+    "negation": (0, lambda lam, rng: [(-A, _on_sectors(-A.matrix, A.parity))
+                                      for A in _operand_cases(lam, rng)]),
+    "dressed_annihilator": (1, _dressed_cases),
+}
+
+
+@pytest.mark.parametrize("name,L", [(name, L) for name, (low, _) in sorted(_BLOCK_BUILT.items())
+                                    for L in range(low, 7)])
+def test_block_built_constructors_keep_only_their_blocks(name, L):
+    lam = fock.SiteSet(range(L))
+    rng = np.random.default_rng(400 + L)
+    for op, want in _BLOCK_BUILT[name][1](lam, rng):
+        assert "_blocks" in op.__dict__ and "matrix" not in op.__dict__
+        first, second = op.matrix, op.matrix
+        assert "_blocks" in op.__dict__ and "matrix" not in op.__dict__
+        assert first is not second
+        for m in (first, second):
+            assert np.array_equal(_bits(m), _bits(want))

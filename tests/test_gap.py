@@ -49,7 +49,6 @@ def test_frustration_free_flat_band():
     rep = frustration_free_check(phi, lam)
     assert rep.frustration_free
     assert rep.residual <= 1e-10
-    assert rep.term_kernel_defect <= 1e-10
 
 
 def test_frustration_free_single_term(rng):
