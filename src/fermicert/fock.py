@@ -14,20 +14,20 @@ relations
 
 exact at the matrix level (all entries are small integers).
 
-An operator keeps one view, the one it was built from: the checked
-constructor keeps its dense matrix, ``from_blocks`` keeps the two parity
-blocks of a definite-parity operator, and the other view is built on each
-read.  Every definite-parity operator that the algebra makes itself is
-built from its blocks; matrices from outside the parity algebra, sums,
-differences and scalar multiples take the checked constructor.  Everything
-here is a pure function over immutable inputs; arrays are frozen once set
-and operators are safe to share across threads.
+The parity tag decides how an operator is stored: an even or odd one
+holds only its two parity blocks, however it was built, and its dense
+matrix is assembled on each read; a mixed one holds only its dense matrix.
+The checked constructor gathers the blocks of a definite-parity matrix
+once, and sums, differences and scalar multiples of definite-parity
+operands work block by block.  Everything here is a pure function over
+immutable inputs; arrays are frozen once set and operators are safe to
+share across threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
@@ -192,7 +192,6 @@ def _mul_parity(p: str, q: str) -> str:
     return EVEN if p == q else ODD
 
 
-@dataclass(frozen=True, eq=False)
 class FockOperator:
     """Operator on the Fock space of ``ambient`` together with a declared
     support set and parity tag.
@@ -202,45 +201,37 @@ class FockOperator:
     odd one, and products, brackets, adjoints and ``op_norm`` of such
     operators run on its two nonzero ``blocks``.
 
-    An operator keeps the one view it was built from.  The checked
-    constructor ``FockOperator(matrix, ...)`` keeps the dense matrix; it
-    validates a parity tag in {'even', 'odd'} on the two blocks that the tag
-    forbids (tolerance PARITY_TAG_TOL relative to the matrix scale) and
-    accepts 'mixed' unchecked.  ``from_blocks`` keeps the two blocks of a
-    definite-parity operator, whose parity is exact.  The other view is
-    built on each read: ``matrix`` assembles the blocks, and ``blocks``
-    gathers them from the matrix.
+    The parity tag decides the storage: an even or odd operator holds only
+    its two blocks, and ``matrix`` assembles them on each read; a mixed one
+    holds only its dense matrix.  The checked constructor
+    ``FockOperator(matrix, ...)`` validates a tag in {'even', 'odd'} on the
+    two blocks that the tag forbids (tolerance PARITY_TAG_TOL relative to
+    the matrix scale), gathers the two blocks once and drops the tolerated
+    entries; it accepts 'mixed' unchecked.  ``from_blocks`` takes the two
+    blocks of a definite-parity operator, whose parity is exact.
     """
 
-    matrix: np.ndarray
-    ambient: SiteSet
-    support: frozenset = field(default=None)
-    parity: str = MIXED
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        d = self.ambient.dim
+    def __init__(self, matrix: np.ndarray, ambient: SiteSet, support: Iterable | None = None,
+                 parity: str = MIXED):
+        m = np.asarray(matrix, dtype=complex)
+        d = ambient.dim
         if m.shape != (d, d):
-            raise ValueError(f"matrix shape {m.shape} != ({d}, {d}) for {len(self.ambient)} sites")
-        supp = self.support
-        if supp is None:
-            supp = frozenset(self.ambient.sites)
-        else:
-            supp = frozenset(supp)
-            for x in supp:
-                self.ambient.position(x)
-        object.__setattr__(self, "support", supp)
-        if self.parity not in (EVEN, ODD, MIXED):
-            raise ValueError(f"unknown parity tag {self.parity!r}")
-        if self.parity != MIXED:
-            defect = _parity_defect(m, self.parity)
-            scale = max(1.0, np.abs(m).max()) if m.size else 1.0
-            if defect > PARITY_TAG_TOL * scale:
-                raise ValueError(
-                    f"declared parity {self.parity!r} violated: defect {defect:.3e} "
-                    f"at scale {scale:.3e}")
-        m.flags.writeable = False
+            raise ValueError(f"matrix shape {m.shape} != ({d}, {d}) for {len(ambient)} sites")
+        support = frozenset(ambient.sites if support is None else support)
+        for x in support:
+            ambient.position(x)
+        if parity == MIXED:
+            self._hold("_matrix", m, ambient, support, parity)
+            return
+        if parity not in (EVEN, ODD):
+            raise ValueError(f"unknown parity tag {parity!r}")
+        defect = _parity_defect(m, parity)
+        scale = max(1.0, np.abs(m).max()) if m.size else 1.0
+        if defect > PARITY_TAG_TOL * scale:
+            raise ValueError(
+                f"declared parity {parity!r} violated: defect {defect:.3e} "
+                f"at scale {scale:.3e}")
+        self._hold("_blocks", _gather(m, _parity_bit(parity)), ambient, support, parity)
 
     @classmethod
     def from_blocks(cls, blocks, ambient: SiteSet, support: frozenset,
@@ -252,32 +243,38 @@ class FockOperator:
         if tuple(b.shape for b in blocks) != shapes:
             raise ValueError(f"block shapes {[b.shape for b in blocks]} != {list(shapes)}")
         op = object.__new__(cls)
-        for name, value in (("_blocks", blocks), ("ambient", ambient),
-                            ("support", frozenset(support)), ("parity", parity)):
-            object.__setattr__(op, name, value)
-        for b in blocks:
-            b.flags.writeable = False
+        op._hold("_blocks", blocks, ambient, frozenset(support), parity)
         return op
 
-    def __getattr__(self, name: str):
-        # reached only for a block-built operator's ``matrix``: assembled on
-        # every read and never kept
-        blocks = self.__dict__.get("_blocks")
-        if name != "matrix" or blocks is None:
-            raise AttributeError(name)
-        m = sector_matrix(blocks, self.parity, self.ambient.dim)
+    def _hold(self, name: str, storage, ambient: SiteSet, support: frozenset, parity: str):
+        """Set the fields once: ``storage`` is the matrix (``_matrix``) or the
+        tuple of two blocks (``_blocks``), frozen."""
+        for array in (storage,) if name == "_matrix" else storage:
+            array.flags.writeable = False
+        for key, value in ((name, storage), ("ambient", ambient), ("support", support),
+                           ("parity", parity)):
+            object.__setattr__(self, key, value)
+
+    def __setattr__(self, name: str, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable FockOperator")
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix: kept for a mixed operator, assembled from the
+        two blocks on each read (and never kept) otherwise."""
+        if self.parity == MIXED:
+            return self._matrix
+        m = sector_matrix(self._blocks, self.parity, self.ambient.dim)
         m.flags.writeable = False
         return m
 
     @property
     def blocks(self) -> tuple:
         """The two nonzero blocks of a definite-parity operator, by column
-        sector: (ee, oo) if it is even, (oe, eo) if it is odd.  Kept if the
-        operator was built from them, gathered from the matrix otherwise."""
-        kept = self.__dict__.get("_blocks")
-        if kept is not None:
-            return kept
-        return _gather(self.matrix, _parity_bit(self.parity))
+        sector: (ee, oo) if it is even, (oe, eo) if it is odd."""
+        if self.parity == MIXED:
+            raise ValueError("a mixed-parity operator has no sector blocks")
+        return self._blocks
 
     # -- basic structure ---------------------------------------------------
 
@@ -308,32 +305,39 @@ class FockOperator:
         if self.ambient != other.ambient:
             raise ValueError("operators live on different site sets")
 
-    def __add__(self, other):
+    def _map(self, f) -> "FockOperator":
+        """f applied to the kept matrix or to each kept block, with the same
+        support and parity tag."""
+        if self.parity == MIXED:
+            return FockOperator(f(self.matrix), self.ambient, self.support, MIXED)
+        return FockOperator.from_blocks([f(b) for b in self.blocks], self.ambient, self.support,
+                                        self.parity)
+
+    def _combine(self, other, f) -> "FockOperator":
+        """f of two operators entry by entry: block by block when both have
+        the same definite parity, dense and mixed otherwise."""
         if not isinstance(other, FockOperator):
             return NotImplemented
         self._check_ambient(other)
-        parity = self.parity if self.parity == other.parity else MIXED
-        return FockOperator(self.matrix + other.matrix, self.ambient,
-                            self.support | other.support, parity)
+        support = self.support | other.support
+        if self.parity == other.parity != MIXED:
+            return FockOperator.from_blocks([f(a, b) for a, b in zip(self.blocks, other.blocks)],
+                                            self.ambient, support, self.parity)
+        return FockOperator(f(self.matrix, other.matrix), self.ambient, support, MIXED)
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        self._check_ambient(other)
-        parity = self.parity if self.parity == other.parity else MIXED
-        return FockOperator(self.matrix - other.matrix, self.ambient,
-                            self.support | other.support, parity)
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
-        if self.parity == MIXED:
-            return FockOperator(-self.matrix, self.ambient, self.support, MIXED)
-        return FockOperator.from_blocks([-b for b in self.blocks], self.ambient, self.support,
-                                        self.parity)
+        return self._map(np.negative)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FockOperator):
             return NotImplemented
-        return FockOperator(self.matrix * scalar, self.ambient, self.support, self.parity)
+        return self._map(lambda m: m * scalar)
 
     __rmul__ = __mul__
 
@@ -658,8 +662,9 @@ def project_support(A: FockOperator, subset: Iterable) -> FockOperator:
 
 def support_defect(A: FockOperator, subset: Iterable) -> float:
     """Frobenius distance from A to the subalgebra supported in ``subset``."""
-    proj = project_support(A, subset)
-    return float(np.linalg.norm(A.matrix - proj.matrix))
+    # a mixed copy keeps the matrix, so a definite-parity A is assembled once
+    A = FockOperator(A.matrix, A.ambient, A.support)
+    return float(np.linalg.norm(A.matrix - project_support(A, subset).matrix))
 
 
 def embed(A: FockOperator, target: SiteSet) -> FockOperator:

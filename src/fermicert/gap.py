@@ -81,24 +81,27 @@ def _split_kernel(w: np.ndarray, tol: float) -> int:
 
 
 def _kernel(H: FockOperator) -> tuple:
-    """(w, k, G): the eigenvalues of H, the dimension of its kernel and the
-    kernel projection G, tagged even when H is."""
+    """(w, k, P): the eigenvalues of H, the dimension of its kernel and the
+    dense kernel projection P of ``eigh``."""
     w, v = np.linalg.eigh(H.matrix)
     k = _split_kernel(w, _kernel_tol(w))
     vk = v[:, :k]
-    G = FockOperator(vk @ vk.conj().T, H.ambient, frozenset(H.ambient.sites),
-                     EVEN if H.parity == EVEN else MIXED)
-    return w, k, G
+    return w, k, vk @ vk.conj().T
+
+
+def _projection(P: np.ndarray, H: FockOperator) -> FockOperator:
+    """The kernel projection P of H as an operator, even when H is."""
+    return FockOperator(P, H.ambient, None, EVEN if H.parity == EVEN else MIXED)
 
 
 def kernel_projection(H: FockOperator) -> FockOperator:
-    """Orthogonal projection onto the kernel (eigenvalues <= 1e-8 ||H||) of
-    a nonnegative self-adjoint operator; the next eigenvalue must clear ten
-    times that tolerance or the kernel is declared ambiguous.
+    """Orthogonal projection onto the kernel (eigenvalues <= 1e-8 max(1,
+    ||H||)) of a nonnegative self-adjoint operator; the next eigenvalue must
+    clear ten times that tolerance or the kernel is declared ambiguous.
     """
     if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
-    return _kernel(H)[2]
+    return _projection(_kernel(H)[2], H)
 
 
 @dataclass(frozen=True)
@@ -280,25 +283,26 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     n_steps = seq.size
     increments = seq.increments()
 
-    gammas, g_projs = [], []
-    for h in increments:
+    # eps_n = ||E_n g_{n+1} E_n|| is taken on the dense eigh projections,
+    # E_n = P_n - P_{n+1} with P_0 = 1, as each kernel is found
+    gammas, g_projs, big_projs, eps_per_step = [], [], [], []
+    p_prev = np.eye(seq.lattice.dim, dtype=complex)
+    for n, (h, H) in enumerate(zip(increments, seq.hamiltonians[1:])):
         w, k, g = _kernel(h)
         if k == w.size:
             raise ValueError("an increment vanishes; every step must add a nonzero operator")
         gammas.append(float(w[k]))
-        g_projs.append(g)
-    gamma = min(gammas)
-
-    big_projs = []
-    exact_gap = None
-    for idx, H in enumerate(seq.hamiltonians[1:]):
-        w, k, G = _kernel(H)
+        g_projs.append(_projection(g, h))
+        w, k, p = _kernel(H)
         if k == 0:
-            raise ValueError(f"H_{idx + 1} has trivial kernel; the method needs "
+            raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
                              "nonempty ground spaces")
-        big_projs.append(G)
-        if idx == n_steps - 1:
-            exact_gap = float(w[k]) if k < w.size else None
+        big_projs.append(_projection(p, H))
+        e = p_prev - p
+        eps_per_step.append(op_norm(e @ g @ e))
+        p_prev = p
+    gamma = min(gammas)
+    exact_gap = float(w[k]) if k < w.size else None
 
     es = resolution_family(big_projs)
 
@@ -332,14 +336,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             no_certificate_reason="a kernel projection fails to commute with a "
                                   "later spectral block")
 
-    eps_sq = 0.0
-    eps_per_step = []
-    for n in range(n_steps):
-        m = es[n].matrix @ g_projs[n].matrix @ es[n].matrix
-        val = op_norm(m)
-        eps_per_step.append(val)
-        eps_sq = max(eps_sq, val)
-    epsilon = math.sqrt(eps_sq)
+    epsilon = math.sqrt(max(eps_per_step))
 
     bound = martingale_bound(gamma, ell, epsilon)
     reason = None if bound is not None else (

@@ -104,17 +104,13 @@ class OrbitalSet:
 
 
 def _dressed_annihilator(lam: SiteSet, coeffs: np.ndarray) -> FockOperator:
-    """b = sum_x conj(f(x)) a_x for a coefficient vector f over ``lam``, its
-    parity blocks added up in site order."""
-    blocks = [np.zeros(shape, dtype=complex) for shape in fock._block_shapes(lam.dim, 1)]
-    support = []
-    for i, x in enumerate(lam.sites):
-        w = coeffs[i]
+    """b = sum_x conj(f(x)) a_x for a coefficient vector f over ``lam``, added
+    in site order to the zero odd operator."""
+    b = FockOperator(np.zeros((lam.dim, lam.dim)), lam, (), ODD)
+    for x, w in zip(lam.sites, coeffs):
         if w != 0:
-            for block, a in zip(blocks, annihilator(lam, x).blocks):
-                block += np.conj(w) * a
-            support.append(x)
-    return FockOperator.from_blocks(blocks, lam, frozenset(support), ODD)
+            b = b + complex(np.conj(w)) * annihilator(lam, x)
+    return b
 
 
 def band_operators(lam: SiteSet, orbitals: OrbitalSet) -> tuple:

@@ -258,16 +258,18 @@ def test_parity_tag_limit_is_inclusive_and_relative_to_the_matrix_scale():
     m = np.zeros((lam.dim, lam.dim), dtype=complex)
     m[0, 0] = 0.5
     m[1, 0] = fock.PARITY_TAG_TOL / 2      # states 0 and 1 differ in parity
+    assert fock._parity_defect(m, EVEN) == _mask_defect(m, EVEN) == fock.PARITY_TAG_TOL
     A = FockOperator(m, lam, None, EVEN)    # defect exactly PARITY_TAG_TOL * 1
-    assert fock._parity_defect(A.matrix, EVEN) == _mask_defect(m, EVEN) == fock.PARITY_TAG_TOL
     over = m.copy()
     over[1, 0] = np.nextafter(fock.PARITY_TAG_TOL / 2, 1.0)
     with pytest.raises(ValueError, match="declared parity"):
         FockOperator(over, lam, None, EVEN)
-    # the scale of 4 A is 2 while its defect is 4 times A's: still checked
-    for scaled in (lambda: 4 * A, lambda: A * 4):
-        with pytest.raises(ValueError, match="declared parity"):
-            scaled()
+    # the tolerated entry is dropped when the blocks are gathered, so 4 A,
+    # built from A's blocks and not checked again, is exactly even
+    assert A.matrix[1, 0] == 0
+    for scaled in (4 * A, A * 4):
+        assert scaled.matrix[0, 0] == 2.0
+        assert _mask_defect(scaled.matrix, EVEN) == 0.0
 
 
 def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
@@ -278,10 +280,8 @@ def test_entry_preserving_operations_skip_the_tag_check(rng, lam4, monkeypatch):
 
     monkeypatch.setattr(fock, "_parity_defect", no_check)
     # built from A's blocks, so the entries that the tag tolerated are dropped
-    for op in (A.adjoint(), -A):
+    for op in (A.adjoint(), -A, 2 * A, A + A, A - A):
         assert op.parity == ODD
-    with pytest.raises(AssertionError, match="re-checked"):
-        2 * A
 
 
 def test_embed_matches_direct_construction():
@@ -670,6 +670,36 @@ def test_block_built_adjoint_is_the_conjugate_transpose_bitwise(L):
         for block, (rows, cols) in zip(adj.blocks, mesh):
             assert np.array_equal(np.ascontiguousarray(block).view(np.uint64),
                                   want[rows, cols].view(np.uint64))
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+@pytest.mark.parametrize("L", range(7))
+def test_storage_follows_the_parity_tag(L, parity):
+    rng = np.random.default_rng(500 + L)
+    lam = fock.SiteSet(range(L))
+    A, B = (random_local_operator(lam, lam.sites, rng, parity=parity) for _ in range(2))
+    # a dense matrix with entries that the tag tolerates, dropped by the gather
+    noise = 1e-13 * rng.standard_normal((lam.dim, lam.dim))
+    noisy = A.matrix + (noise - _on_sectors(noise, parity))
+    c = -0.7 + 0.2j    # c * A multiplies A's entries by c in that order, as a dense A did
+    mesh = fock._sector_mesh(lam.dim, 0 if parity == EVEN else 1)
+    for op, want in ((FockOperator(noisy, lam, None, parity), noisy),
+                     (A + B, A.matrix + B.matrix), (A - B, A.matrix - B.matrix),
+                     (c * A, A.matrix * c), (A * c, A.matrix * c)):
+        assert op.parity == parity
+        assert "_blocks" in op.__dict__
+        assert "_matrix" not in op.__dict__ and "matrix" not in op.__dict__
+        # blocks, not whole matrices: 0 * c is -0.0 off the blocks of the oracle
+        for block, (rows, cols) in zip(op.blocks, mesh):
+            assert np.array_equal(_bits(block), _bits(want[rows, cols]))
+    M = random_local_operator(lam, lam.sites, rng)
+    other = random_local_operator(lam, lam.sites, rng, parity=ODD if parity == EVEN else EVEN)
+    for op, want in ((A + M, A.matrix + M.matrix), (M - A, M.matrix - A.matrix),
+                     (A + other, A.matrix + other.matrix),
+                     (other - A, other.matrix - A.matrix), (c * M, M.matrix * c)):
+        assert op.parity == fock.MIXED
+        assert "_matrix" in op.__dict__ and "_blocks" not in op.__dict__
+        assert np.array_equal(_bits(op.matrix), _bits(want))
 
 
 def test_from_blocks_rejects_wrong_shapes():

@@ -192,6 +192,33 @@ def test_martingale_flat_band(L):
     assert cert.defects["forward_commutator"] == 0.0
 
 
+def test_eps_is_the_dense_product_of_the_eigh_projections():
+    # eps is roundoff only here, so it depends on the off-sector roundoff of
+    # the eigh projections, which the block-built operators drop
+    L = 6
+    lam = chain(L)
+    phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
+                                 geometry.chain_graph(L))
+    seq = hamiltonian_sequence(phi, lam)
+    cert = martingale_certificate(seq)
+
+    def kernel(op):
+        w, v = np.linalg.eigh(op.matrix)
+        k = int(np.searchsorted(w, 1e-8 * max(1.0, np.abs(w).max()), side="right"))
+        return v[:, :k] @ v[:, :k].conj().T
+
+    want = []
+    p_prev = np.eye(lam.dim, dtype=complex)
+    for h, H in zip(seq.increments(), seq.hamiltonians[1:]):
+        p = kernel(H)
+        e = p_prev - p
+        want.append(op_norm(e @ kernel(h) @ e))
+        p_prev = p
+    assert cert.per_step["eps_sq_n"] == want
+    assert cert.epsilon == np.sqrt(max(want))
+    assert 0.0 < max(want) < 1e-15
+
+
 def test_martingale_kitaev_chain():
     L = 6
     lam = chain(L)
