@@ -1,6 +1,7 @@
 #!/bin/sh
 # Require that two source trees give the same outputs on every shipped config
-# and on every task config of the benchmark's seed 0.
+# and on every task config of the benchmark's seed 0, apart from the changes
+# that HEAD_TREE declares.
 #
 #   .github/scripts/reports-unchanged.sh BASE_TREE HEAD_TREE
 #
@@ -8,11 +9,16 @@
 # perfbench/workloads.py makes for seed 0, once with each tree's sources
 # (PYTHONPATH=<tree>/src python -m fermicert.cli).  The benchmark configs
 # reuse the shipped output prefixes, so the two sets write to output
-# directories of their own.  Then compares the output files of the two runs,
-# ignoring lines that contain "timestamp".  Exits 1 and lists the files that
-# differ, or that only one run wrote.
+# directories of their own (shipped/ and bench/).  Then compares the output
+# files of the two runs with .github/scripts/compare-outputs.py: byte for
+# byte, ignoring lines that contain "timestamp", except for the fields that
+# HEAD_TREE's .github/declared-output-changes.json names, each within its
+# bound.  That manifest applies only when its "base" is the commit checked
+# out in BASE_TREE; otherwise the comparison is fully byte-strict.  Exits 1
+# and lists the files that differ beyond the declared changes, or that only
+# one run wrote.
 set -eu
-base=$(cd "$1" && pwd)
+base=$(cd "$1" && pwd -P)
 head=$(cd "$2" && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -41,15 +47,12 @@ for side in base head; do
         PYTHONPATH="$tree/src" python -m fermicert.cli --config "$config" \
             --out "$work/$side/bench" > /dev/null
     done
-    for file in "$work/$side"/*/*; do
-        grep -v '"timestamp"' "$file" > "$file.kept" || true
-        mv "$file.kept" "$file"
-    done
 done
 
-if ! diff -rq "$work/base" "$work/head"; then
-    echo "outputs differ between $base and $head (lines with \"timestamp\" ignored)"
-    exit 1
+# the commit of BASE_TREE, if BASE_TREE is the top of a git checkout
+base_commit=none
+if [ "$(git -C "$base" rev-parse --show-toplevel 2>/dev/null)" = "$base" ]; then
+    base_commit=$(git -C "$base" rev-parse HEAD)
 fi
-echo "$(ls "$work/head/shipped" | wc -l) shipped and $(ls "$work/head/bench" | wc -l)" \
-    "seed-0 benchmark output files identical apart from \"timestamp\" lines"
+python "$head/.github/scripts/compare-outputs.py" "$work/base" "$work/head" \
+    "$base_commit" "$head/.github/declared-output-changes.json"

@@ -16,6 +16,17 @@ three extracted constants control the gap:
 If eps * sqrt(1 + ell) < 1, every state orthogonal to ker(H_N) has energy
 at least gamma (1 - eps sqrt(1 + ell))^2, a lower bound on the spectral
 gap of H_N above zero.
+
+The E_n are checked and used through bases of their ranges: each E_n is
+formed in turn and diagonalized once per parity block, its eigenvalues
+split at 1/2, and only its range basis V_n and the basis of its lower-rank
+side (range or complement) are kept.  The E_n resolve the identity when
+W = [V_0 ... V_N] is square and ||W* W - 1|| + 2 delta <= COMMUTE_TOL, delta
+being the largest distance of an eigenvalue from 0 or 1; that sum bounds
+every ||E_i E_j - delta_ij E_i|| to first order.  Each window is
+||[E_k, g]|| = ||(1 - V V*) g V|| with V the lower-rank basis of E_k, since
+[1 - P, Q] = -[P, Q]; it is within 2 delta of the commutator of E_k itself,
+so a verdict against COMMUTE_TOL can change only within 2 delta of it.
 """
 
 from __future__ import annotations
@@ -195,40 +206,88 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     return seq
 
 
+def _spectral_blocks(gs: Sequence[FockOperator]):
+    """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N, one at a time."""
+    yield identity(gs[0].ambient) - gs[0]
+    for g, g_next in zip(gs, gs[1:]):
+        yield g - g_next
+    yield gs[-1]
+
+
+def _parts(A: FockOperator, dense: bool) -> tuple:
+    """The two parity blocks of an even operator, or its matrix when dense."""
+    return (A.matrix,) if dense else A.blocks
+
+
+def _range_bases(gs: Sequence[FockOperator], dense: bool) -> tuple:
+    """Check the resolution family of the nested G_n on the parity blocks
+    (or the matrices, when dense) as the module docstring says, and return
+    (sides, gram, delta): per E_n and block, the basis of its lower-rank
+    side; the largest ||W* W - 1||; the largest projection defect, plus the
+    Frobenius norm of the anti-Hermitian part that ``eigh``, reading one
+    triangle, does not see."""
+    if not gs:
+        raise ValueError("need at least one kernel projection")
+    for g_prev, g_next in zip(gs, gs[1:]):
+        defect = op_norm(g_next - g_next @ g_prev)
+        if defect > COMMUTE_TOL:
+            raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
+    ranges, sides, delta = [], [], 0.0
+    for e in _spectral_blocks(gs):
+        kept_ranges, kept_sides = [], []
+        for m in _parts(e, dense):
+            w, v = np.linalg.eigh(m)
+            split = int(np.searchsorted(w, 0.5, side="right"))
+            delta = max(delta, float(np.abs(w - (w > 0.5)).max(initial=0.0)
+                                     + np.linalg.norm(m - m.conj().T)))
+            kept_ranges.append(v[:, split:].copy())
+            kept_sides.append(kept_ranges[-1] if 2 * split >= w.size else v[:, :split].copy())
+        ranges.append(kept_ranges)
+        sides.append(kept_sides)
+    gram = 0.0
+    for block in zip(*ranges):
+        W = np.hstack(block)
+        if W.shape[0] != W.shape[1]:
+            raise ValueError(f"the ranges of the E_n have total rank {W.shape[1]} "
+                             f"in a block of dimension {W.shape[0]}")
+        gram = max(gram, op_norm(W.conj().T @ W - np.eye(W.shape[1])))
+    if gram + 2.0 * delta > COMMUTE_TOL:
+        raise ValueError(f"E_n are not orthogonal projections summing to the identity: "
+                         f"Gram defect {gram:.3e}, projection defect {delta:.3e}")
+    return sides, gram, delta
+
+
 def resolution_family(kernel_projections: Sequence[FockOperator]) -> list:
     """Resolution of the identity from nested kernel projections
     G_1 >= G_2 >= ... >= G_N:
 
         E_0 = 1 - G_1,  E_n = G_n - G_{n+1},  E_N = G_N.
 
-    Nesting, mutual orthogonality and completeness are all verified to
-    COMMUTE_TOL.
+    The nesting G_{n+1} G_n = G_{n+1} is checked as a product (that the E_n
+    are projections would bound its defect only by a square root); mutual
+    orthogonality and completeness by the Gram check on range bases of the
+    module docstring, which forms the E_n one at a time.
     """
     gs = list(kernel_projections)
-    if not gs:
-        raise ValueError("need at least one kernel projection")
-    lam = gs[0].ambient
-    for g_prev, g_next in zip(gs, gs[1:]):
-        defect = op_norm(g_next - g_next @ g_prev)
-        if defect > COMMUTE_TOL:
-            raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
-    one = identity(lam)
-    es = [one - gs[0]]
-    for n in range(len(gs) - 1):
-        es.append(gs[n] - gs[n + 1])
-    es.append(gs[-1])
-    total = es[0]
-    for e in es[1:]:
-        total = total + e
-    if op_norm(total - one) > COMMUTE_TOL:
-        raise ValueError("resolution does not sum to the identity")
-    for i, e in enumerate(es):
-        for j in range(i, len(es)):
-            prod = e @ es[j]
-            defect = op_norm(prod - e) if i == j else op_norm(prod)
-            if defect > COMMUTE_TOL:
-                raise ValueError(f"E_{i} E_{j} defect {defect:.3e}")
-    return es
+    _range_bases(gs, any(g.parity != EVEN for g in gs))
+    return list(_spectral_blocks(gs))
+
+
+def _windows(sides: list, g_projs: Sequence[FockOperator], dense: bool) -> np.ndarray:
+    """||[E_k, g_{n+1}]|| = ||(1 - V V*) g_{n+1} V|| at row k and column n,
+    the largest over the blocks of the largest singular value, with V the
+    kept basis of E_k.  g V is projected off V twice: the second pass
+    removes the roundoff that the first leaves along V."""
+    out = np.zeros((len(sides), len(g_projs)))
+    for n, g in enumerate(g_projs):
+        for m, vs in zip(_parts(g, dense), zip(*sides)):
+            for k, v in enumerate(vs):
+                if v.shape[1]:
+                    x = m @ v
+                    for _ in range(2):
+                        x = x - v @ (v.conj().T @ x)
+                    out[k, n] = max(out[k, n], np.linalg.svd(x, compute_uv=False)[0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -278,6 +337,10 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     COMMUTE_TOL with k <= n; eps^2 is the largest norm of E_n g_{n+1} E_n.  A bound is
     emitted only when eps sqrt(1 + ell) < 1; failure to certify is a
     result, not an exception.
+
+    The resolution check and the windows run on range bases of the E_n
+    (module docstring); eps_n is the norm of the dense product of the
+    ``eigh`` kernel projections.
     """
     seq.validate()
     n_steps = seq.size
@@ -304,7 +367,8 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     gamma = min(gammas)
     exact_gap = float(w[k]) if k < w.size else None
 
-    es = resolution_family(big_projs)
+    dense = any(p.parity != EVEN for p in big_projs + g_projs)
+    sides = _range_bases(big_projs, dense)[0]
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     assumption_i = 0.0
@@ -315,16 +379,13 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
 
     ell = 0
     forward_defect = 0.0
-    commute_defects = np.zeros((n_steps + 1, n_steps))
-    for n in range(n_steps):
-        for k in range(n_steps + 1):
-            d = op_norm(fock.commutator(es[k], g_projs[n]))
-            commute_defects[k, n] = d
-            if d > COMMUTE_TOL:
-                if k > n:
-                    forward_defect = max(forward_defect, d)
-                else:
-                    ell = max(ell, n - k)
+    commute_defects = _windows(sides, g_projs, dense)
+    for (k, n), d in np.ndenumerate(commute_defects):
+        if d > COMMUTE_TOL:
+            if k > n:
+                forward_defect = max(forward_defect, float(d))
+            else:
+                ell = max(ell, n - k)
     if forward_defect > 0.0:
         return GapCertificate(
             gamma=gamma, ell=ell, epsilon=math.nan, bound=None,

@@ -8,9 +8,10 @@ from fermicert import fock, geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import (AmbiguousKernelError, GapClosureError,
                               KernelMismatchError)
-from fermicert.fock import (EVEN, FockOperator, annihilator, chain, creator,
+from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             number_operator, op_norm, zero)
-from fermicert.gap import (SANDWICH_TOL, HamiltonianSequence, _kernel,
+from fermicert.gap import (COMMUTE_TOL, SANDWICH_TOL, HamiltonianSequence,
+                           _kernel, _range_bases, _windows,
                            frustration_free_check, hamiltonian_sequence,
                            kernel_projection, martingale_bound,
                            martingale_certificate, projection_flow,
@@ -134,6 +135,113 @@ def test_resolution_family_rejects_non_nested():
     G_big = kernel_projection(number_operator(lam, [0]))       # site-0 empty
     with pytest.raises(ValueError, match="nested"):
         resolution_family([G_small, G_big])  # grows instead of shrinking
+
+
+def _product_oracle(gs):
+    """The resolution check by products: the largest ||E_i E_j - delta_ij E_i||
+    over i <= j, and ||E_0 + ... + E_N - 1||."""
+    one = fock.identity(gs[0].ambient)
+    es = [one - gs[0]] + [gs[n] - gs[n + 1] for n in range(len(gs) - 1)] + [gs[-1]]
+    total = es[0]
+    for e in es[1:]:
+        total = total + e
+    worst = 0.0
+    for i, e in enumerate(es):
+        for j in range(i, len(es)):
+            prod = e @ es[j]
+            worst = max(worst, op_norm(prod - e) if i == j else op_norm(prod))
+    return worst, op_norm(total - one)
+
+
+def _window_oracle(es, g_projs):
+    """||[E_k, g_{n+1}]|| at row k and column n, from the operator commutators."""
+    return np.array([[op_norm(fock.commutator(e, g)) for g in g_projs] for e in es])
+
+
+def _gap_model(name, L):
+    graph = geometry.chain_graph(L)
+    if name == "kitaev":
+        return models.kitaev_chain(L)
+    orbitals = (models.paired_cell_orbitals(L, 0.35) if name == "flatband"
+                else models.overlapping_orbitals(L, 0.4))
+    return models.flat_band_model(orbitals, graph)
+
+
+# the models of the shipped gap_* configs and of acceptance criterion 8
+@pytest.mark.parametrize("name", ["kitaev", "flatband", "overlap"])
+@pytest.mark.parametrize("L", [6, 8])
+def test_range_bases_against_the_product_oracles(name, L):
+    seq = hamiltonian_sequence(_gap_model(name, L), chain(L))
+    gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
+    g_projs = [kernel_projection(h) for h in seq.increments()]
+    sides, gram, delta = _range_bases(gs, False)
+    assert gram + 2 * delta <= COMMUTE_TOL
+    products, completeness = _product_oracle(gs)
+    assert products <= gram + 2 * delta
+    assert completeness <= gram + 2 * delta
+    windows = _windows(sides, g_projs, False)
+    oracle = _window_oracle(resolution_family(gs), g_projs)
+    assert np.abs(windows - oracle).max() <= 2 * delta + 1e-14
+    assert np.array_equal(windows > COMMUTE_TOL, oracle > COMMUTE_TOL)
+    cert = martingale_certificate(seq)
+    assert cert.per_step["max_commutator_n"] == windows.max(axis=0).tolist()
+
+
+def _unit_family(es_even):
+    """Kernel projections G_n = E_n + ... + E_N (n >= 1) on 4 sites, with the
+    given even-sector blocks of the E_n and the odd sector split into the
+    basis states one by one."""
+    lam = chain(4)
+    odd = [np.diag(np.eye(8)[k]).astype(complex) for k in range(8)]
+    return [FockOperator.from_blocks((sum(es_even[n:]), sum(odd[n:])), lam, lam.sites, EVEN)
+            for n in range(1, 8)]
+
+
+def test_resolution_family_refuses_an_oblique_block():
+    # G_3 = G_4 + |psi><phi|, phi = psi rotated by 1e-6 into the range of G_4:
+    # the G_n nest, but E_3 = |psi><phi| is not an orthogonal projection
+    basis = np.eye(8)
+    es = [np.outer(b, b).astype(complex) for b in basis]
+    phi = np.cos(1e-6) * basis[3] + np.sin(1e-6) * basis[4]
+    es[2] = es[2] + es[3] - np.outer(basis[3], phi)
+    es[3] = np.outer(basis[3], phi).astype(complex)
+    gs = _unit_family(es)
+    assert max(op_norm(b - b @ a) for a, b in zip(gs, gs[1:])) <= COMMUTE_TOL
+    assert _product_oracle(gs)[0] > COMMUTE_TOL
+    with pytest.raises(ValueError, match="not orthogonal projections"):
+        resolution_family(gs)
+
+
+def test_gram_check_refuses_overlapping_ranges():
+    # rank-one E_n whose ranges overlap their neighbours' by 8e-11: every
+    # E_n is within 2e-11 of a projection and the G_n nest within
+    # COMMUTE_TOL, so only the Gram defect of the range bases refuses them
+    c = 8e-11
+    overlaps = c * (np.eye(8, k=1) + np.eye(8, k=-1))
+    w, v = np.linalg.eigh(np.eye(8) + overlaps)
+    W = (v * np.sqrt(w)) @ v.T                # unit columns, W* W = 1 + overlaps
+    es = [(np.outer(W[:, k], W[:, k]) - overlaps / 8).astype(complex) for k in range(8)]
+    gs = _unit_family(es)
+    assert max(op_norm(b - b @ a) for a, b in zip(gs, gs[1:])) <= COMMUTE_TOL
+    eigenvalues = np.concatenate([np.linalg.eigvalsh(e) for e in es])
+    assert 2 * np.abs(eigenvalues - (eigenvalues > 0.5)).max() <= COMMUTE_TOL
+    # the Gram bound is conservative: these products stay below COMMUTE_TOL
+    assert _product_oracle(gs)[0] <= COMMUTE_TOL
+    with pytest.raises(ValueError, match="Gram defect"):
+        resolution_family(gs)
+
+
+def test_mixed_tagged_sequence_takes_the_dense_range_bases():
+    L = 4
+    lam = chain(L)
+    seq = hamiltonian_sequence(models.kitaev_chain(L), lam)
+    mixed = HamiltonianSequence(tuple(FockOperator(H.matrix, lam, None, MIXED)
+                                      for H in seq.hamiltonians))
+    want, got = martingale_certificate(seq), martingale_certificate(mixed)
+    assert (got.gamma, got.ell, got.epsilon, got.bound) == pytest.approx(
+        (want.gamma, want.ell, want.epsilon, want.bound), abs=1e-12)
+    assert np.allclose(got.per_step["max_commutator_n"], want.per_step["max_commutator_n"],
+                       rtol=0, atol=1e-14)
 
 
 def test_sequence_validation():
