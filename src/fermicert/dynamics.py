@@ -10,10 +10,18 @@ and the two-parameter unitary propagator solves
 
     d/dt U(t, s) = -i H(t) U(t, s),   U(s, s) = 1.
 
-Propagation uses second-order midpoint stepping with an exact Hermitian
-eigendecomposition exponential per step, so every step is unitary by
-construction; the accumulated unitarity defect is tracked and a polar
-re-orthonormalization is applied if it ever exceeds the tolerance.
+When every term carries the same profile c (None counts as the constant
+1, and ``scaled_profile`` of a time-independent interaction is this case),
+H(t) = c(t) H_0 and the propagators of a whole time grid come from one
+diagonalization of H_0: U(t, s) = V e^{-i w F} V* on each parity sector,
+with F the integral of c (``Eigenbasis``).  A ramp takes F as the midpoint
+sum over the steps that midpoint stepping would take, so it keeps their
+integration rule; the midpoint factors commute, and their product is
+exactly this exponential.  The unitarity defect of V is measured once, and
+a polar re-orthonormalization is applied if it exceeds the tolerance.
+Only an interaction whose terms carry different profiles is propagated by
+second-order midpoint stepping, with an exact Hermitian eigendecomposition
+exponential per step and the same defect check on the accumulated product.
 Only even interactions are accepted: evenness is what makes the dynamics
 preserve the parity sectors and is assumed by every bound downstream.
 
@@ -22,12 +30,11 @@ block-diagonal in the even and odd particle-number states.
 ``local_hamiltonian`` adds each term's cached entries straight into the two
 blocks and returns an even ``FockOperator`` built from them, and
 ``sector_eigh`` diagonalizes those half-size blocks.  The one parity check
-is the even tag of every term, made when the term is built.  A
-time-independent interaction is diagonalized once for a whole time grid,
-U(t, s) = V e^{-i w (t-s)} V*.  The propagator is an even ``FockOperator``
-built from its two blocks, and ``heisenberg`` computes U* A U through the
-block product of ``fock``; a dense matrix is assembled only when one of
-these operators' ``matrix`` is read, and never kept.
+is the even tag of every term, made when the term is built.  The
+propagator is an even ``FockOperator`` built from its two blocks, and
+``heisenberg`` computes U* A U through the block product of ``fock``; a
+dense matrix is assembled only when one of these operators' ``matrix`` is
+read, and never kept.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import fock
-from .fock import EVEN, FockOperator, SiteSet
+from .fock import EVEN, MIXED, FockOperator, SiteSet
 
 #: propagator unitarity defect above which a polar correction is applied
 UNITARITY_TOL = 1e-9
@@ -122,11 +129,10 @@ def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
     return entries
 
 
-def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOperator:
-    """Sum of all terms supported inside ``lam``, on the ambient Fock space:
-    an even operator built from its two parity blocks, each term's entries
-    added into them in term order."""
-    phi.check_time(t)
+def _scatter(phi: Interaction, lam: SiteSet, coefficient) -> FockOperator:
+    """Sum of ``coefficient(term) * term`` over the terms supported inside
+    ``lam``: an even operator built from its two parity blocks, each term's
+    entries added into them in term order (zero coefficients skipped)."""
     ambient = set(lam.sites)
     n0, n1 = (index.size for index in fock._sector_index(lam.dim))
     acc = np.zeros(n0 * n0 + n1 * n1, dtype=complex)
@@ -134,7 +140,7 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
     for term_obj in phi.terms:
         if not set(term_obj.sites) <= ambient:
             continue
-        c = term_obj.coefficient(t)
+        c = coefficient(term_obj)
         if c == 0.0:
             continue
         flat, values = _embedded_sparse(term_obj, lam)
@@ -142,6 +148,14 @@ def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOpe
         support |= set(term_obj.sites)
     blocks = acc[:n0 * n0].reshape(n0, n0), acc[n0 * n0:].reshape(n1, n1)
     return FockOperator.from_blocks(blocks, lam, frozenset(support), EVEN)
+
+
+def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOperator:
+    """Sum of all terms supported inside ``lam`` at time t, on the ambient
+    Fock space: an even operator built from its two parity blocks, each
+    term's entries added into them in term order."""
+    phi.check_time(t)
+    return _scatter(phi, lam, lambda term_obj: term_obj.coefficient(t))
 
 
 def sector_eigh(H: FockOperator) -> tuple:
@@ -176,6 +190,101 @@ def _unitarize(blocks: list) -> tuple:
 
 
 @dataclass(frozen=True, eq=False)
+class Eigenbasis:
+    """The eigenbasis of an interaction whose terms all carry one profile
+    c (None: the constant 1), so that H(t) = c(t) H_0 with H_0 the sum of
+    the terms at unit coefficient.  On each parity sector H_0 = V diag(w) V*,
+    and U(t, s) = V e^{-i w F} V* with F the integral of c from s to t.
+
+    ``vectors`` is V, an even ``FockOperator`` built from its two blocks,
+    after the polar correction of ``_unitarize`` if one was needed;
+    ``unitarity_defect`` and ``corrections`` are V's.
+    """
+
+    profile: Callable[[float], float] | None
+    energies: tuple
+    vectors: FockOperator
+    unitarity_defect: float
+    corrections: int
+
+    def integrals(self, s: float, times, step: float) -> list:
+        """(F, step, steps taken) at each of the sorted grid ``times``.
+
+        F is t - s for a constant profile.  Otherwise it is the midpoint sum
+        of the profile over the steps that midpoint stepping would take:
+        consecutive grid times other than s, ceil(|dt|/step) steps of dt
+        each.  The midpoint factors e^{-i c dt H_0} commute, so their
+        product is e^{-i F H_0} exactly.
+        """
+        out, F, prev, dt, steps = [], 0.0, s, step, 0
+        for t in times:
+            if t == s:
+                out.append((0.0, step, 0))
+            elif self.profile is None:
+                out.append((t - s, step, 1))
+            else:
+                if t != prev:
+                    n_steps = max(1, math.ceil(abs(t - prev) / step))
+                    dt = (t - prev) / n_steps
+                    F += dt * sum(float(self.profile(prev + (k + 0.5) * dt))
+                                  for k in range(n_steps))
+                    steps += n_steps
+                    prev = t
+                out.append((F, abs(dt), steps))
+        return out
+
+    def exponential(self, F: float) -> list:
+        """The two blocks of U = V e^{-i w F} V*."""
+        return _sector_exp(zip(self.energies, self.vectors.blocks), -1j * F)
+
+    def rotate(self, A: FockOperator) -> FockOperator:
+        """V* A V: A in the eigenbasis, (V* A V)[c] = V[c ^ p]* A[c] V[c]."""
+        return self.vectors.adjoint() @ A @ self.vectors
+
+    def evolve(self, rotated: FockOperator, F: float) -> FockOperator:
+        """V* tau(A) V = D* (V* A V) D with D = e^{-i w F}, from
+        ``rotated`` = V* A V: an entrywise phase, on block c the row phases
+        conj(D[c ^ p]) and the column phases D[c]."""
+        phases = [np.exp(-1j * F * w) for w in self.energies]
+        if rotated.parity == MIXED:
+            d = np.empty(rotated.dim, dtype=complex)
+            for index, sector in zip(fock._sector_index(rotated.dim), phases):
+                d[index] = sector
+            return FockOperator(d.conj()[:, None] * rotated.matrix * d, rotated.ambient,
+                                rotated.support, MIXED)
+        p = fock._parity_bit(rotated.parity)
+        blocks = [phases[c ^ p].conj()[:, None] * b * phases[c]
+                  for c, b in enumerate(rotated.blocks)]
+        return FockOperator.from_blocks(blocks, rotated.ambient, rotated.support,
+                                        rotated.parity)
+
+
+def eigenbasis(phi: Interaction, lam: SiteSet) -> Eigenbasis | None:
+    """One ``sector_eigh`` of H_0 on ``lam`` when every term carries the
+    same profile object; None when the terms carry different profiles, so
+    that H(t) is not a multiple of one operator."""
+    if len({id(term_obj.profile) for term_obj in phi.terms}) > 1:
+        return None
+    profile = phi.terms[0].profile if phi.terms else None
+    sectors = sector_eigh(_scatter(phi, lam, lambda term_obj: 1.0))
+    vectors, defect, corrections = _unitarize([v for _, v in sectors])
+    return Eigenbasis(profile, tuple(w for w, _ in sectors),
+                      FockOperator.from_blocks(vectors, lam, frozenset(lam.sites), EVEN),
+                      defect, corrections)
+
+
+def checked_grid(phi: Interaction, s: float, times, step: float) -> list:
+    """The grid ``times`` sorted, with s and every time checked against the
+    interaction's interval; a step that is not positive raises ValueError."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    times = sorted(float(t) for t in times)
+    for r in (s, *times):
+        phi.check_time(r)
+    return times
+
+
+@dataclass(frozen=True, eq=False)
 class Propagator:
     """Unitary U(t, s) solving the Schroedinger equation for the local
     Hamiltonian, with step-size and unitarity metadata.
@@ -198,34 +307,34 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
     """Yield the propagator U(t, s) for every time of ``times``, in sorted
     order.
 
-    A time-independent interaction is diagonalized once and every U(t, s)
-    is its exact exponential.  Otherwise U is carried from one grid time to
-    the next by second-order midpoint stepping, ceil(|dt|/step) steps per
-    segment, with per-step exponentials.  U(s, s) is the exact identity.
+    When every term carries the same profile, H_0 is diagonalized once and
+    every U(t, s) is its exponential at the integrated profile
+    (``Eigenbasis``).  Otherwise U is carried from one grid time to the next
+    by second-order midpoint stepping, ceil(|dt|/step) steps per segment,
+    with per-step exponentials.  U(s, s) is the exact identity.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    times = sorted(float(t) for t in times)
-    for r in (s, *times):
-        phi.check_time(r)
-    static = None     # sector_eigh(H) of a time-independent interaction
+    times = checked_grid(phi, s, times, step)
 
     def unitary(blocks):
         return FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), EVEN)
 
     identity = [np.eye(len(index), dtype=complex) for index in fock._sector_index(lam.dim)]
+    basis = eigenbasis(phi, lam)
+    if basis is not None:
+        for t, (F, dt, steps) in zip(times, basis.integrals(s, times, step)):
+            if t == s:
+                yield Propagator(unitary(identity), s, t, step, 0.0, 0, 0)
+            else:
+                yield Propagator(unitary(basis.exponential(F)), s, t, dt,
+                                 basis.unitarity_defect, basis.corrections, steps)
+        return
     blocks = identity
     prev, dt, defect, corrections, steps = s, step, 0.0, 0, 0
     for t in times:
         if t == s:
             yield Propagator(unitary(identity), s, t, step, 0.0, 0, 0)
             continue
-        if not phi.is_time_dependent:
-            if static is None:
-                static = sector_eigh(local_hamiltonian(phi, lam, s))
-            blocks, defect, corrections = _unitarize(_sector_exp(static, -1j * (t - s)))
-            steps = 1
-        elif t != prev:
+        if t != prev:
             n_steps = max(1, math.ceil(abs(t - prev) / step))
             dt = (t - prev) / n_steps
             for k in range(n_steps):

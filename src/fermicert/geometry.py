@@ -196,22 +196,33 @@ def interaction_g_norm(phi, G: GFunction, t: float = 0.0) -> float:
     return float(_g_norms(phi, G, (t,))[0])
 
 
-def interaction_norm_integral(phi, G: GFunction, s: float, t: float) -> float:
-    """Integral of r -> ||Phi||_G(r) over [s, t].
+def interaction_norm_integrals(phi, G: GFunction, s: float, times) -> np.ndarray:
+    """Integral of r -> ||Phi||_G(r) over [s, t] for every t of ``times``,
+    from one ``_g_norms`` pass.
 
-    Exact for time-independent interactions ((t-s) times the constant);
-    composite Simpson on SIMPSON_SAMPLES uniform points otherwise.
+    Exact for time-independent interactions ((t-s) times the constant, one
+    evaluation at s); composite Simpson on SIMPSON_SAMPLES uniform points
+    of each [s, t] otherwise, all nodes of all times in the one pass.  The
+    integral over [s, s] is 0.
     """
-    if t == s:
-        return 0.0
+    times = [float(t) for t in times]
+    out = np.zeros(len(times))
+    moving = [i for i, t in enumerate(times) if t != s]
+    if not moving:
+        return out
     if not phi.is_time_dependent:
-        return abs(t - s) * interaction_g_norm(phi, G, s)
-    grid = np.linspace(s, t, SIMPSON_SAMPLES)
-    vals = _g_norms(phi, G, grid)
+        rate = float(_g_norms(phi, G, (s,))[0])
+        for i in moving:
+            out[i] = abs(times[i] - s) * rate
+        return out
+    nodes = np.concatenate([np.linspace(s, times[i], SIMPSON_SAMPLES) for i in moving])
+    vals = _g_norms(phi, G, nodes).reshape(len(moving), SIMPSON_SAMPLES)
     weights = np.ones(SIMPSON_SAMPLES)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return abs(float((t - s) / (SIMPSON_SAMPLES - 1) / 3.0 * (weights @ vals)))
+    for i, row in zip(moving, vals):
+        out[i] = abs(float((times[i] - s) / (SIMPSON_SAMPLES - 1) / 3.0 * (weights @ row)))
+    return out
 
 
 def phi_boundary(phi, X: Iterable, interval: tuple | None = None) -> frozenset:

@@ -3,47 +3,14 @@
 import numpy as np
 import pytest
 
-import math
-
-from fermicert import fock, models
-from fermicert.dynamics import (UNITARITY_TOL, Interaction, InteractionTerm,
+from dynamics_oracles import spectral_expm, stitched_grid, two_profile_kitaev
+from fermicert import dynamics, fock, models
+from fermicert.dynamics import (UNITARITY_TOL, Interaction, InteractionTerm, eigenbasis,
                                 heisenberg, local_hamiltonian, propagate,
                                 propagate_grid, scaled_profile, sector_eigh)
 from fermicert.fock import (PARITY_TAG_TOL, FockOperator, SiteSet, annihilator,
                             anticommutator, chain, commutator, creator,
                             number_operator, op_norm, parity_operator)
-
-
-def _spectral_expm(H, z):
-    w, v = np.linalg.eigh(H)
-    return (v * np.exp(z * w)) @ v.conj().T
-
-
-def _full_matrix_propagate(phi, lam, s, t, step):
-    """Oracle: one full-matrix eigh per static propagator or midpoint step."""
-    if t == s:
-        return np.eye(lam.dim, dtype=complex)
-    if not phi.is_time_dependent:
-        return _spectral_expm(local_hamiltonian(phi, lam, s).matrix, -1j * (t - s))
-    n_steps = max(1, math.ceil(abs(t - s) / step))
-    dt = (t - s) / n_steps
-    U = np.eye(lam.dim, dtype=complex)
-    for k in range(n_steps):
-        H = local_hamiltonian(phi, lam, s + (k + 0.5) * dt).matrix
-        U = _spectral_expm(H, -1j * dt) @ U
-    return U
-
-
-def _stitched_grid(phi, lam, s, times, step):
-    """Oracle: U(t_i, s) as the product of per-segment full-matrix
-    propagators U(t_i, t_{i-1}) ... U(t_0, s)."""
-    out, U, prev = [], None, s
-    for t in sorted(times):
-        seg = _full_matrix_propagate(phi, lam, prev, t, step)
-        U = seg if U is None else seg @ U
-        out.append(U)
-        prev = t
-    return out
 
 
 def _random_even_hermitian(L, rng):
@@ -94,7 +61,7 @@ def test_propagate_matches_spectral_exponential():
     H = local_hamiltonian(phi, lam).matrix
     for t in (0.7, 2.0):
         U = propagate(phi, lam, 0.0, t)
-        assert np.abs(U.operator.matrix - _spectral_expm(H, -1j * t)).max() <= 1e-8
+        assert np.abs(U.operator.matrix - spectral_expm(H, -1j * t)).max() <= 1e-8
         assert U.unitarity_defect <= 1e-9
 
 
@@ -115,6 +82,58 @@ def test_propagate_step_halving_second_order():
     errs = [np.abs(m - mats[-1]).max() for m in mats[:-1]]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 1.9
+
+
+def test_two_profile_midpoint_stepping_is_second_order():
+    lam = chain(4)
+    phi = two_profile_kitaev(4)
+    assert eigenbasis(phi, lam) is None
+    H0, H1 = (local_hamiltonian(phi, lam, t) for t in (0.0, 1.0))
+    assert op_norm(commutator(H0, H1)) > 0.1
+    steps = [0.2, 0.1, 0.05, 0.025]
+    mats = [propagate(phi, lam, 0.0, 1.0, step=h).operator.matrix for h in steps]
+    errs = [np.abs(m - mats[-1]).max() for m in mats[:-1]]
+    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    assert min(orders) >= 1.9
+
+
+def test_single_profile_grid_keeps_the_midpoint_step_metadata():
+    # a shared profile takes one eigendecomposition; a split one steps, with
+    # the same partition of the grid, so step and steps_taken agree
+    lam = chain(4)
+    hop = models.hopping_chain(4, mu=0.3)
+    shared = scaled_profile(hop, lambda r: 1.0 + 0.5 * r, (0.0, 2.0))
+    split = Interaction(shared.terms[:3] + scaled_profile(
+        Interaction(hop.terms[3:]), lambda r: 1.0 + 0.5 * r, (0.0, 2.0)).terms, (0.0, 2.0))
+    assert eigenbasis(shared, lam).profile is shared.terms[0].profile
+    assert eigenbasis(split, lam) is None
+    times = [0.2, 0.5, 0.5, 0.93, 1.6]
+    for s in (0.0, 0.5):
+        got = [(U.t, U.step, U.steps_taken) for U in propagate_grid(shared, lam, s, times, 0.07)]
+        want = [(U.t, U.step, U.steps_taken) for U in propagate_grid(split, lam, s, times, 0.07)]
+        assert got == want
+    static = eigenbasis(hop, lam)
+    assert static.profile is None and static.corrections == 0
+    assert static.unitarity_defect <= UNITARITY_TOL
+
+
+def test_one_sector_eigh_per_grid_for_a_shared_profile(monkeypatch):
+    calls = []
+
+    def counting(H):
+        calls.append(H)
+        return sector_eigh(H)
+
+    monkeypatch.setattr(dynamics, "sector_eigh", counting)
+    lam = chain(5)
+    ramped = scaled_profile(models.hopping_chain(5), lambda r: 0.5 + r, (0.0, 1.0))
+    for phi in (models.hopping_chain(5), ramped):
+        calls.clear()
+        list(propagate_grid(phi, lam, 0.0, np.linspace(0.0, 1.0, 11), step=0.01))
+        assert len(calls) == 1
+    calls.clear()
+    list(propagate_grid(two_profile_kitaev(5), lam, 0.0, [0.5, 1.0], step=0.1))
+    assert len(calls) == 10
 
 
 def test_propagate_rejects_odd_interactions(rng):
@@ -188,7 +207,7 @@ def test_inverse_heisenberg_is_reversed_generator():
     inv = heisenberg(A, U)
     # oracle: conjugation by exp(+iHt)
     H = local_hamiltonian(phi, lam).matrix
-    V = _spectral_expm(H, 1j * 0.6)
+    V = spectral_expm(H, 1j * 0.6)
     oracle = V.conj().T @ A.matrix @ V
     assert np.abs(inv.matrix - oracle).max() <= 1e-9
 
@@ -223,7 +242,7 @@ def test_sector_eigh_exponential_matches_full_eigh(L, rng):
     U = np.zeros((H.dim, H.dim), dtype=complex)
     for index, (w, v) in zip(sectors, sector_eigh(H)):
         U[np.ix_(index, index)] = (v * np.exp(-0.7j * w)) @ v.conj().T
-    assert np.abs(U - _spectral_expm(H.matrix, -0.7j)).max() <= 1e-12
+    assert np.abs(U - spectral_expm(H.matrix, -0.7j)).max() <= 1e-12
     # the sectors partition the basis by particle-number parity
     even, odd = sectors
     signs = fock._popcount_signs(L)
@@ -283,11 +302,13 @@ def test_local_hamiltonian_on_no_sites():
     assert np.array_equal(H.matrix, [[0.5]])
 
 
-@pytest.mark.parametrize("name", ["static", "ramped", "random_even"])
+@pytest.mark.parametrize("name", ["static", "ramped", "random_even", "two_profiles"])
 def test_propagate_grid_matches_stitched_full_matrix_oracle(name):
     L = 6
     lam = chain(L)
-    if name == "static":
+    if name == "two_profiles":
+        phi = two_profile_kitaev(L)
+    elif name == "static":
         phi = models.hopping_chain(L, mu=0.3)
     elif name == "ramped":
         phi = scaled_profile(models.hopping_chain(L, mu=0.3),
@@ -296,7 +317,7 @@ def test_propagate_grid_matches_stitched_full_matrix_oracle(name):
         phi = models.random_even_interaction(lam, max_range=2, seed=3)
     times = [0.0, 0.1, 0.35, 0.35, 0.6, 1.0]
     got = list(propagate_grid(phi, lam, 0.0, times, step=0.02))
-    want = _stitched_grid(phi, lam, 0.0, times, 0.02)
+    want = stitched_grid(phi, lam, 0.0, times, 0.02)
     assert [U.t for U in got] == times
     for U, oracle in zip(got, want):
         assert np.abs(U.operator.matrix - oracle).max() <= 1e-12

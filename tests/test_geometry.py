@@ -7,7 +7,7 @@ from fermicert import dynamics, fock, models
 from fermicert.geometry import (SIMPSON_SAMPLES, DecayFunction, GFunction,
                                 chain_graph, f_conv_constant, f_norm, g_from_f,
                                 grid_graph, interaction_g_norm,
-                                interaction_norm_integral, phi_boundary)
+                                interaction_norm_integrals, phi_boundary)
 
 
 def _triangle_defect(d):
@@ -136,7 +136,7 @@ def test_interaction_norm_integral_time_independent_exact():
     G = g_from_f(DecayFunction(1, 1.0), g)
     phi = models.hopping_chain(L)
     k = interaction_g_norm(phi, G)
-    assert interaction_norm_integral(phi, G, 0.0, 2.0) == pytest.approx(2 * k, rel=1e-14)
+    assert interaction_norm_integrals(phi, G, 0.0, [2.0])[0] == pytest.approx(2 * k, rel=1e-14)
 
 
 def test_interaction_norm_integral_ramp_matches_quadrature():
@@ -147,7 +147,7 @@ def test_interaction_norm_integral_ramp_matches_quadrature():
     phi = scaled_profile(models.hopping_chain(L), lambda r: r, (0.0, 2.0))
     k = interaction_g_norm(models.hopping_chain(L), G)
     # linear ramp: integral of k*r over [0, 2] is 2k
-    assert interaction_norm_integral(phi, G, 0.0, 2.0) == pytest.approx(2 * k, rel=1e-10)
+    assert interaction_norm_integrals(phi, G, 0.0, [2.0])[0] == pytest.approx(2 * k, rel=1e-10)
 
 
 def test_interaction_norm_integral_is_scipy_simpson():
@@ -161,7 +161,7 @@ def test_interaction_norm_integral_is_scipy_simpson():
         grid = np.linspace(s, t, SIMPSON_SAMPLES)
         vals = [interaction_g_norm(phi, G, r) for r in grid]
         want = abs(float(simpson(vals, x=grid)))
-        got = interaction_norm_integral(phi, G, s, t)
+        got = interaction_norm_integrals(phi, G, s, [t])[0]
         assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -221,8 +221,7 @@ def test_phi_boundary_subset_of_x_and_all_to_all():
 
 def _g_norm_per_node(phi, G, t):
     """||Phi||_G at one time, one term at a time: the evaluation that
-    interaction_norm_integral made at each Simpson node before the nodes
-    were batched."""
+    the Simpson integral made at each node before the nodes were batched."""
     sites = G.graph.sites
     n = len(sites)
     acc = np.zeros((n, n))

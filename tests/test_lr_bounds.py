@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from fermicert import fock, geometry, models
+from dynamics_oracles import stitched_grid, two_profile_kitaev
+from fermicert import dynamics, fock, geometry, models
 from fermicert.dynamics import scaled_profile
 from fermicert.errors import CertificationError
-from fermicert.fock import annihilator, chain, number_operator
-from fermicert.geometry import DecayFunction, chain_graph, g_from_f
+from fermicert.fock import annihilator, chain, creator, number_operator
+from fermicert.geometry import SIMPSON_SAMPLES, DecayFunction, chain_graph, g_from_f
 from fermicert.lr_bounds import (ANTICOMMUTATOR, COMMUTATOR, certify, lr_rhs,
                                  series_diagnostics)
 
@@ -212,3 +213,119 @@ def test_report_serialization(chain_setup):
     assert len(data["times"]) == 5
     assert [row["t"] for row in rows] == data["times"]
     assert [row["ratio"] for row in rows] == data["ratio"]
+
+
+# -- the eigenbasis against the site basis -----------------------------------
+
+def _chains(L):
+    hop = models.hopping_chain(L, mu=0.3)
+    return {
+        "static": hop,
+        "static_kitaev": models.kitaev_chain(L, hopping=1.0, pairing=0.6, mu=0.3),
+        "linear": scaled_profile(hop, lambda r: 0.6 + 0.8 * r, (0.0, 1.0)),
+        "sine": scaled_profile(hop, lambda r: 1.0 + 0.5 * np.sin(3.0 * r), (0.0, 1.0)),
+        "two_profiles": two_profile_kitaev(L),
+    }
+
+
+def _pairs(lam, rng):
+    L = len(lam)
+    last = number_operator(lam, [L - 1])
+    return [
+        (number_operator(lam, [0]), last, COMMUTATOR),          # Hermitian: X - X*
+        (annihilator(lam, 0), creator(lam, L - 1), ANTICOMMUTATOR),
+        (annihilator(lam, 0), annihilator(lam, L - 1), ANTICOMMUTATOR),
+        (creator(lam, 0) @ annihilator(lam, 1), last, COMMUTATOR),   # even, not Hermitian
+        (fock.random_local_operator(lam, (0,), rng), last, COMMUTATOR),  # mixed parity
+    ]
+
+
+def _site_basis_norms(A, B, unitaries, mode):
+    """Oracle: ||[U* A U, B]|| (or the anticommutator) of the full matrices."""
+    sign = -1.0 if mode == COMMUTATOR else 1.0
+    a, b = A.matrix, B.matrix
+    norms = []
+    for u in unitaries:
+        tau = u.conj().T @ a @ u
+        norms.append(np.linalg.norm(tau @ b + sign * (b @ tau), 2))
+    return np.array(norms)
+
+
+@pytest.mark.parametrize("L", [4, 5, 6, 7, 8])
+def test_measured_matches_site_basis_oracle(L):
+    lam = chain(L)
+    G = g_from_f(DecayFunction(1, 1.0), chain_graph(L))
+    rng = np.random.default_rng(40 + L)
+    times, step = [0.0, 0.3, 0.55, 1.0], 0.1
+    pairs = _pairs(lam, rng)
+    assert not pairs[3][0].is_hermitian() and pairs[4][0].parity == fock.MIXED
+    for name, phi in _chains(L).items():
+        unitaries = stitched_grid(phi, lam, 0.0, times, step)
+        for A, B, mode in pairs:
+            rep = certify(A, B, phi, G, 0.0, times, mode=mode, step=step)
+            want = _site_basis_norms(A, B, unitaries, mode)
+            assert np.abs(rep.measured - want).max() <= 1e-12, (name, mode)
+        assert rep.measured[0] == 0.0
+
+
+def _integral_per_time(phi, G, s, t):
+    """The bound integral as one ``_g_norms`` pass per grid time takes it:
+    |t - s| times the rate at s, or composite Simpson on the nodes of [s, t]."""
+    if t == s:
+        return 0.0
+    if not phi.is_time_dependent:
+        return abs(t - s) * float(geometry._g_norms(phi, G, (s,))[0])
+    vals = geometry._g_norms(phi, G, np.linspace(s, t, SIMPSON_SAMPLES))
+    weights = np.ones(SIMPSON_SAMPLES)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return abs(float((t - s) / (SIMPSON_SAMPLES - 1) / 3.0 * (weights @ vals)))
+
+
+def test_bound_integrals_take_one_g_norm_pass_and_keep_every_bit(chain_setup, monkeypatch):
+    lam, phi, G = chain_setup
+    passes = []
+    g_norms = geometry._g_norms
+
+    def counting(*args):
+        passes.append(args)
+        return g_norms(*args)
+
+    A, B = number_operator(lam, [0]), number_operator(lam, [7])
+    cases = [(phi, 0.0, np.linspace(0.0, 2.0, 41)),
+             (phi, 0.2, [0.2, 0.2, 0.7, 1.9]),
+             (scaled_profile(phi, lambda r: 0.5 + 0.8 * r, (0.0, 2.0)), 0.0,
+              np.linspace(0.0, 2.0, 41)),
+             (scaled_profile(phi, lambda r: 1.0 + 0.5 * np.sin(3 * r), (0.0, 2.0)), 0.3,
+              [0.3, 0.45, 1.2, 2.0])]
+    for interaction, s, times in cases:
+        monkeypatch.setattr(geometry, "_g_norms", counting)
+        passes.clear()
+        rep = certify(A, B, interaction, G, s, times)
+        assert len(passes) == 1
+        monkeypatch.setattr(geometry, "_g_norms", g_norms)
+        integrals = np.array([_integral_per_time(interaction, G, s, t) for t in rep.times])
+        bound = np.array([lr_rhs(rep.norm_a, rep.norm_b, v, rep.geometry_factor)
+                          for v in integrals])
+        ratio = np.where(bound > 0, rep.measured / np.where(bound > 0, bound, 1.0), 0.0)
+        for got, want in ((rep.phi_integrals, integrals), (rep.bound, bound),
+                          (rep.ratio, ratio)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_one_sector_eigh_per_certify(chain_setup, monkeypatch):
+    lam, phi, G = chain_setup
+    calls = []
+    sector_eigh = dynamics.sector_eigh
+
+    def counting(H):
+        calls.append(H)
+        return sector_eigh(H)
+
+    monkeypatch.setattr(dynamics, "sector_eigh", counting)
+    A, B = number_operator(lam, [0]), number_operator(lam, [7])
+    ramped = scaled_profile(phi, lambda r: 0.5 * r, (0.0, 2.0))
+    for interaction in (phi, ramped):
+        calls.clear()
+        certify(A, B, interaction, G, 0.0, np.linspace(0.0, 2.0, 41))
+        assert len(calls) == 1
