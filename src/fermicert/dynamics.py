@@ -119,11 +119,14 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
 @lru_cache(maxsize=4096)
 def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
     """Term template embedded into ``lam``, kept as its nonzero entries on
-    the two parity blocks stacked flat, even block first: (flat index,
-    values).  Basis state k is the (k >> 1)-th state of its sector."""
-    stacked = np.concatenate([b.ravel() for b in fock.embed(term_obj.operator, lam).blocks])
-    flat = np.flatnonzero(stacked)
-    entries = flat, stacked[flat]
+    the two parity blocks stacked flat, even block first
+    (``fock._stacked_index``): (flat index, values), sorted by flat index.
+    They come straight from the signed scatter of ``fock.embed``
+    (``fock._embedded_entries``), so no dense or block-sized array is made
+    for a term."""
+    flat, values = fock._embedded_entries(term_obj.operator, lam)
+    order = np.argsort(flat)
+    entries = flat[order], values[order]
     for a in entries:
         a.flags.writeable = False
     return entries

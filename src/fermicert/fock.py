@@ -19,14 +19,20 @@ holds only its two parity blocks, however it was built, and its dense
 matrix is assembled on each read; a mixed one holds only its dense matrix.
 The checked constructor gathers the blocks of a definite-parity matrix
 once, and sums, differences and scalar multiples of definite-parity
-operands work block by block.  Everything here is a pure function over
-immutable inputs; arrays are frozen once set and operators are safe to
-share across threads.
+operands work block by block.
+
+One signed reordering, ``_front_reordering``, moves a site subset X ahead
+of the rest C; in its basis an operator supported in X is M (x) 1_C.  The
+conditional expectations average its blocks, and ``embed`` scatters a
+local operator's matrix through it onto a larger lattice, straight into
+the parity blocks.
+
+Everything here is a pure function over immutable inputs; arrays are
+frozen once set and operators are safe to share across threads.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -176,6 +182,26 @@ def sector_matrix(blocks, parity: str, dim: int) -> np.ndarray:
     return m
 
 
+def _stacked_index(lam: SiteSet, p: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat index of entry (row, col) in the blocks of ``_sector_mesh(dim,
+    p)`` stacked flat, column sector 0 first: column c lies in block
+    popcount(c) mod 2, and basis state k is the (k >> 1)-th state of its
+    sector (at L = 0 the odd block is empty)."""
+    (r0, c0), _ = _block_shapes(lam.dim, p)
+    return (_popcount_signs(len(lam))[cols] < 0) * (r0 * c0) + (rows >> 1) * c0 + (cols >> 1)
+
+
+def _from_entries(lam: SiteSet, flat: np.ndarray, values, support: frozenset,
+                  parity: str) -> "FockOperator":
+    """The even or odd operator with ``values`` at the stacked indices
+    ``flat`` (``_stacked_index``) and exact zeros elsewhere."""
+    (r0, c0), (r1, c1) = _block_shapes(lam.dim, _parity_bit(parity))
+    stacked = np.zeros(r0 * c0 + r1 * c1, dtype=complex)
+    stacked[flat] = values
+    blocks = stacked[:r0 * c0].reshape(r0, c0), stacked[r0 * c0:].reshape(r1, c1)
+    return FockOperator.from_blocks(blocks, lam, support, parity)
+
+
 def _block_bracket(A: "FockOperator", B: "FockOperator", sign: float | None) -> tuple:
     """Blocks of A B (sign None) or A B + sign * B A for definite-parity A
     and B: (XY)[c] = X[c ^ p_Y] @ Y[c]."""
@@ -291,10 +317,15 @@ class FockOperator:
                                         self.ambient, self.support, self.parity)
 
     def is_hermitian(self) -> bool:
-        """Self-adjoint within HERMITIAN_RTOL of the matrix scale (at least 1)."""
-        m = self.matrix
-        scale = max(1.0, np.abs(m).max())
-        return np.abs(m - m.conj().T).max() <= HERMITIAN_RTOL * scale
+        """Self-adjoint within HERMITIAN_RTOL of the matrix scale (at least
+        1), read from the kept view: the matrix against its adjoint, or block
+        c against the adjoint of block c ^ p."""
+        views, p = ((self._matrix,), 0) if self.parity == MIXED else (
+            self._blocks, _parity_bit(self.parity))
+        scale = max(1.0, np.maximum.reduce([np.abs(v).max(initial=0.0) for v in views]))
+        defect = np.maximum.reduce([np.abs(v - views[c ^ p].conj().T).max(initial=0.0)
+                                    for c, v in enumerate(views)])
+        return defect <= HERMITIAN_RTOL * scale
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -370,8 +401,7 @@ def _string_operator(lam: SiteSet, ops: tuple, support: frozenset) -> FockOperat
     Column c is alive iff c & need == want, maps to row c ^ flip and has
     weight (-1)^{popcount(c & sign)}.  An odd symbol at p flips and needs
     bit p (a occupied, a* vacant) and puts theta on every bit below p; a*a
-    needs bit p occupied and flips nothing (the rule of _string_blocks).
-    Basis state k is the (k >> 1)-th state of its sector.
+    needs bit p occupied and flips nothing (the rule of _string_masks).
     """
     need = want = flip = sign = 0
     for p, sym in ops:
@@ -384,15 +414,9 @@ def _string_operator(lam: SiteSet, ops: tuple, support: frozenset) -> FockOperat
             sign ^= bit - 1
     signs = _popcount_signs(len(lam))
     odd = int(signs[flip] < 0)
-    (r0, c0), (r1, c1) = _block_shapes(lam.dim, odd)
     cols = np.flatnonzero((np.arange(lam.dim) & need) == want)
-    # both blocks stacked flat, c0 columns each (at L = 0 the odd one is empty);
-    # column c lies in block popcount(c) mod 2
-    flat = (signs[cols] < 0) * (r0 * c0) + ((cols ^ flip) >> 1) * c0 + (cols >> 1)
-    stacked = np.zeros(r0 * c0 + r1 * c1, dtype=complex)
-    stacked[flat] = signs[cols & sign]
-    blocks = stacked[:r0 * c0].reshape(r0, c0), stacked[r0 * c0:].reshape(r1, c1)
-    return FockOperator.from_blocks(blocks, lam, support, ODD if odd else EVEN)
+    return _from_entries(lam, _stacked_index(lam, odd, cols ^ flip, cols), signs[cols & sign],
+                         support, ODD if odd else EVEN)
 
 
 def _diagonal(lam: SiteSet, diag: np.ndarray, support: Iterable) -> FockOperator:
@@ -472,12 +496,18 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
 def _matrix_norm(m: np.ndarray) -> float:
     """Largest singular value of one matrix: the symmetric eigensolver for a
     Hermitian matrix, and for an anti-Hermitian one (as i m); an
-    exactly-zero matrix short-circuits to 0."""
-    if not m.any():
+    exactly-zero matrix short-circuits to 0.  Both tests read max|m| and
+    the conjugate transpose, each taken once."""
+    scale = np.abs(m).max(initial=0.0)
+    if scale == 0.0:
         return 0.0
-    if np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max():
+    adjoint = m.conj().T
+    hermitian = np.abs(m - adjoint).max() <= 1e-12 * scale
+    anti = not hermitian and np.abs(m + adjoint).max() <= 1e-12 * scale
+    del adjoint     # freed before the solver runs
+    if hermitian:
         return float(np.abs(np.linalg.eigvalsh(m)).max())
-    if np.abs(m + m.conj().T).max() <= 1e-12 * np.abs(m).max():
+    if anti:
         return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
@@ -508,87 +538,7 @@ def anticommutator(A: FockOperator, B: FockOperator) -> FockOperator:
     return _product(A, B, 1.0)
 
 
-# -- operator-basis expansion, support projection and embedding -------------
-
-# Hilbert-Schmidt-orthogonal single-site basis under the normalized trace:
-# 1, a, a*, theta.  Squared weights are <e, e> = tr(e* e)/2: 1/2 for the
-# odd symbols a and a*, 1 for 1 and theta.
-_STRING_SYMBOLS = ("1", "a", "a*", "t")
-
-# each block of string tables holds at most this many (string, column) entries
-_TABLE_BLOCK = 1 << 14
-
-
-def _string_blocks(lam: SiteSet, positions: tuple, strings: Iterable):
-    """Column actions of operator-basis strings, a bounded block at a time.
-
-    ``strings`` yields tuples of symbols from _STRING_SYMBOLS, one per
-    entry of ``positions``.  Each string maps column c to row c ^ flip
-    (the sites of its odd symbols), is alive iff c & flip == want (a needs
-    an occupied site, a* a vacant one) and then has weight
-    (-1)^{popcount(c & sign)}: an odd symbol at p puts theta on every site
-    before p, a theta on p itself.  Yields (block, odd, rows, vals): the
-    block's strings, the (B, k) mask of their odd symbols and their
-    (B, 2^n) row and weight tables.
-    """
-    bit = np.left_shift(1, np.array(positions, dtype=np.int64))
-    cols = np.arange(lam.dim)
-    signs = _popcount_signs(len(lam))
-    strings = iter(strings)
-    per_block = max(1, _TABLE_BLOCK >> len(lam))
-    while block := list(itertools.islice(strings, per_block)):
-        symbols = np.array(block, dtype="<U2").reshape(len(block), len(positions))
-        odd = (symbols == "a") | (symbols == "a*")
-        flip = (odd * bit).sum(axis=1)[:, None]
-        want = ((symbols == "a") * bit).sum(axis=1)[:, None]
-        sign = np.bitwise_xor.reduce(np.where(odd, bit - 1, (symbols == "t") * bit),
-                                     axis=1)[:, None]
-        vals = np.where((cols & flip) == want, signs[cols & sign], 0.0)
-        yield block, odd, cols ^ flip, vals
-
-
-def decompose(A: FockOperator, subset: Iterable) -> dict:
-    """Expansion coefficients of A over the trace-orthogonal operator basis
-    built from {1, a_x, a*_x, theta_x} on ``subset``.
-
-    Exact whenever A is supported in ``subset``; the coefficients identify
-    the abstract algebra element independently of the ambient lattice.  The
-    strings' tables are built in bounded blocks; each coefficient is the
-    same pairwise sum over all 2^n columns as one string at a time, bit for
-    bit.
-    """
-    lam = A.ambient
-    subset = lam.restrict(subset).sites
-    pos = lam.positions(subset)
-    if len(subset) > 8:
-        raise ValueError(f"operator-basis expansion over {len(subset)} sites is too large")
-    dim = lam.dim
-    cols = np.arange(dim)
-    m = A.matrix
-    coeffs = {}
-    strings = itertools.product(_STRING_SYMBOLS, repeat=len(subset))
-    for block, odd, rows, vals in _string_blocks(lam, pos, strings):
-        inner = (vals * m[rows, cols]).sum(axis=1) / dim
-        weight = np.where(odd, 0.5, 1.0).prod(axis=1)
-        c = inner / weight
-        for i in np.flatnonzero(np.abs(c) > 0.0):
-            coeffs[block[i]] = complex(c[i])
-    return coeffs
-
-
-def _assemble(dim: int, positions: tuple, coeffs: dict, lam: SiteSet) -> np.ndarray:
-    """Matrix of sum_s coeffs[s] s on ``lam``, accumulated string by string
-    in dict order."""
-    m = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    values = np.array(list(coeffs.values()), dtype=complex)
-    start = 0
-    for block, _, rows, vals in _string_blocks(lam, positions, coeffs):
-        c = values[start:start + len(block), None]
-        start += len(block)
-        np.add.at(m, (rows, cols), c * vals)
-    return m
-
+# -- support projection and embedding -------------------------------------
 
 def _state_offsets(positions: tuple) -> np.ndarray:
     """Basis index contributed by each configuration of the sites at
@@ -667,25 +617,115 @@ def support_defect(A: FockOperator, subset: Iterable) -> float:
     return float(np.linalg.norm(A.matrix - project_support(A, subset).matrix))
 
 
+# each block of string tables holds at most this many (string, column) entries
+_TABLE_BLOCK = 1 << 14
+
+
+@lru_cache(maxsize=None)
+def _string_masks(nsites: int) -> tuple:
+    """(flip, want, sign, weight) of the 4^n Jordan-Wigner strings of the
+    trace-orthogonal operator basis on ``nsites`` sites, in product order.
+
+    String s puts symbol (s >> 2 (n - 1 - j)) & 3 on site j: 0 is 1, 1 is a,
+    2 is a*, 3 is theta, so the last site varies fastest.  The string maps
+    column c to row c ^ flip (the sites of its odd symbols), is alive iff
+    c & flip == want (a needs an occupied site, a* a vacant one) and then
+    has value (-1)^{popcount(c & sign)}: an odd symbol at p puts theta on
+    every site before p, a theta on p itself.  ``weight`` is the squared
+    norm tr(s* s)/2^n: 1/2 per odd symbol.
+    """
+    strings = np.arange(4 ** nsites)
+    flip, want, sign = (np.zeros_like(strings) for _ in range(3))
+    weight = np.ones(strings.size)
+    for j in range(nsites):
+        symbol = strings >> 2 * (nsites - 1 - j) & 3
+        bit = 1 << j
+        odd = (symbol == 1) | (symbol == 2)
+        flip |= odd * bit
+        want |= (symbol == 1) * bit
+        sign ^= np.where(odd, bit - 1, (symbol == 3) * bit)
+        weight[odd] *= 0.5
+    for a in (flip, want, sign, weight):
+        a.flags.writeable = False
+    return flip, want, sign, weight
+
+
+def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
+    """m expanded over the strings of ``_string_masks`` on its own
+    ``nsites`` sites and reassembled twice: [0] with each string's values
+    v, [1] with its alive values negated (a dead column stays +0).
+
+    Coefficient s is the pairwise sum over all 2^n columns of v m, divided
+    by 2^n and by the weight; each string with a nonzero coefficient is
+    added entry by entry, in product order.  The tables come in blocks of
+    at most _TABLE_BLOCK entries.
+    """
+    if nsites > 8:
+        raise ValueError(f"operator-basis expansion over {nsites} sites is too large")
+    flip, want, sign, weight = _string_masks(nsites)
+    dim = 1 << nsites
+    cols = np.arange(dim)
+    signs = _popcount_signs(nsites)
+    entries = m.ravel()
+    out = np.zeros((2, dim * dim), dtype=complex)
+    per_block = max(1, _TABLE_BLOCK >> nsites)
+    for start in range(0, flip.size, per_block):
+        strings = slice(start, start + per_block)
+        f = flip[strings, None]
+        at = (cols ^ f) << nsites | cols
+        values = np.where((cols & f) == want[strings, None], signs[cols & sign[strings, None]],
+                          0.0)
+        c = (values * entries[at]).sum(axis=1) / dim / weight[strings]
+        kept = np.abs(c) > 0.0
+        c, at, values = c[kept, None], at[kept].ravel(), values[kept]
+        np.add.at(out[0], at, (c * values).ravel())
+        # 0 - v, not -v: a dead column keeps its +0
+        np.add.at(out[1], at, (c * (0.0 - values)).ravel())
+    return out.reshape(2, dim, dim)
+
+
+def _embedded_entries(A: FockOperator, target: SiteSet) -> tuple:
+    """(flat, values): the nonzero entries of A on ``target``, flat in its
+    storage there (the stacked blocks of ``_stacked_index`` for an even or
+    odd A, the dense matrix for a mixed one).
+
+    With A's sites X moved ahead of the rest C by ``_front_reordering``,
+    entry (r, c) of A's own matrix lands at (index[k, r], index[k, c]) for
+    each configuration k of C, with the sign sigma = sign[k, r] sign[k, c].
+    Every string that reaches that entry on ``target`` has the value sigma v
+    there, v its value on A's own lattice, so the entry is read from the
+    round trip with v (sigma = 1) or with -v (sigma = -1).
+    """
+    small = A.ambient
+    positions = target.positions(small.sites)
+    if list(positions) != sorted(positions):
+        raise ValueError("target ordering is inconsistent with the operator's lattice")
+    index, sign = _front_reordering(len(target), positions)
+    trips = _round_trip(A.matrix, len(small))
+    r, c = np.nonzero(trips[0])
+    rows, cols = index[:, r], index[:, c]
+    values = np.where(sign[:, r] == sign[:, c], trips[0, r, c], trips[1, r, c]).ravel()
+    if A.parity == MIXED:
+        return (rows * target.dim + cols).ravel(), values
+    return _stacked_index(target, _parity_bit(A.parity), rows, cols).ravel(), values
+
+
 def embed(A: FockOperator, target: SiteSet) -> FockOperator:
     """Re-represent A on a larger lattice containing its ambient sites.
 
-    The relative site order must agree; the embedding is exact (expansion
-    over the orthogonal operator basis, rebuilt with the target lattice's
-    Jordan-Wigner strings).  Both steps build the strings' tables in bounded
-    blocks of vectorized bitmask operations; the result is the same, bit for
-    bit, as computing them one string at a time.
+    The relative site order must agree.  The embedding is exact: the
+    Jordan-Wigner reordering M (x) 1_C, a signed scatter of A's own-lattice
+    round trip (``_embedded_entries``), with the same result, bit for bit,
+    as expanding A over its 4^k operator-basis strings and rebuilding it
+    with the target's strings.  An even or odd A goes straight into its two
+    parity blocks.
     """
-    small = A.ambient
-    tgt_pos = target.positions(small.sites)
-    if list(tgt_pos) != sorted(tgt_pos):
-        raise ValueError("target ordering is inconsistent with the operator's lattice")
-    coeffs = decompose(A, small.sites)
-    m = _assemble(target.dim, tgt_pos, coeffs, target)
-    if A.parity == MIXED:
-        return FockOperator(m, target, A.support, MIXED)
-    return FockOperator.from_blocks(_gather(m, _parity_bit(A.parity)), target, A.support,
-                                    A.parity)
+    flat, values = _embedded_entries(A, target)
+    if A.parity != MIXED:
+        return _from_entries(target, flat, values, A.support, A.parity)
+    m = np.zeros(target.dim ** 2, dtype=complex)
+    m[flat] = values
+    return FockOperator(m.reshape(target.dim, target.dim), target, A.support, MIXED)
 
 
 def random_local_operator(lam: SiteSet, subset: Iterable, rng: np.random.Generator,

@@ -1,18 +1,21 @@
 """Fock representation: anticommutation relations, parity structure,
 monomial basis, support bookkeeping and embedding."""
 
+import importlib.util
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermicert import fock, models
+from fermicert import cli, dynamics, fock, models
 from fermicert.errors import SiteNotInLattice
 from fermicert.fock import (EVEN, ODD, FockOperator, annihilator,
                             anticommutator, chain, commutator, creator,
-                            decompose, embed, identity, monomial,
+                            embed, identity, monomial,
                             number_operator, op_norm, parity_decompose,
                             parity_operator, project_support,
                             random_local_operator, support_defect, zero)
@@ -183,6 +186,65 @@ def test_op_norm_anti_hermitian_matches_svd_without_svd(rng, lam6, monkeypatch):
         assert op_norm(m) == pytest.approx(want, rel=1e-12)
 
 
+def _matrix_norm_oracle(m):
+    """The norm dispatch with max|m| and m* taken afresh for each test."""
+    if not m.any():
+        return 0.0
+    if np.abs(m - m.conj().T).max() <= 1e-12 * np.abs(m).max():
+        return float(np.abs(np.linalg.eigvalsh(m)).max())
+    if np.abs(m + m.conj().T).max() <= 1e-12 * np.abs(m).max():
+        return float(np.abs(np.linalg.eigvalsh(1j * m)).max())
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 16])
+def test_matrix_norm_takes_the_oracle_branch_bitwise(n, monkeypatch):
+    rng = np.random.default_rng(600 + n)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = g + g.conj().T
+    # Hermitian, anti-Hermitian and general, each just inside and just
+    # outside the relative tolerance 1e-12, zeros and signed zeros
+    cases = [h, 1j * h, g, -0.0 * g, np.zeros((n, n), dtype=complex)]
+    cases += [m + eps * np.abs(m).max(initial=0.0) * g for m in (h, 1j * h)
+              for eps in (0.4e-12, 0.6e-12, 1e-9)]
+    calls = []
+
+    def recorded(name, solver):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
+    for m in cases:
+        got = fock._matrix_norm(m)
+        branch = calls[:]
+        calls.clear()
+        want = _matrix_norm_oracle(m)
+        assert calls == branch
+        calls.clear()
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
+@pytest.mark.parametrize("parity", [EVEN, ODD])
+def test_is_hermitian_on_the_blocks_gives_the_dense_verdict(parity):
+    # oracle: the test on the dense matrix, scale max(1, max|entry|)
+    rng = np.random.default_rng(700)
+    for L in range(5):
+        lam = fock.SiteSet(range(L))
+        A = random_local_operator(lam, lam.sites, rng, parity=parity)
+        for scale in (1e-3, 1.0, 1e3):
+            H = scale * (A + A.adjoint())
+            for eps in (0.0, 0.4e-12, 0.6e-12, 1e-9):
+                op = H + eps * scale * A
+                m = op.matrix
+                scale = max(1.0, np.abs(m).max())
+                assert op.is_hermitian() == (np.abs(m - m.conj().T).max()
+                                             <= fock.HERMITIAN_RTOL * scale)
+                assert "_blocks" in op.__dict__ and "matrix" not in op.__dict__
+
+
 def test_commutator_disjoint_supports(rng, lam6):
     # even x anything commutes; odd x odd anticommutes
     A_even = random_local_operator(lam6, (0, 1), rng, parity=EVEN)
@@ -327,7 +389,7 @@ def test_project_support_matches_basis_expansion(rng, parity):
     for n, X in cases:
         lam = chain(int(n))
         A = random_local_operator(lam, lam.sites, rng, parity=parity)
-        oracle = fock._assemble(lam.dim, lam.positions(X), decompose(A, X), lam)
+        oracle = _assemble(lam.dim, lam.positions(X), decompose(A, X), lam)
         proj = project_support(A, X)
         assert proj.support == frozenset(X)
         assert np.abs(proj.matrix - oracle).max() <= 1e-12
@@ -475,6 +537,94 @@ def test_front_reordering_counts_crossings_state_by_state(L):
                 assert sign[c, s] == (-1) ** crossings
 
 
+# -- the operator-basis expansion: the oracle of embed and project_support ----
+
+# Hilbert-Schmidt-orthogonal single-site basis under the normalized trace:
+# 1, a, a*, theta.  Squared weights are <e, e> = tr(e* e)/2: 1/2 for the
+# odd symbols a and a*, 1 for 1 and theta.  fock._string_masks numbers the
+# symbols in this order.
+_STRING_SYMBOLS = ("1", "a", "a*", "t")
+
+
+def _string_blocks(lam, positions, strings):
+    """Column actions of operator-basis strings, a bounded block at a time.
+
+    ``strings`` yields tuples of symbols from _STRING_SYMBOLS, one per
+    entry of ``positions``.  Each string maps column c to row c ^ flip
+    (the sites of its odd symbols), is alive iff c & flip == want (a needs
+    an occupied site, a* a vacant one) and then has weight
+    (-1)^{popcount(c & sign)}: an odd symbol at p puts theta on every site
+    before p, a theta on p itself.  Yields (block, odd, rows, vals): the
+    block's strings, the (B, k) mask of their odd symbols and their
+    (B, 2^n) row and weight tables.
+    """
+    bit = np.left_shift(1, np.array(positions, dtype=np.int64))
+    cols = np.arange(lam.dim)
+    signs = fock._popcount_signs(len(lam))
+    strings = iter(strings)
+    per_block = max(1, fock._TABLE_BLOCK >> len(lam))
+    while block := list(itertools.islice(strings, per_block)):
+        symbols = np.array(block, dtype="<U2").reshape(len(block), len(positions))
+        odd = (symbols == "a") | (symbols == "a*")
+        flip = (odd * bit).sum(axis=1)[:, None]
+        want = ((symbols == "a") * bit).sum(axis=1)[:, None]
+        sign = np.bitwise_xor.reduce(np.where(odd, bit - 1, (symbols == "t") * bit),
+                                     axis=1)[:, None]
+        vals = np.where((cols & flip) == want, signs[cols & sign], 0.0)
+        yield block, odd, cols ^ flip, vals
+
+
+def decompose(A, subset):
+    """Expansion coefficients of A over the trace-orthogonal operator basis
+    built from {1, a_x, a*_x, theta_x} on ``subset``.
+
+    Exact whenever A is supported in ``subset``; the coefficients identify
+    the abstract algebra element independently of the ambient lattice.  The
+    strings' tables are built in bounded blocks; each coefficient is the
+    same pairwise sum over all 2^n columns as one string at a time, bit for
+    bit.
+    """
+    lam = A.ambient
+    subset = lam.restrict(subset).sites
+    pos = lam.positions(subset)
+    if len(subset) > 8:
+        raise ValueError(f"operator-basis expansion over {len(subset)} sites is too large")
+    dim = lam.dim
+    cols = np.arange(dim)
+    m = A.matrix
+    coeffs = {}
+    strings = itertools.product(_STRING_SYMBOLS, repeat=len(subset))
+    for block, odd, rows, vals in _string_blocks(lam, pos, strings):
+        inner = (vals * m[rows, cols]).sum(axis=1) / dim
+        weight = np.where(odd, 0.5, 1.0).prod(axis=1)
+        c = inner / weight
+        for i in np.flatnonzero(np.abs(c) > 0.0):
+            coeffs[block[i]] = complex(c[i])
+    return coeffs
+
+
+def _assemble(dim, positions, coeffs, lam):
+    """Matrix of sum_s coeffs[s] s on ``lam``, accumulated string by string
+    in dict order."""
+    m = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
+    values = np.array(list(coeffs.values()), dtype=complex)
+    start = 0
+    for block, _, rows, vals in _string_blocks(lam, positions, coeffs):
+        c = values[start:start + len(block), None]
+        start += len(block)
+        np.add.at(m, (rows, cols), c * vals)
+    return m
+
+
+def _expansion_embed(A, target):
+    """Dense matrix of A on ``target``: A's expansion over its own sites,
+    rebuilt with the target lattice's strings (the embedding before the
+    signed scatter)."""
+    coeffs = decompose(A, A.ambient.sites)
+    return _assemble(target.dim, target.positions(A.ambient.sites), coeffs, target)
+
+
 # -- batched string tables against the per-string loop ----------------------
 
 _ORACLE_WEIGHTS = {"1": 1.0, "a": 0.5, "a*": 0.5, "t": 1.0}
@@ -489,7 +639,7 @@ def _decompose_per_string(A, subset):
     dim = lam.dim
     cols = np.arange(dim)
     coeffs = {}
-    for symbols in itertools.product(fock._STRING_SYMBOLS, repeat=len(subset)):
+    for symbols in itertools.product(_STRING_SYMBOLS, repeat=len(subset)):
         ops = tuple((p, s) for p, s in zip(pos, symbols) if s != "1")
         rows, vals = _string_action(lam, ops)
         inner = np.sum(vals.conj() * A.matrix[rows, cols]) / dim
@@ -556,8 +706,9 @@ def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per
                                                       monkeypatch):
     for A, target, X, want_embed, want_proj in bitwise_cases:
         if strings_per_block is not None:
-            # block boundaries inside the string range of decompose and _assemble
-            monkeypatch.setattr(fock, "_TABLE_BLOCK", strings_per_block << len(target))
+            # block boundaries inside the string range of embed's round trip
+            # on A's own lattice, and of decompose and _assemble over X
+            monkeypatch.setattr(fock, "_TABLE_BLOCK", strings_per_block << len(A.ambient))
         emb = embed(A, target)
         assert np.array_equal(_bits(emb.matrix), _bits(want_embed))
         if X is None:
@@ -568,8 +719,43 @@ def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per
         assert list(coeffs) == list(want_coeffs)
         assert np.array_equal(_bits(np.array(list(coeffs.values()), dtype=complex)),
                               _bits(np.array(list(want_coeffs.values()), dtype=complex)))
-        got = fock._assemble(lam.dim, lam.positions(X), coeffs, lam)
+        got = _assemble(lam.dim, lam.positions(X), coeffs, lam)
         assert np.array_equal(_bits(got), _bits(want_matrix))
+
+
+def _model_configs():
+    """Every shipped config and every benchmark config of seed 0 that names
+    a model."""
+    root = Path(__file__).resolve().parent.parent
+    configs = [json.loads(path.read_text()) for path in sorted((root / "configs").glob("*.json"))]
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        configs += workloads.configs(workload, 0)
+    return [config for config in configs if "model" in config]
+
+
+def test_term_cache_entries_match_the_expansion_embed_bitwise():
+    # oracle: the nonzero entries of the expansion embed's two parity
+    # blocks, stacked even block first, as the term cache once read them
+    # from a dense embed with np.flatnonzero
+    terms = 0
+    for config in _model_configs():
+        task, diagnostics = cli._parse_config(config)
+        assert not diagnostics
+        graph, phi = cli._build_model(task)
+        lam = graph.sites
+        assert len(lam) <= 8
+        for term in phi.terms:
+            flat, values = dynamics._embedded_sparse(term, lam)
+            dense = _expansion_embed(term.operator, lam)
+            stacked = np.concatenate([b.ravel() for b in fock._gather(dense, 0)])
+            want = np.flatnonzero(stacked)
+            assert np.array_equal(flat, want)
+            assert np.array_equal(_bits(values), _bits(stacked[want]))
+            terms += 1
+    assert terms > 100
 
 
 # -- parity-block kernel against the dense formulas -------------------------
@@ -823,9 +1009,7 @@ def _embed_cases(lam, rng):
     cases = []
     for parity in (EVEN, ODD):
         A = random_local_operator(sub, sub.sites, rng, parity=parity)
-        coeffs = decompose(A, sub.sites)
-        want = fock._assemble(lam.dim, lam.positions(sub.sites), coeffs, lam)
-        cases.append((embed(A, lam), want))
+        cases.append((embed(A, lam), _expansion_embed(A, lam)))
     return cases
 
 
