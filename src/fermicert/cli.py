@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cond_exp, fock, gap, geometry, models
-from .dynamics import Interaction, InteractionTerm, scaled_profile
+from .dynamics import scaled_profile
 from .errors import (AmbiguousKernelError, CertificationError,
                      GapClosureError, KernelMismatchError, SiteNotInLattice)
 from .fock import (MONOMIAL_SYMBOLS, SiteSet, annihilator, creator, monomial,
@@ -442,25 +442,16 @@ def _run_flow_check(task, config, out_dir, prefix):
     lam = graph.sites
     flow = task.flow
     a0, a1 = float(flow.angle_start), float(flow.angle_stop)
-
+    target = float(flow.defect_target)
     if flow.kind == "rotation":
-        def family(s):
-            angle = a0 + (a1 - a0) * s
-            return models.flat_band_model(
-                models.paired_cell_orbitals(len(lam), angle), graph)
+        phi = models.rotating_flat_band(len(lam), lambda s: a0 + (a1 - a0) * s)
     else:
-        base = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph)
-
-        def family(s):
-            terms = [InteractionTerm(t.sites, (1.0 - 2.0 * s) * t.operator, label=t.label)
-                     if t.label.startswith("conduction") else t
-                     for t in base.terms]
-            return Interaction(tuple(terms))
+        phi = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph,
+                                     conduction_profile=lambda s: 1.0 - 2.0 * s)
 
     try:
-        rep = gap.projection_flow(family, lam, np.linspace(0.0, 1.0, flow.points),
-                                  gamma_min=float(flow.gamma_min),
-                                  defect_target=float(flow.defect_target))
+        rep = gap.projection_flow(lambda s: phi, lam, np.linspace(0.0, 1.0, flow.points),
+                                  gamma_min=float(flow.gamma_min), defect_target=target)
     except GapClosureError as err:
         payload = {"task": "flow-check", "config": config, "certified": False,
                    "error": _error_object("gap-closure", str(err),
@@ -469,15 +460,25 @@ def _run_flow_check(task, config, out_dir, prefix):
         _emit(out_dir, prefix, payload, (["s", "gap", "defect"], []))
         print(json.dumps(payload["error"]))
         return 2
-    payload = {"task": "flow-check", "config": config, "certified": True,
+    # the substep cap can stop refinement before the transport meets its target
+    missed = rep.max_defect > target
+    payload = {"task": "flow-check", "config": config, "certified": not missed,
                "rank": rep.rank, "max_defect": rep.max_defect,
                "substeps": rep.substeps,
                "parameters": [float(s) for s in rep.parameters],
                "gaps": [float(g) for g in rep.gaps],
                "defects": [float(d) for d in rep.defects]}
+    if missed:
+        payload["error"] = _error_object(
+            "defect-target-missed",
+            f"max_defect {rep.max_defect:.3e} above defect_target {target:.3e} "
+            f"at {rep.substeps} substeps")
     rows = [{"s": float(s), "gap": float(g), "defect": float(d)}
             for s, g, d in zip(rep.parameters, rep.gaps, rep.defects)]
     _emit(out_dir, prefix, payload, (["s", "gap", "defect"], rows))
+    if missed:
+        print(json.dumps(payload["error"]))
+        return 2
     return 0
 
 

@@ -27,6 +27,16 @@ every ||E_i E_j - delta_ij E_i|| to first order.  Each window is
 ||[E_k, g]|| = ||(1 - V V*) g V|| with V the lower-rank basis of E_k, since
 [1 - P, Q] = -[P, Q]; it is within 2 delta of the commutator of E_k itself,
 so a verdict against COMMUTE_TOL can change only within 2 delta of it.
+
+``projection_flow`` transports the spectral projection below a gap along a
+path H(s), read as ``local_hamiltonian(family(s), lam, s)``: a family may
+be one interaction whose terms carry profiles in s, so that each H(s) is
+one scatter of cached term entries.  Every operator of the flow is even,
+and the two parity sectors of a lattice with at least one site have equal
+size, so it runs on the stacked blocks, arrays of shape (2, h, h) with
+h = 2^(L-1): one batched ``eigh`` per parameter, every product and
+exponential batched over the two blocks, and every norm the largest
+``op_norm`` of the blocks.
 """
 
 from __future__ import annotations
@@ -478,25 +488,69 @@ class FlowReport:
     substeps: int
 
 
-def _expm_antihermitian(K: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(1j * K)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of every matrix of a stack."""
+    return m.conj().swapaxes(-2, -1)
+
+
+def _stack_norm(m: np.ndarray) -> float:
+    """The largest ``op_norm`` over a stack of matrices."""
+    return max(op_norm(b) for b in m.reshape(-1, *m.shape[-2:]))
+
+
+def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """The stacked blocks of U = prod_i exp(ds_i (K_i + K_{i+1}) / 2) over
+    the fine grid, later factors to the left, with K_i = [dP/ds, P] at
+    fine[i] and dP/ds from central differences, one-sided at the ends."""
+    dps = np.empty_like(projs)
+    dps[0] = (projs[1] - projs[0]) / (fine[1] - fine[0])
+    dps[1:-1] = (projs[2:] - projs[:-2]) / (fine[2:] - fine[:-2])[:, None, None, None]
+    dps[-1] = (projs[-1] - projs[-2]) / (fine[-1] - fine[-2])
+    ks = dps @ projs - projs @ dps
+    del dps
+    generators = (np.diff(fine) * 0.5)[:, None, None, None] * (ks[:-1] + ks[1:])
+    del ks
+    # exp(G) = v e^{-iw} v* for the anti-Hermitian G with i G = v diag(w) v*
+    w, v = np.linalg.eigh(1j * generators)
+    steps = (v * np.exp(-1j * w)[..., None, :]) @ _adjoint(v)
+    u = steps[0]
+    for step in steps[1:]:
+        u = step @ u
+    return u
 
 
 def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
                     parameters: Iterable[float], gamma_min: float,
                     defect_target: float = 1e-6,
                     max_substeps: int = 512) -> FlowReport:
-    """Track the low-energy spectral projection P(s) along a family of
-    interactions and transport it with the commutator generator
+    """Track the low-energy spectral projection P(s) of H(s) =
+    ``local_hamiltonian(family(s), lam, s)`` along the sorted
+    ``parameters`` and transport it with the commutator generator
     K(s) = [dP/ds, P(s)] (central differences, internally refined), so
     that U(s) P(0) U(s)* follows P(s).
 
-    The tracked block lies below the largest gap at the first parameter
-    (the lowest one on ties); that gap must stay above ``gamma_min``
-    everywhere probed, and a closure raises GapClosureError with a
-    crossing location bisected to CLOSURE_RESOLUTION.
+    ``family`` may return one interaction whose terms carry profiles in s
+    (``models.rotating_flat_band``), so each H(s) is one scatter of cached
+    term entries, or a new interaction at each s whose terms carry none.
+    H(s), P(s), K(s) and U are even, so the flow runs on the stacked parity
+    blocks, shape (2, 2^(L-1), 2^(L-1)): one batched ``eigh`` per
+    parameter, every product and exponential batched over the two blocks,
+    and every norm the largest over them.
+
+    The tracked projection is onto the eigenvectors of the lowest ``rank``
+    values of the merged spectrum of both blocks, ``rank`` being set by the
+    largest gap at the first parameter (the lowest one on ties); that gap
+    must stay above ``gamma_min`` everywhere probed, and a closure raises
+    GapClosureError with a crossing location bisected to
+    CLOSURE_RESOLUTION.  Each interval between parameters is refined by
+    doubling its substeps until its transport error is within its share of
+    ``defect_target``, at most to ``max_substeps``; a run stopped by that
+    cap can end above the target, which its ``max_defect`` shows.  An
+    empty lattice raises ValueError: its sectors do not stack.
     """
+    if len(lam) == 0:
+        raise ValueError("projection_flow needs at least one site: the parity "
+                         "sectors of an empty lattice have sizes 1 and 0")
     s_grid = np.asarray(sorted(float(s) for s in parameters))
     if s_grid.size < 2:
         raise ValueError("need at least two parameter values")
@@ -506,12 +560,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     eig_cache: dict = {}
 
     def eig_at(s: float) -> tuple:
+        """(merged spectrum, per-block eigenvalues, per-block eigenvectors)."""
         key = round(float(s), 12)
         hit = eig_cache.get(key)
         if hit is None:
-            H = local_hamiltonian(family(float(s)), lam, 0.0).matrix
-            hit = np.linalg.eigh(H)
-            eig_cache[key] = hit
+            H = local_hamiltonian(family(float(s)), lam, float(s))
+            w, v = np.linalg.eigh(np.stack(H.blocks))
+            hit = eig_cache[key] = np.sort(w, axis=None), w, v
         return hit
 
     gaps0 = np.diff(eig_at(s_grid[0])[0])
@@ -522,27 +577,29 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     last_good = None
 
     def gap_at(s: float) -> float:
-        w = eig_at(s)[0]
-        return float(w[rank] - w[rank - 1])
+        merged = eig_at(s)[0]
+        return float(merged[rank] - merged[rank - 1])
 
     def projection_at(s: float) -> np.ndarray:
-        w, v = eig_at(s)
-        g = float(w[rank] - w[rank - 1])
+        merged, w, v = eig_at(s)
+        g = float(merged[rank] - merged[rank - 1])
         if g < gamma_min:
             lo = last_good if last_good is not None else s_grid[0]
             location, bracket = _bisect_closure(gap_at, lo, s, gamma_min)
             raise GapClosureError(
                 f"gap {g:.3e} below {gamma_min} near s = {location:.6f}",
                 location=location, bracket=bracket, gap=g)
-        vk = v[:, :rank]
-        return vk @ vk.conj().T
+        # the lowest rank values of the merged spectrum, counted per block
+        counts = (w <= merged[rank - 1]).sum(axis=1)
+        width = int(counts.max())
+        vk = v[:, :, :width] * (np.arange(width) < counts[:, None])[:, None, :]
+        return vk @ _adjoint(vk)
 
-    p_prev = projection_at(s_grid[0])
+    p0 = projection_at(s_grid[0])
     last_good = float(s_grid[0])
-    p0 = p_prev
-    U = np.eye(lam.dim, dtype=complex)
+    U = np.stack([np.eye(lam.dim // 2, dtype=complex)] * 2)
     gaps = [gap_at(s_grid[0])]
-    defects = [float(op_norm(p_prev - U @ p0 @ U.conj().T))]
+    defects = [_stack_norm(p0 - U @ p0 @ _adjoint(U))]
     total_span = float(s_grid[-1] - s_grid[0])
     substeps_used = 1
 
@@ -553,23 +610,12 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         nsub = nsub_start
         while True:
             fine = np.linspace(s_a, s_b, nsub + 1)
-            projs = [projection_at(s) for s in fine]
-            jump = max(op_norm(q - p) for p, q in zip(projs, projs[1:]))
-            if jump > 0.1 and nsub < max_substeps:
+            projs = np.stack([projection_at(s) for s in fine])
+            if _stack_norm(projs[1:] - projs[:-1]) > 0.1 and nsub < max_substeps:
                 nsub *= 2
                 continue
-            # central-difference dP/ds on the fine grid, one-sided at the ends
-            dps = [(projs[1] - projs[0]) / (fine[1] - fine[0])]
-            for i in range(1, nsub):
-                dps.append((projs[i + 1] - projs[i - 1]) / (fine[i + 1] - fine[i - 1]))
-            dps.append((projs[-1] - projs[-2]) / (fine[-1] - fine[-2]))
-            u_step = np.eye(lam.dim, dtype=complex)
-            for i in range(nsub):
-                ds = float(fine[i + 1] - fine[i])
-                k_a = dps[i] @ projs[i] - projs[i] @ dps[i]
-                k_b = dps[i + 1] @ projs[i + 1] - projs[i + 1] @ dps[i + 1]
-                u_step = _expm_antihermitian(ds * 0.5 * (k_a + k_b)) @ u_step
-            err = float(op_norm(u_step @ projs[0] @ u_step.conj().T - projs[-1]))
+            u_step = _transport(projs, fine)
+            err = _stack_norm(u_step @ projs[0] @ _adjoint(u_step) - projs[-1])
             if err <= budget or nsub >= max_substeps:
                 break
             nsub *= 2
@@ -578,7 +624,7 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         U = u_step @ U
         last_good = s_b
         gaps.append(gap_at(s_b))
-        defects.append(float(op_norm(projs[-1] - U @ p0 @ U.conj().T)))
+        defects.append(_stack_norm(projs[-1] - U @ p0 @ _adjoint(U)))
 
     defects = np.array(defects)
     return FlowReport(parameters=s_grid, gaps=np.array(gaps), rank=rank,

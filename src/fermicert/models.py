@@ -12,6 +12,8 @@ energy vanishing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from . import fock
@@ -135,14 +137,17 @@ def band_operators(lam: SiteSet, orbitals: OrbitalSet) -> tuple:
     return b_ops, c_ops
 
 
-def flat_band_model(orbitals: OrbitalSet, graph: MetricGraph) -> Interaction:
+def flat_band_model(orbitals: OrbitalSet, graph: MetricGraph,
+                    conduction_profile: Callable[[float], float] | None = None) -> Interaction:
     """Two-band interaction: one projection term per orbital,
 
         Phi(ball around valence center)    = 1 - b*_k b_k,
         Phi(ball around conduction center) = c*_l c_l,
 
     zero elsewhere.  Each term is a projection; filling every valence mode
-    and no conduction mode gives a zero-energy ground state.
+    and no conduction mode gives a zero-energy ground state.  Every
+    conduction term carries ``conduction_profile`` (None: the constant 1),
+    e.g. 1 - 2s to close the conduction band along a path in s.
     """
     orbitals.validate(graph)
     lam = orbitals.lattice
@@ -155,7 +160,8 @@ def flat_band_model(orbitals: OrbitalSet, graph: MetricGraph) -> Interaction:
             b = _dressed_annihilator(sub, np.array([f[lam.position(s)] for s in sub.sites]))
             number = b.adjoint() @ b
             op = identity(sub) - number if name == "valence" else number
-            terms.append(InteractionTerm(sub.sites, op, label=f"{name}[{k}]"))
+            profile = None if name == "valence" else conduction_profile
+            terms.append(InteractionTerm(sub.sites, op, profile, label=f"{name}[{k}]"))
     return Interaction(tuple(terms))
 
 
@@ -176,6 +182,56 @@ def paired_cell_orbitals(L: int, angle: float = 0.3) -> OrbitalSet:
         vc.append(a)
         cc.append(b)
     return OrbitalSet(fock.chain(L), val, con, tuple(vc), tuple(cc), radius=1.0)
+
+
+def rotating_flat_band(L: int, angle: Callable[[float], float]) -> Interaction:
+    """The flat-band model of ``paired_cell_orbitals(L, angle(s))`` as one
+    interaction with profiles in s, whose Hamiltonian at s equals that of
+    the model rebuilt at the angle theta = angle(s), up to roundoff.
+
+    Cell (a, b) = (2j, 2j+1) has the real modes b = cos(theta) a_a +
+    sin(theta) a_b and c = -sin(theta) a_a + cos(theta) a_b, and the number
+    operators are quadratic in their coefficients:
+
+        b*b = cos^2 n_a + sin^2 n_b + cos sin (a*_a a_b + a*_b a_a),
+        c*c = sin^2 n_a + cos^2 n_b - cos sin (a*_a a_b + a*_b a_a).
+
+    So the valence term 1 - b*b and the conduction term c*c are sums of
+    the fixed self-adjoint templates 1, n_a, n_b and the hop a*_a a_b +
+    a*_b a_a on the cell, with the profiles 1, cos^2(theta(s)),
+    sin^2(theta(s)) and cos(theta(s)) sin(theta(s)).  Each template is its
+    own term on the two cell sites (the rebuilt model's terms span a ball
+    of radius 1, on whose third site the orbitals vanish); valence terms
+    come first, as in ``flat_band_model``.
+    """
+    if L < 2 or L % 2:
+        raise ValueError("need an even number of sites >= 2")
+
+    def cos2(s):
+        return np.cos(angle(s)) ** 2
+
+    def sin2(s):
+        return np.sin(angle(s)) ** 2
+
+    def cos_sin(s):
+        theta = angle(s)
+        return np.cos(theta) * np.sin(theta)
+
+    valence, conduction = [], []
+    for j in range(L // 2):
+        a, b = 2 * j, 2 * j + 1
+        cell = SiteSet((a, b))
+        n_a = creator(cell, a) @ annihilator(cell, a)
+        n_b = creator(cell, b) @ annihilator(cell, b)
+        hop = creator(cell, a) @ annihilator(cell, b) + creator(cell, b) @ annihilator(cell, a)
+        for part, op, profile in (("1", identity(cell), None), ("n_a", -n_a, cos2),
+                                  ("n_b", -n_b, sin2), ("hop", -hop, cos_sin)):
+            valence.append(InteractionTerm((a, b), op, profile, label=f"valence[{j}].{part}"))
+        for part, op, profile in (("n_a", n_a, sin2), ("n_b", n_b, cos2),
+                                  ("hop", -hop, cos_sin)):
+            conduction.append(InteractionTerm((a, b), op, profile,
+                                              label=f"conduction[{j}].{part}"))
+    return Interaction(tuple(valence + conduction))
 
 
 def overlapping_orbitals(L: int, tilt: float = 0.4) -> OrbitalSet:

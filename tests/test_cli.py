@@ -156,6 +156,29 @@ def test_run_flow_closure_exits_two(tmp_path, capsys):
     assert out["location"] == pytest.approx(0.4, abs=0.02)
 
 
+def test_run_flow_defect_target_missed_exits_two(tmp_path, capsys):
+    # the 512-substep cap stops refinement above a target of 1e-15
+    config = _load("flow_rotation.json")
+    config["lattice"]["lengths"] = [2]
+    config["flow"].update(points=3, defect_target=1e-15)
+    assert cli.run(config, tmp_path) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"] == "defect-target-missed"
+    report = json.loads((tmp_path / "flow_rotation_report.json").read_text())
+    assert report["certified"] is False
+    assert report["error"] == out
+    assert report["substeps"] == 512
+    assert report["max_defect"] > 1e-15
+    rows = (tmp_path / "flow_rotation_table.csv").read_text().splitlines()
+    assert rows[0] == "s,gap,defect" and len(rows) == 4
+
+    config["flow"]["defect_target"] = 1e-6
+    assert cli.run(config, tmp_path) == 0
+    report = json.loads((tmp_path / "flow_rotation_report.json").read_text())
+    assert report["certified"] is True and "error" not in report
+    assert report["max_defect"] <= 1e-6
+
+
 def test_main_cli_roundtrip(tmp_path, capsys):
     config = _load("model_info_flatband.json")
     cfg_path = tmp_path / "cfg.json"

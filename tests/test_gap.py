@@ -496,6 +496,65 @@ def test_projection_flow_gap_closure(small_flow_setup):
     assert lo <= err.value.location <= hi
 
 
+# -- the block flow against the dense oracle --------------------------------
+
+def _flow_families(L):
+    """The rotation and the closing family, each one profiled interaction."""
+    rotation = models.rotating_flat_band(L, lambda s: 0.3 + 0.5 * s)
+    closing = models.flat_band_model(models.paired_cell_orbitals(L, 0.3),
+                                     geometry.chain_graph(L),
+                                     conduction_profile=lambda s: 1.0 - 2.0 * s)
+    return rotation, closing
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_projection_flow_matches_the_dense_oracle(L):
+    from flow_oracles import dense_projection_flow
+    lam = chain(L)
+    rotation, closing = _flow_families(L)
+    grid = np.linspace(0.0, 1.0, 11)
+    got = projection_flow(lambda s: rotation, lam, grid, gamma_min=0.5, defect_target=3e-5)
+    want = dense_projection_flow(lambda s: rotation, lam, grid, gamma_min=0.5,
+                                 defect_target=3e-5)
+    assert (got.rank, got.substeps) == (want.rank, want.substeps)
+    assert got.substeps > 1
+    assert np.array_equal(got.parameters, want.parameters)
+    assert np.abs(got.gaps - want.gaps).max() <= 1e-13
+    assert np.abs(got.defects - want.defects).max() <= 1e-11
+    assert abs(got.max_defect - want.max_defect) <= 1e-11
+
+    # 1 - 2 * 0.4 = 0.19999999999999996: the gap meets gamma_min at s = 0.4
+    # to one ulp, so the bracket depends on how that gap is rounded
+    closures = []
+    for flow in (projection_flow, dense_projection_flow):
+        with pytest.raises(GapClosureError) as err:
+            flow(lambda s: closing, lam, grid, gamma_min=0.2)
+        closures.append((err.value.location, tuple(err.value.bracket)))
+    assert closures[0] == closures[1]
+
+
+def test_projection_flow_rebuilt_and_profiled_families_agree(small_flow_setup):
+    lam, graph, family = small_flow_setup
+    profiled = models.rotating_flat_band(4, lambda s: 0.3 + 0.4 * s)
+    grid = np.linspace(0, 1, 6)
+    rebuilt = projection_flow(family, lam, grid, gamma_min=0.5, defect_target=3e-5)
+    got = projection_flow(lambda s: profiled, lam, grid, gamma_min=0.5, defect_target=3e-5)
+    assert (got.rank, got.substeps) == (rebuilt.rank, rebuilt.substeps)
+    assert np.abs(got.gaps - rebuilt.gaps).max() <= 1e-13
+    assert np.abs(got.defects - rebuilt.defects).max() <= 1e-11
+
+
+def test_projection_flow_one_site_and_empty_lattice():
+    # one site: sectors of size 1, the projection onto the empty state
+    lam = chain(1)
+    number = InteractionTerm((0,), number_operator(lam))
+    rep = projection_flow(lambda s: Interaction((number,)), lam, [0.0, 1.0], gamma_min=0.5)
+    assert (rep.rank, rep.max_defect) == (1, 0.0)
+    with pytest.raises(ValueError, match="at least one site"):
+        projection_flow(lambda s: Interaction(()), fock.SiteSet(()), [0.0, 1.0],
+                        gamma_min=0.5)
+
+
 def test_smallest_nonzero_eigenvalue():
     # the first eigenvalue above the kernel split, as gamma_n and exact_gap read it
     lam = chain(3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fermicert import fock, geometry, models
-from fermicert.dynamics import local_hamiltonian
+from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.fock import anticommutator, chain, commutator, op_norm, parity_operator
 
 
@@ -184,3 +184,65 @@ def test_random_even_interaction_norms_and_parity():
     k2 = geometry.interaction_g_norm(
         models.random_even_interaction(lam, max_range=2, strength=0.8, seed=7), G)
     assert np.isfinite(k1) and k1 == k2
+
+
+# -- the profiled flat-band families against their per-parameter rebuilds ----
+
+def _worst_entry_gap(phi, rebuild, L, s_values):
+    """Largest |entry| difference between the parity blocks of
+    H(s) = local_hamiltonian(phi, chain(L), s) and of the rebuilt model at s."""
+    lam = chain(L)
+    worst = 0.0
+    for s in s_values:
+        H = local_hamiltonian(phi, lam, s)
+        R = local_hamiltonian(rebuild(s), lam)
+        worst = max(worst, *(np.abs(a - b).max() for a, b in zip(H.blocks, R.blocks)))
+    return worst
+
+
+S_VALUES = np.linspace(0.0, 1.0, 7)
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_rotating_flat_band_matches_the_rebuilt_model(L):
+    from flow_oracles import rotation_rebuild
+
+    def angle(s):
+        return 0.3 + 0.5 * s
+
+    phi = models.rotating_flat_band(L, angle)
+    assert phi.is_time_dependent
+    assert all(t.operator.parity == fock.EVEN and t.sites == (t.sites[0], t.sites[0] + 1)
+               for t in phi.terms)
+    assert _worst_entry_gap(phi, rotation_rebuild(L, angle), L, S_VALUES) <= 1e-13
+
+
+@pytest.mark.parametrize("L", [2, 4, 6])
+def test_closing_flat_band_matches_the_scaled_templates(L):
+    from flow_oracles import closing_rebuild
+    phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.3), geometry.chain_graph(L),
+                                 conduction_profile=lambda s: 1.0 - 2.0 * s)
+    assert _worst_entry_gap(phi, closing_rebuild(L, 0.3), L, S_VALUES) <= 1e-13
+
+
+def test_rotation_oracle_rejects_swapped_profiles_in_one_cell():
+    # cos^2 and sin^2 swapped on the valence n_a, n_b of the last cell only
+    from flow_oracles import rotation_rebuild
+    L = 4
+
+    def angle(s):
+        return 0.3 + 0.5 * s
+
+    terms = list(models.rotating_flat_band(L, angle).terms)
+    parts = {t.label: i for i, t in enumerate(terms)}
+    i, k = parts["valence[1].n_a"], parts["valence[1].n_b"]
+    swap = lambda t, other: InteractionTerm(t.sites, t.operator, other.profile, t.label)
+    terms[i], terms[k] = swap(terms[i], terms[k]), swap(terms[k], terms[i])
+    mutant = Interaction(tuple(terms))
+    assert _worst_entry_gap(mutant, rotation_rebuild(L, angle), L, S_VALUES) > 1e-13
+
+
+def test_rotating_flat_band_needs_paired_cells():
+    for L in (0, 1, 3):
+        with pytest.raises(ValueError):
+            models.rotating_flat_band(L, lambda s: 0.3)
