@@ -17,10 +17,18 @@ If eps * sqrt(1 + ell) < 1, every state orthogonal to ker(H_N) has energy
 at least gamma (1 - eps sqrt(1 + ell))^2, a lower bound on the spectral
 gap of H_N above zero.
 
+The certificate is one pass over n = 1..N that keeps only what later
+steps read: the dense kernel projection of H_n until step n + 1 has formed
+E_n from it, the bases of each E_n, and the parity blocks of each g_n,
+which the windows and assumption (i) read at the end, gamma being the
+minimum over all steps.  The increments h_n are formed again there rather
+than kept.
+
 The E_n are checked and used through bases of their ranges: each E_n is
-formed in turn and diagonalized once per parity block, its eigenvalues
-split at 1/2, and only its range basis V_n and the basis of its lower-rank
-side (range or complement) are kept.  The E_n resolve the identity when
+formed as soon as G_{n+1} is known and diagonalized once per parity block,
+its eigenvalues split at 1/2, and only its range basis V_n and the basis
+of its lower-rank side (range or complement) are kept; G_n is then
+dropped.  The E_n resolve the identity when
 W = [V_0 ... V_N] is square and ||W* W - 1|| + 2 delta <= COMMUTE_TOL, delta
 being the largest distance of an eigenvalue from 0 or 1; that sum bounds
 every ||E_i E_j - delta_ij E_i|| to first order.  Each window is
@@ -155,7 +163,7 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
 @dataclass(frozen=True, eq=False)
 class HamiltonianSequence:
     """Increasing sequence 0 = H_0 <= H_1 <= ... <= H_N of nonnegative
-    even Hamiltonians, stored with its increments."""
+    even Hamiltonians; ``increments`` forms each h_n when it is read."""
 
     hamiltonians: tuple
 
@@ -164,7 +172,7 @@ class HamiltonianSequence:
         object.__setattr__(self, "hamiltonians", hams)
         if len(hams) < 2:
             raise ValueError("need H_0 and at least one increment")
-        if hams[0].matrix.any():
+        if any(m.any() for m in _parts(hams[0], hams[0].parity == MIXED)):
             raise ValueError("H_0 must be the zero operator")
         lam = hams[0].ambient
         for H in hams:
@@ -181,9 +189,10 @@ class HamiltonianSequence:
     def lattice(self) -> SiteSet:
         return self.hamiltonians[0].ambient
 
-    def increments(self) -> list:
-        return [self.hamiltonians[n] - self.hamiltonians[n - 1]
-                for n in range(1, len(self.hamiltonians))]
+    def increments(self):
+        """h_n = H_n - H_{n-1} for n = 1..N, each formed when it is read."""
+        for prev, cur in zip(self.hamiltonians, self.hamiltonians[1:]):
+            yield cur - prev
 
     @cached_property
     def monotonicity_defect(self) -> float:
@@ -216,12 +225,23 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     return seq
 
 
-def _spectral_blocks(gs: Sequence[FockOperator]):
-    """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N, one at a time."""
-    yield identity(gs[0].ambient) - gs[0]
-    for g, g_next in zip(gs, gs[1:]):
-        yield g - g_next
-    yield gs[-1]
+def _spectral_blocks(gs: Iterable[FockOperator]):
+    """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N, each formed as soon
+    as its G_n arrive, once the nesting G_{n+1} G_n = G_{n+1} of the pair is
+    checked as a product; no G_n is held past the arrival of the next."""
+    g_prev = None
+    for g in gs:
+        if g_prev is None:
+            yield identity(g.ambient) - g
+        else:
+            defect = op_norm(g - g @ g_prev)
+            if defect > COMMUTE_TOL:
+                raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
+            yield g_prev - g
+        g_prev = g
+    if g_prev is None:
+        raise ValueError("need at least one kernel projection")
+    yield g_prev
 
 
 def _parts(A: FockOperator, dense: bool) -> tuple:
@@ -229,19 +249,14 @@ def _parts(A: FockOperator, dense: bool) -> tuple:
     return (A.matrix,) if dense else A.blocks
 
 
-def _range_bases(gs: Sequence[FockOperator], dense: bool) -> tuple:
+def _range_bases(gs: Iterable[FockOperator], dense: bool) -> tuple:
     """Check the resolution family of the nested G_n on the parity blocks
     (or the matrices, when dense) as the module docstring says, and return
     (sides, gram, delta): per E_n and block, the basis of its lower-rank
     side; the largest ||W* W - 1||; the largest projection defect, plus the
     Frobenius norm of the anti-Hermitian part that ``eigh``, reading one
-    triangle, does not see."""
-    if not gs:
-        raise ValueError("need at least one kernel projection")
-    for g_prev, g_next in zip(gs, gs[1:]):
-        defect = op_norm(g_next - g_next @ g_prev)
-        if defect > COMMUTE_TOL:
-            raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
+    triangle, does not see.  The G_n are read once, in order, and each is
+    dropped once E_n is diagonalized."""
     ranges, sides, delta = [], [], 0.0
     for e in _spectral_blocks(gs):
         kept_ranges, kept_sides = [], []
@@ -254,6 +269,7 @@ def _range_bases(gs: Sequence[FockOperator], dense: bool) -> tuple:
             kept_sides.append(kept_ranges[-1] if 2 * split >= w.size else v[:, :split].copy())
         ranges.append(kept_ranges)
         sides.append(kept_sides)
+        del e, m, w, v    # freed before the next G_n is formed
     gram = 0.0
     for block in zip(*ranges):
         W = np.hstack(block)
@@ -350,40 +366,60 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
 
     The resolution check and the windows run on range bases of the E_n
     (module docstring); eps_n is the norm of the dense product of the
-    ``eigh`` kernel projections.
+    ``eigh`` kernel projections.  The steps run in one pass: step n forms
+    h_n, the dense kernel projections of h_n and H_n and eps_n, and frees
+    the dense work before the next step, keeping gamma_n, eps_n, the blocks
+    of g_n, the bases of E_{n-1} and the dense kernel projection of H_n,
+    which step n + 1 reads.
     """
     seq.validate()
     n_steps = seq.size
-    increments = seq.increments()
+    # a difference of even operators is even, and a mixed H_n makes P_n and
+    # the kernel projection of h_n mixed: the parities of the H_n decide
+    dense = any(H.parity != EVEN for H in seq.hamiltonians)
 
-    # eps_n = ||E_n g_{n+1} E_n|| is taken on the dense eigh projections,
-    # E_n = P_n - P_{n+1} with P_0 = 1, as each kernel is found
-    gammas, g_projs, big_projs, eps_per_step = [], [], [], []
-    p_prev = np.eye(seq.lattice.dim, dtype=complex)
-    for n, (h, H) in enumerate(zip(increments, seq.hamiltonians[1:])):
-        w, k, g = _kernel(h)
-        if k == w.size:
-            raise ValueError("an increment vanishes; every step must add a nonzero operator")
-        gammas.append(float(w[k]))
-        g_projs.append(_projection(g, h))
-        w, k, p = _kernel(H)
-        if k == 0:
-            raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
-                             "nonempty ground spaces")
-        big_projs.append(_projection(p, H))
-        e = p_prev - p
-        eps_per_step.append(op_norm(e @ g @ e))
-        p_prev = p
+    gammas, g_projs, eps_per_step = [], [], []
+    exact_gap = None
+
+    def kernel_projections():
+        """G_1, ..., G_N for ``_range_bases``, each yielded once gamma_n,
+        g_n and eps_n of its step are kept.  eps_n = ||E_n g_{n+1} E_n|| is
+        taken on the dense eigh projections, E_n = P_n - P_{n+1} with
+        P_0 = 1; only the dense P_n is carried to the next step."""
+        nonlocal exact_gap
+        p_prev = np.eye(seq.lattice.dim, dtype=complex)
+        increments = seq.increments()
+        for n, H in enumerate(seq.hamiltonians[1:]):
+            # a zip over the increments would hold h in its reused result
+            # tuple until the next step; drawn by next(), h is freed
+            # before the kernel of H is found
+            h = next(increments)
+            w, k, g = _kernel(h)
+            if k == w.size:
+                raise ValueError("an increment vanishes; every step must add a nonzero operator")
+            gammas.append(float(w[k]))
+            g_projs.append(_projection(g, h))
+            del h
+            w, k, p = _kernel(H)
+            if k == 0:
+                raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
+                                 "nonempty ground spaces")
+            e = p_prev - p
+            p_prev = p
+            product = e @ g @ e
+            del e, g    # freed before the norm runs
+            eps_per_step.append(op_norm(product))
+            del product
+            yield _projection(p, H)
+        exact_gap = float(w[k]) if k < w.size else None
+
+    sides = _range_bases(kernel_projections(), dense)[0]
     gamma = min(gammas)
-    exact_gap = float(w[k]) if k < w.size else None
-
-    dense = any(p.parity != EVEN for p in big_projs + g_projs)
-    sides = _range_bases(big_projs, dense)[0]
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     assumption_i = 0.0
     one = identity(seq.lattice)
-    for h, g in zip(increments, g_projs):
+    for h, g in zip(seq.increments(), g_projs):
         residual = h - gamma * (one - g)
         assumption_i = max(assumption_i, max(0.0, -_lowest_eigenvalue(residual)))
 

@@ -1,15 +1,18 @@
 """Frustration-freeness, kernel projections, martingale certificates,
 sandwich constants, and gap-protected projection flow."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
-from fermicert import fock, geometry, models
+from fermicert import fock, gap, geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import (AmbiguousKernelError, GapClosureError,
                               KernelMismatchError)
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
-                            number_operator, op_norm, zero)
+                            identity, number_operator, op_norm, zero)
 from fermicert.gap import (COMMUTE_TOL, SANDWICH_TOL, HamiltonianSequence,
                            _kernel, _range_bases, _windows,
                            frustration_free_check, hamiltonian_sequence,
@@ -137,6 +140,44 @@ def test_resolution_family_rejects_non_nested():
         resolution_family([G_small, G_big])  # grows instead of shrinking
 
 
+def test_streamed_range_bases_refuse_a_non_nested_pair_when_it_arrives():
+    lam = chain(2)
+    G_small = kernel_projection(number_operator(lam))
+    G_big = kernel_projection(number_operator(lam, [0]))
+    pulled = []
+
+    def stream():
+        for g in (G_small, G_big, G_small):
+            pulled.append(g)
+            yield g
+
+    with pytest.raises(ValueError, match="nested"):
+        _range_bases(stream(), False)
+    # refused on the pair (G_1, G_2): G_3 was never asked for
+    assert len(pulled) == 2
+
+
+def test_range_bases_drop_each_kernel_projection_after_the_next():
+    L = 6
+    seq = hamiltonian_sequence(_gap_model("flatband", L), chain(L))
+    refs = []
+
+    def stream():
+        for H in seq.hamiltonians[1:]:
+            # G_1 .. G_{n-1} are gone by the time G_{n+1} is formed
+            assert all(ref() is None for ref in refs[:-1])
+            g = kernel_projection(H)
+            refs.append(weakref.ref(g))
+            yield g
+
+    streamed = _range_bases(stream(), False)
+    listed = _range_bases([kernel_projection(H) for H in seq.hamiltonians[1:]], False)
+    assert len(refs) == seq.size
+    assert streamed[1:] == listed[1:]
+    for got, want in zip(streamed[0], listed[0]):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _product_oracle(gs):
     """The resolution check by products: the largest ||E_i E_j - delta_ij E_i||
     over i <= j, and ||E_0 + ... + E_N - 1||."""
@@ -248,10 +289,55 @@ def test_sequence_validation():
     lam = chain(2)
     with pytest.raises(ValueError, match="zero"):
         HamiltonianSequence((number_operator(lam), number_operator(lam)))
+    mixed = FockOperator(number_operator(lam).matrix, lam, None, MIXED)
+    with pytest.raises(ValueError, match="zero"):
+        HamiltonianSequence((mixed, number_operator(lam)))
     decreasing = (zero(lam), number_operator(lam), zero(lam))
     seq = HamiltonianSequence(decreasing)
     with pytest.raises(ValueError, match="not increasing"):
         seq.validate()
+
+
+def test_even_sequence_is_built_without_a_dense_matrix(monkeypatch):
+    # H_0 was tested through its dense matrix: 268 MB at 12 sites
+    L = 6
+    seq = hamiltonian_sequence(_gap_model("flatband", L), chain(L))
+
+    def refuse(*args):
+        raise AssertionError("a dense matrix was assembled")
+
+    monkeypatch.setattr(fock, "sector_matrix", refuse)
+    HamiltonianSequence(seq.hamiltonians).validate()
+
+
+def test_certificate_refuses_a_vanishing_increment():
+    lam = chain(2)
+    H = number_operator(lam)
+    seq = HamiltonianSequence((zero(lam), H, H))
+    seq.validate()
+    with pytest.raises(ValueError, match="increment vanishes"):
+        martingale_certificate(seq)
+
+
+def test_certificate_refuses_a_trivial_kernel():
+    lam = chain(2)
+    seq = HamiltonianSequence((zero(lam), number_operator(lam), 2.0 * identity(lam)))
+    seq.validate()
+    with pytest.raises(ValueError, match="H_2 has trivial kernel"):
+        martingale_certificate(seq)
+
+
+def test_flat_band_certificate_peaks_near_what_it_keeps():
+    # the 8-site sequence holds 4.6 MB; keeping every increment and kernel
+    # projection with the dense eps work until the end peaked at 24.2 MB
+    L = 8
+    tracemalloc.start()
+    try:
+        martingale_certificate(hamiltonian_sequence(_gap_model("flatband", L), chain(L)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * 2**20
 
 
 def test_hamiltonian_sequence_grouping():
@@ -649,12 +735,12 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     seq = hamiltonian_sequence(phi, chain(L))
     fresh = HamiltonianSequence(seq.hamiltonians).monotonicity_defect
     calls = []
-    real = HamiltonianSequence.increments
-    monkeypatch.setattr(HamiltonianSequence, "increments",
-                        lambda self: calls.append(self) or real(self))
+    real = gap._lowest_eigenvalue
+    monkeypatch.setattr(gap, "_lowest_eigenvalue", lambda H: calls.append(H) or real(H))
     cert = martingale_certificate(seq)
-    # only the certificate's own call: validate() and the defects dict reuse
-    # the defect computed when hamiltonian_sequence validated the sequence
-    assert len(calls) == 1
+    # one call per assumption-(i) residual and none over the increments:
+    # validate() and the defects dict reuse the defect computed when
+    # hamiltonian_sequence validated the sequence
+    assert len(calls) == seq.size
     assert seq.monotonicity_defect == cert.defects["monotonicity"]
     assert _bits(cert.defects["monotonicity"]) == _bits(fresh)
