@@ -17,8 +17,7 @@ from .fock import (EVEN, MIXED, ODD, FockOperator, SiteSet, annihilator,
                    support_defect, zero)
 from .gap import (GapCertificate, frustration_free_check,
                   hamiltonian_sequence, kernel_projection,
-                  martingale_certificate, projection_flow, resolution_family,
-                  sandwich_check)
+                  martingale_certificate, projection_flow)
 from .geometry import (DecayFunction, GFunction, MetricGraph, chain_graph,
                        f_conv_constant, f_norm, g_from_f, grid_graph,
                        interaction_g_norm, phi_boundary)

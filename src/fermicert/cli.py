@@ -28,8 +28,8 @@ import numpy as np
 
 from . import cond_exp, fock, gap, geometry, models
 from .dynamics import scaled_profile
-from .errors import (AmbiguousKernelError, CertificationError,
-                     GapClosureError, KernelMismatchError, SiteNotInLattice)
+from .errors import (AmbiguousKernelError, CertificationError, GapClosureError,
+                     SiteNotInLattice)
 from .fock import (MONOMIAL_SYMBOLS, SiteSet, annihilator, creator, monomial,
                    number_operator)
 from .geometry import DecayFunction, MetricGraph, grid_graph
@@ -224,7 +224,9 @@ _CHAIN_LENGTHS = {   # model: (test on the number of sites, what it needs)
     "hopping_chain": (lambda n: n >= 2, "at least 2 sites"),
     "kitaev_chain": (lambda n: n >= 2, "at least 2 sites"),
     "flat_band_chain": (lambda n: n >= 2 and n % 2 == 0, "an even number of sites >= 2"),
-    "overlap_band_chain": (lambda n: n >= 3, "at least 3 sites"),
+    # every term of the overlap model spans the whole chain
+    "overlap_band_chain": (lambda n: 3 <= n <= fock.EXPANSION_CAP,
+                           f"3 to {fock.EXPANSION_CAP} sites"),
 }
 
 
@@ -241,6 +243,10 @@ def _constraints(task):
         test, need = _CHAIN_LENGTHS[model.name]
         if not test(len(sites)):
             yield "lattice.lengths", f"{model.name} needs {need}, got {len(sites)}"
+    if task.task == "condexp-check" and len(sites) > fock.EXPANSION_CAP:
+        # its probe is a full-support operator
+        yield ("lattice.lengths",
+               f"condexp-check needs at most {fock.EXPANSION_CAP} sites, got {len(sites)}")
     located = [(key, site) for key in ("region_x", "region_y")
                for site in getattr(task, key, ())]
     for key in ("A", "B") if hasattr(task, "observables") else ():
@@ -535,7 +541,7 @@ def run(config: dict, out_dir) -> int:
                                        where=err.where, measured=err.measured,
                                        bound=err.bound)))
         return 2
-    except (AmbiguousKernelError, KernelMismatchError) as err:
+    except AmbiguousKernelError as err:
         print(json.dumps(_error_object("spectral-analysis-failed", str(err))))
         return 2
     except np.linalg.LinAlgError as err:   # a ValueError, but not a config error

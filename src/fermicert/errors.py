@@ -38,13 +38,3 @@ class GapClosureError(RuntimeError):
         self.location = location
         self.bracket = bracket
         self.gap = gap
-
-
-class KernelMismatchError(RuntimeError):
-    """ker(H_N) is not contained in the kernel of the shifted target
-    Hamiltonian; ``witness`` is a kernel vector violating the inclusion."""
-
-    def __init__(self, message, witness, defect):
-        super().__init__(message)
-        self.witness = witness
-        self.defect = defect

@@ -620,6 +620,9 @@ def support_defect(A: FockOperator, subset: Iterable) -> float:
 # each block of string tables holds at most this many (string, column) entries
 _TABLE_BLOCK = 1 << 14
 
+#: most sites of an operator that ``embed`` expands over the operator basis
+EXPANSION_CAP = 8
+
 
 @lru_cache(maxsize=None)
 def _string_masks(nsites: int) -> tuple:
@@ -660,7 +663,7 @@ def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
     added entry by entry, in product order.  The tables come in blocks of
     at most _TABLE_BLOCK entries.
     """
-    if nsites > 8:
+    if nsites > EXPANSION_CAP:
         raise ValueError(f"operator-basis expansion over {nsites} sites is too large")
     flip, want, sign, weight = _string_masks(nsites)
     dim = 1 << nsites

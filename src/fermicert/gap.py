@@ -58,8 +58,8 @@ import numpy as np
 
 from . import fock
 from .dynamics import Interaction, local_hamiltonian
-from .errors import AmbiguousKernelError, GapClosureError, KernelMismatchError
-from .fock import EVEN, MIXED, FockOperator, SiteSet, identity, op_norm
+from .errors import AmbiguousKernelError, GapClosureError
+from .fock import EVEN, FockOperator, SiteSet, identity, op_norm
 
 #: default kernel tolerance relative to ||H||
 KERNEL_RTOL = 1e-8
@@ -76,61 +76,44 @@ MONOTONICITY_TOL = 1e-10
 #: ground energy and term minima within FRUSTRATION_TOL count as equal
 FRUSTRATION_TOL = 1e-9
 
-#: kernel tolerance of ``sandwich_check`` relative to ||H_N||; its root bounds |D v| there
-SANDWICH_TOL = 1e-10
-
 #: relative width of the bracket to which a gap closure is bisected
 CLOSURE_RESOLUTION = 1e-3
 
 
 def _lowest_eigenvalue(H: FockOperator) -> float:
-    """Smallest eigenvalue of a self-adjoint operator, from its two parity
-    blocks when it is even."""
-    parts = H.blocks if H.parity == EVEN else (H.matrix,)
-    return min(float(np.linalg.eigvalsh(m).min()) for m in parts)
+    """Smallest eigenvalue of an even self-adjoint operator, from its two
+    parity blocks."""
+    return min(float(np.linalg.eigvalsh(m).min()) for m in H.blocks)
 
 
-def _kernel_tol(w: np.ndarray) -> float:
-    """KERNEL_RTOL times the largest |eigenvalue| in w, and at least KERNEL_RTOL."""
-    scale = float(np.abs(w).max()) if w.size else 1.0
-    return KERNEL_RTOL * max(scale, 1.0)
-
-
-def _split_kernel(w: np.ndarray, tol: float) -> int:
-    """Number of kernel eigenvalues, guarding against clusters at the
-    tolerance; raises AmbiguousKernelError when the split is unsafe."""
-    if w.size and w[0] < -tol:
+def _kernel(H: FockOperator) -> tuple:
+    """(w, k, P): the eigenvalues of H, the dimension of its kernel (the
+    eigenvalues up to KERNEL_RTOL times max(1, ||H||)) and the dense kernel
+    projection P of ``eigh``.  Raises AmbiguousKernelError when the next
+    eigenvalue is within KERNEL_GUARD times that tolerance."""
+    w, v = np.linalg.eigh(H.matrix)
+    tol = KERNEL_RTOL * max(float(np.abs(w).max()), 1.0)
+    if w[0] < -tol:
         raise ValueError(f"operator has eigenvalue {w[0]:.3e} below -tolerance")
     k = int(np.searchsorted(w, tol, side="right"))
     if k < w.size and w[k] < KERNEL_GUARD * tol:
         raise AmbiguousKernelError(
             f"eigenvalue {w[k]:.3e} too close to kernel tolerance {tol:.3e}",
             eigenvalues=w, tol=tol)
-    return k
-
-
-def _kernel(H: FockOperator) -> tuple:
-    """(w, k, P): the eigenvalues of H, the dimension of its kernel and the
-    dense kernel projection P of ``eigh``."""
-    w, v = np.linalg.eigh(H.matrix)
-    k = _split_kernel(w, _kernel_tol(w))
     vk = v[:, :k]
     return w, k, vk @ vk.conj().T
-
-
-def _projection(P: np.ndarray, H: FockOperator) -> FockOperator:
-    """The kernel projection P of H as an operator, even when H is."""
-    return FockOperator(P, H.ambient, None, EVEN if H.parity == EVEN else MIXED)
 
 
 def kernel_projection(H: FockOperator) -> FockOperator:
     """Orthogonal projection onto the kernel (eigenvalues <= 1e-8 max(1,
     ||H||)) of a nonnegative self-adjoint operator; the next eigenvalue must
     clear ten times that tolerance or the kernel is declared ambiguous.
+    The projection is tagged even, so one that is not even raises
+    ValueError.
     """
     if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
-    return _projection(_kernel(H)[2], H)
+    return FockOperator(_kernel(H)[2], H.ambient, None, EVEN)
 
 
 @dataclass(frozen=True)
@@ -172,7 +155,9 @@ class HamiltonianSequence:
         object.__setattr__(self, "hamiltonians", hams)
         if len(hams) < 2:
             raise ValueError("need H_0 and at least one increment")
-        if any(m.any() for m in _parts(hams[0], hams[0].parity == MIXED)):
+        if any(H.parity != EVEN for H in hams):
+            raise ValueError("sequence members must be even")
+        if any(m.any() for m in hams[0].blocks):
             raise ValueError("H_0 must be the zero operator")
         lam = hams[0].ambient
         for H in hams:
@@ -239,28 +224,21 @@ def _spectral_blocks(gs: Iterable[FockOperator]):
                 raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
             yield g_prev - g
         g_prev = g
-    if g_prev is None:
-        raise ValueError("need at least one kernel projection")
     yield g_prev
 
 
-def _parts(A: FockOperator, dense: bool) -> tuple:
-    """The two parity blocks of an even operator, or its matrix when dense."""
-    return (A.matrix,) if dense else A.blocks
-
-
-def _range_bases(gs: Iterable[FockOperator], dense: bool) -> tuple:
-    """Check the resolution family of the nested G_n on the parity blocks
-    (or the matrices, when dense) as the module docstring says, and return
-    (sides, gram, delta): per E_n and block, the basis of its lower-rank
-    side; the largest ||W* W - 1||; the largest projection defect, plus the
-    Frobenius norm of the anti-Hermitian part that ``eigh``, reading one
-    triangle, does not see.  The G_n are read once, in order, and each is
-    dropped once E_n is diagonalized."""
+def _range_bases(gs: Iterable[FockOperator]) -> tuple:
+    """Check the resolution family of the nested even G_n on the parity
+    blocks as the module docstring says, and return (sides, gram, delta):
+    per E_n and block, the basis of its lower-rank side; the largest
+    ||W* W - 1||; the largest projection defect, plus the Frobenius norm of
+    the anti-Hermitian part that ``eigh``, reading one triangle, does not
+    see.  The G_n are read once, in order, and each is dropped once E_n is
+    diagonalized."""
     ranges, sides, delta = [], [], 0.0
     for e in _spectral_blocks(gs):
         kept_ranges, kept_sides = [], []
-        for m in _parts(e, dense):
+        for m in e.blocks:
             w, v = np.linalg.eigh(m)
             split = int(np.searchsorted(w, 0.5, side="right"))
             delta = max(delta, float(np.abs(w - (w > 0.5)).max(initial=0.0)
@@ -283,30 +261,14 @@ def _range_bases(gs: Iterable[FockOperator], dense: bool) -> tuple:
     return sides, gram, delta
 
 
-def resolution_family(kernel_projections: Sequence[FockOperator]) -> list:
-    """Resolution of the identity from nested kernel projections
-    G_1 >= G_2 >= ... >= G_N:
-
-        E_0 = 1 - G_1,  E_n = G_n - G_{n+1},  E_N = G_N.
-
-    The nesting G_{n+1} G_n = G_{n+1} is checked as a product (that the E_n
-    are projections would bound its defect only by a square root); mutual
-    orthogonality and completeness by the Gram check on range bases of the
-    module docstring, which forms the E_n one at a time.
-    """
-    gs = list(kernel_projections)
-    _range_bases(gs, any(g.parity != EVEN for g in gs))
-    return list(_spectral_blocks(gs))
-
-
-def _windows(sides: list, g_projs: Sequence[FockOperator], dense: bool) -> np.ndarray:
+def _windows(sides: list, g_projs: Sequence[FockOperator]) -> np.ndarray:
     """||[E_k, g_{n+1}]|| = ||(1 - V V*) g_{n+1} V|| at row k and column n,
     the largest over the blocks of the largest singular value, with V the
     kept basis of E_k.  g V is projected off V twice: the second pass
     removes the roundoff that the first leaves along V."""
     out = np.zeros((len(sides), len(g_projs)))
     for n, g in enumerate(g_projs):
-        for m, vs in zip(_parts(g, dense), zip(*sides)):
+        for m, vs in zip(g.blocks, zip(*sides)):
             for k, v in enumerate(vs):
                 if v.shape[1]:
                     x = m @ v
@@ -374,9 +336,6 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     """
     seq.validate()
     n_steps = seq.size
-    # a difference of even operators is even, and a mixed H_n makes P_n and
-    # the kernel projection of h_n mixed: the parities of the H_n decide
-    dense = any(H.parity != EVEN for H in seq.hamiltonians)
 
     gammas, g_projs, eps_per_step = [], [], []
     exact_gap = None
@@ -385,7 +344,8 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
         """G_1, ..., G_N for ``_range_bases``, each yielded once gamma_n,
         g_n and eps_n of its step are kept.  eps_n = ||E_n g_{n+1} E_n|| is
         taken on the dense eigh projections, E_n = P_n - P_{n+1} with
-        P_0 = 1; only the dense P_n is carried to the next step."""
+        P_0 = 1, written over P_n; only the dense P_n is carried to the next
+        step."""
         nonlocal exact_gap
         p_prev = np.eye(seq.lattice.dim, dtype=complex)
         increments = seq.increments()
@@ -398,22 +358,24 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             if k == w.size:
                 raise ValueError("an increment vanishes; every step must add a nonzero operator")
             gammas.append(float(w[k]))
-            g_projs.append(_projection(g, h))
+            g_projs.append(FockOperator(g, h.ambient, None, EVEN))
             del h
             w, k, p = _kernel(H)
             if k == 0:
                 raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
                                  "nonempty ground spaces")
-            e = p_prev - p
+            # the operators hold gathered copies of their blocks, so no one
+            # else reads p_prev's buffer
+            e = np.subtract(p_prev, p, out=p_prev)
             p_prev = p
             product = e @ g @ e
             del e, g    # freed before the norm runs
             eps_per_step.append(op_norm(product))
             del product
-            yield _projection(p, H)
+            yield FockOperator(p, H.ambient, None, EVEN)
         exact_gap = float(w[k]) if k < w.size else None
 
-    sides = _range_bases(kernel_projections(), dense)[0]
+    sides = _range_bases(kernel_projections())[0]
     gamma = min(gammas)
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
@@ -425,7 +387,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
 
     ell = 0
     forward_defect = 0.0
-    commute_defects = _windows(sides, g_projs, dense)
+    commute_defects = _windows(sides, g_projs)
     for (k, n), d in np.ndenumerate(commute_defects):
         if d > COMMUTE_TOL:
             if k > n:
@@ -462,54 +424,6 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     return GapCertificate(gamma=gamma, ell=ell, epsilon=epsilon, bound=bound,
                           exact_gap=exact_gap, defects=defects,
                           per_step=per_step, no_certificate_reason=reason)
-
-
-@dataclass(frozen=True)
-class SandwichResult:
-    """Extreme constants with c H_N <= H_target - E_0 <= C H_N."""
-
-    c: float
-    C: float
-    ground_energy: float
-
-
-def sandwich_check(H_target: FockOperator, H_N: FockOperator) -> SandwichResult:
-    """Largest c and smallest C sandwiching the shifted target between
-    multiples of H_N: the extreme eigenvalues of the pencil (H_target - E_0,
-    H_N) on the orthogonal complement of ker(H_N) (kernel tolerance
-    SANDWICH_TOL), solved as an ordinary Hermitian problem in the
-    eigenbasis of H_N.
-
-    Requires ker(H_N) inside ker(H_target - E_0); otherwise no finite
-    sandwich exists and a KernelMismatchError carries a witness vector.
-    """
-    for H in (H_target, H_N):
-        if not H.is_hermitian():
-            raise ValueError("sandwich members must be self-adjoint")
-    w_t = np.linalg.eigvalsh(H_target.matrix)
-    e0 = float(w_t[0])
-    D = H_target.matrix - e0 * np.eye(H_target.dim)
-
-    w, v = np.linalg.eigh(H_N.matrix)
-    k = _split_kernel(w, SANDWICH_TOL * max(1.0, float(np.abs(w).max())))
-    if k:
-        kernel_vecs = v[:, :k]
-        img = D @ kernel_vecs
-        norms = np.linalg.norm(img, axis=0)
-        worst = int(np.argmax(norms))
-        scale = max(1.0, float(np.abs(D).max()))
-        if norms[worst] > math.sqrt(SANDWICH_TOL) * scale:
-            raise KernelMismatchError(
-                f"ker(H_N) leaks out of ker(H_target - E0): |D v| = {norms[worst]:.3e}",
-                witness=kernel_vecs[:, worst], defect=float(norms[worst]))
-    vr = v[:, k:]
-    if vr.shape[1] == 0:
-        raise ValueError("H_N vanishes; sandwich constants are undefined")
-    # vr* H_N vr = diag(w[k:]), so the pencil (vr* D vr, vr* H_N vr) is the
-    # ordinary problem of S vr* D vr S with S = diag(w[k:])^(-1/2)
-    sv = vr / np.sqrt(w[k:])
-    gen = np.linalg.eigvalsh(sv.conj().T @ D @ sv)
-    return SandwichResult(c=float(gen[0]), C=float(gen[-1]), ground_energy=e0)
 
 
 @dataclass(frozen=True)

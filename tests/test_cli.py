@@ -224,6 +224,10 @@ def test_run_bad_observable_site_is_config_error(tmp_path, capsys):
     ("lr_ramped.json", ("time", "stop"), 3.0, "time.stop"),     # beyond the ramp interval
     ("lr_chain.json", ("time", "stop"), 1e308, "time.stop"),    # beyond MAGNITUDE_CAP
     ("lr_ramped.json", ("model", "ramp", "slope"), -1e7, "model.ramp.slope"),
+    # beyond the 8 sites that embed expands over: a full-support probe, and
+    # overlap-model terms that span the chain
+    ("condexp_chain.json", ("lattice", "lengths"), [9], "lattice.lengths"),
+    ("gap_overlap.json", ("lattice", "lengths"), [9], "lattice.lengths"),
 ])
 def test_semantic_rules_are_field_diagnostics(tmp_path, capsys, name, path, value, field):
     # each passed the schema before and failed only inside a runner, unnamed

@@ -1,5 +1,7 @@
-"""Frustration-freeness, kernel projections, martingale certificates,
-sandwich constants, and gap-protected projection flow."""
+"""Frustration-freeness, kernel projections, the martingale certificate on
+even sequences (its range-basis checks and windows against explicit E_n,
+its eps path against a dense recomputation), and gap-protected projection
+flow."""
 
 import tracemalloc
 import weakref
@@ -9,16 +11,13 @@ import pytest
 
 from fermicert import fock, gap, geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
-from fermicert.errors import (AmbiguousKernelError, GapClosureError,
-                              KernelMismatchError)
+from fermicert.errors import AmbiguousKernelError, GapClosureError
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             identity, number_operator, op_norm, zero)
-from fermicert.gap import (COMMUTE_TOL, SANDWICH_TOL, HamiltonianSequence,
-                           _kernel, _range_bases, _windows,
-                           frustration_free_check, hamiltonian_sequence,
+from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _kernel, _range_bases,
+                           _windows, frustration_free_check, hamiltonian_sequence,
                            kernel_projection, martingale_bound,
-                           martingale_certificate, projection_flow,
-                           resolution_family, sandwich_check)
+                           martingale_certificate, projection_flow)
 
 
 def _onsite_number_interaction(L):
@@ -109,35 +108,18 @@ def test_kernel_projection_ambiguity_guard():
     assert round(P.trace().real) == 2
 
 
-def test_resolution_family_single_step():
-    lam = chain(2)
-    H = number_operator(lam)
-    G1 = kernel_projection(H)
-    es = resolution_family([G1])
-    assert np.abs(es[0].matrix - (np.eye(4) - G1.matrix)).max() <= 1e-12
-    assert np.abs(es[1].matrix - G1.matrix).max() <= 1e-12
-
-
-def test_resolution_family_full_sequence():
-    phi = models.kitaev_chain(5)
-    lam = chain(5)
-    seq = hamiltonian_sequence(phi, lam)
-    gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
-    es = resolution_family(gs)
-    total = sum(e.matrix for e in es)
-    assert np.abs(total - np.eye(lam.dim)).max() <= 1e-10
-    for i, a in enumerate(es):
-        for j, b in enumerate(es):
-            target = a.matrix if i == j else 0.0
-            assert op_norm(a.matrix @ b.matrix - target) <= 1e-10
-
-
-def test_resolution_family_rejects_non_nested():
-    lam = chain(2)
-    G_small = kernel_projection(number_operator(lam))          # vacuum only
-    G_big = kernel_projection(number_operator(lam, [0]))       # site-0 empty
-    with pytest.raises(ValueError, match="nested"):
-        resolution_family([G_small, G_big])  # grows instead of shrinking
+def test_kernel_projection_is_tagged_even():
+    lam = chain(1)
+    # a mixed-tagged operator with an even kernel projection is accepted
+    mixed_number = FockOperator(number_operator(lam).matrix, lam, None, MIXED)
+    P = kernel_projection(mixed_number)
+    assert P.parity == EVEN
+    assert np.array_equal(P.matrix, np.diag([1.0, 0.0]).astype(complex))
+    # 1 - |+><+| with |+> = (|0> + |1>) / sqrt 2: its kernel projection
+    # |+><+| is not even, and the even tag refuses it
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    with pytest.raises(ValueError, match="parity 'even' violated"):
+        kernel_projection(FockOperator(np.eye(2) - plus, lam, None, MIXED))
 
 
 def test_streamed_range_bases_refuse_a_non_nested_pair_when_it_arrives():
@@ -152,7 +134,7 @@ def test_streamed_range_bases_refuse_a_non_nested_pair_when_it_arrives():
             yield g
 
     with pytest.raises(ValueError, match="nested"):
-        _range_bases(stream(), False)
+        _range_bases(stream())
     # refused on the pair (G_1, G_2): G_3 was never asked for
     assert len(pulled) == 2
 
@@ -170,19 +152,25 @@ def test_range_bases_drop_each_kernel_projection_after_the_next():
             refs.append(weakref.ref(g))
             yield g
 
-    streamed = _range_bases(stream(), False)
-    listed = _range_bases([kernel_projection(H) for H in seq.hamiltonians[1:]], False)
+    streamed = _range_bases(stream())
+    listed = _range_bases([kernel_projection(H) for H in seq.hamiltonians[1:]])
     assert len(refs) == seq.size
     assert streamed[1:] == listed[1:]
     for got, want in zip(streamed[0], listed[0]):
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def _explicit_family(gs):
+    """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N as operators."""
+    one = fock.identity(gs[0].ambient)
+    return [one - gs[0]] + [gs[n] - gs[n + 1] for n in range(len(gs) - 1)] + [gs[-1]]
+
+
 def _product_oracle(gs):
     """The resolution check by products: the largest ||E_i E_j - delta_ij E_i||
     over i <= j, and ||E_0 + ... + E_N - 1||."""
     one = fock.identity(gs[0].ambient)
-    es = [one - gs[0]] + [gs[n] - gs[n + 1] for n in range(len(gs) - 1)] + [gs[-1]]
+    es = _explicit_family(gs)
     total = es[0]
     for e in es[1:]:
         total = total + e
@@ -197,6 +185,47 @@ def _product_oracle(gs):
 def _window_oracle(es, g_projs):
     """||[E_k, g_{n+1}]|| at row k and column n, from the operator commutators."""
     return np.array([[op_norm(fock.commutator(e, g)) for g in g_projs] for e in es])
+
+
+def _assert_sides_span(sides, es):
+    """Each kept basis V of E_n spans, per block, the range of E_n or of
+    1 - E_n, whichever has the lower rank."""
+    for vs, e in zip(sides, es):
+        for v, m in zip(vs, e.blocks):
+            rank = round(np.trace(m).real)
+            assert v.shape[1] == min(rank, len(m) - rank)
+            side = m if 2 * rank <= len(m) else np.eye(len(m)) - m
+            assert np.abs(v @ v.conj().T - side).max() <= 1e-12
+
+
+def test_resolution_family_single_step():
+    lam = chain(2)
+    G1 = kernel_projection(number_operator(lam))
+    sides, gram, delta = _range_bases([G1])
+    assert gram + 2 * delta <= 1e-14
+    E0, E1 = _explicit_family([G1])
+    assert np.abs(E0.matrix - (np.eye(4) - G1.matrix)).max() <= 1e-12
+    assert np.abs(E1.matrix - G1.matrix).max() <= 1e-12
+    _assert_sides_span(sides, [E0, E1])
+
+
+def test_resolution_family_full_sequence():
+    L = 5
+    seq = hamiltonian_sequence(models.kitaev_chain(L), chain(L))
+    gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
+    sides, gram, delta = _range_bases(gs)
+    assert gram + 2 * delta <= COMMUTE_TOL
+    products, completeness = _product_oracle(gs)
+    assert max(products, completeness) <= 1e-10
+    _assert_sides_span(sides, _explicit_family(gs))
+
+
+def test_resolution_family_rejects_non_nested():
+    lam = chain(2)
+    G_small = kernel_projection(number_operator(lam))          # vacuum only
+    G_big = kernel_projection(number_operator(lam, [0]))       # site-0 empty
+    with pytest.raises(ValueError, match="nested"):
+        _range_bases([G_small, G_big])  # grows instead of shrinking
 
 
 def _gap_model(name, L):
@@ -215,13 +244,13 @@ def test_range_bases_against_the_product_oracles(name, L):
     seq = hamiltonian_sequence(_gap_model(name, L), chain(L))
     gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
     g_projs = [kernel_projection(h) for h in seq.increments()]
-    sides, gram, delta = _range_bases(gs, False)
+    sides, gram, delta = _range_bases(gs)
     assert gram + 2 * delta <= COMMUTE_TOL
     products, completeness = _product_oracle(gs)
     assert products <= gram + 2 * delta
     assert completeness <= gram + 2 * delta
-    windows = _windows(sides, g_projs, False)
-    oracle = _window_oracle(resolution_family(gs), g_projs)
+    windows = _windows(sides, g_projs)
+    oracle = _window_oracle(_explicit_family(gs), g_projs)
     assert np.abs(windows - oracle).max() <= 2 * delta + 1e-14
     assert np.array_equal(windows > COMMUTE_TOL, oracle > COMMUTE_TOL)
     cert = martingale_certificate(seq)
@@ -250,7 +279,7 @@ def test_resolution_family_refuses_an_oblique_block():
     assert max(op_norm(b - b @ a) for a, b in zip(gs, gs[1:])) <= COMMUTE_TOL
     assert _product_oracle(gs)[0] > COMMUTE_TOL
     with pytest.raises(ValueError, match="not orthogonal projections"):
-        resolution_family(gs)
+        _range_bases(gs)
 
 
 def test_gram_check_refuses_overlapping_ranges():
@@ -269,29 +298,27 @@ def test_gram_check_refuses_overlapping_ranges():
     # the Gram bound is conservative: these products stay below COMMUTE_TOL
     assert _product_oracle(gs)[0] <= COMMUTE_TOL
     with pytest.raises(ValueError, match="Gram defect"):
-        resolution_family(gs)
+        _range_bases(gs)
 
 
-def test_mixed_tagged_sequence_takes_the_dense_range_bases():
+def test_mixed_tagged_sequence_is_refused():
     L = 4
     lam = chain(L)
-    seq = hamiltonian_sequence(models.kitaev_chain(L), lam)
-    mixed = HamiltonianSequence(tuple(FockOperator(H.matrix, lam, None, MIXED)
-                                      for H in seq.hamiltonians))
-    want, got = martingale_certificate(seq), martingale_certificate(mixed)
-    assert (got.gamma, got.ell, got.epsilon, got.bound) == pytest.approx(
-        (want.gamma, want.ell, want.epsilon, want.bound), abs=1e-12)
-    assert np.allclose(got.per_step["max_commutator_n"], want.per_step["max_commutator_n"],
-                       rtol=0, atol=1e-14)
+    hams = hamiltonian_sequence(models.kitaev_chain(L), lam).hamiltonians
+    retagged = [FockOperator(H.matrix, lam, None, MIXED) for H in hams]
+    with pytest.raises(ValueError, match="must be even"):
+        HamiltonianSequence(tuple(retagged))
+    # one mixed member among even ones, and a mixed H_0 that is not zero
+    with pytest.raises(ValueError, match="must be even"):
+        HamiltonianSequence(hams[:-1] + (retagged[-1],))
+    with pytest.raises(ValueError, match="must be even"):
+        HamiltonianSequence((retagged[1],) + hams[1:])
 
 
 def test_sequence_validation():
     lam = chain(2)
     with pytest.raises(ValueError, match="zero"):
         HamiltonianSequence((number_operator(lam), number_operator(lam)))
-    mixed = FockOperator(number_operator(lam).matrix, lam, None, MIXED)
-    with pytest.raises(ValueError, match="zero"):
-        HamiltonianSequence((mixed, number_operator(lam)))
     decreasing = (zero(lam), number_operator(lam), zero(lam))
     seq = HamiltonianSequence(decreasing)
     with pytest.raises(ValueError, match="not increasing"):
@@ -474,63 +501,6 @@ def test_martingale_no_certificate_when_eps_large():
     else:
         # if it certifies after all, soundness must still hold
         assert cert.bound <= cert.exact_gap + 1e-8
-
-
-def test_sandwich_identity_and_scaling():
-    lam = chain(5)
-    H = local_hamiltonian(models.kitaev_chain(5), lam)
-    res = sandwich_check(H, H)
-    assert res.c == pytest.approx(1.0, abs=1e-9)
-    assert res.C == pytest.approx(1.0, abs=1e-9)
-    res2 = sandwich_check(2.0 * H, H)
-    assert res2.c == pytest.approx(2.0, abs=1e-9)
-    assert res2.C == pytest.approx(2.0, abs=1e-9)
-
-
-def test_sandwich_polynomial_target():
-    # H + H^2/4 shares the kernel; generalized eigenvalues are 1 + w/4
-    lam = chain(5)
-    H = local_hamiltonian(models.kitaev_chain(5), lam)
-    target = FockOperator(H.matrix + H.matrix @ H.matrix / 4, lam,
-                          H.support, EVEN)
-    res = sandwich_check(target, H)
-    w = np.linalg.eigvalsh(H.matrix)
-    nonzero = w[w > 1e-8]
-    assert res.c == pytest.approx(1 + nonzero.min() / 4, rel=1e-8)
-    assert res.C == pytest.approx(1 + nonzero.max() / 4, rel=1e-8)
-    assert res.c > 0
-
-
-def test_sandwich_noncommuting_target_matches_the_generalized_oracle(rng):
-    # target = H^(1/2) B H^(1/2) with B > 0: the kernel of H, but no common eigenbasis
-    from scipy.linalg import eigvalsh
-    lam = chain(5)
-    H = local_hamiltonian(models.kitaev_chain(5), lam)
-    w, v = np.linalg.eigh(H.matrix)
-    root = (v * np.sqrt(np.where(w > 1e-8, w, 0.0))) @ v.conj().T
-    raw = fock.random_local_operator(lam, lam.sites, rng, parity=EVEN).matrix
-    m = root @ (raw @ raw.conj().T + 0.5 * np.eye(lam.dim)) @ root
-    target = FockOperator((m + m.conj().T) / 2, lam, H.support, EVEN)
-    assert op_norm(fock.commutator(target, H)) > 0.1
-    res = sandwich_check(target, H)
-    k = int(np.searchsorted(w, SANDWICH_TOL * np.abs(w).max(), side="right"))
-    assert k == 2
-    vr = v[:, k:]
-    d_r = vr.conj().T @ (target.matrix - res.ground_energy * np.eye(lam.dim)) @ vr
-    want = eigvalsh(d_r, vr.conj().T @ H.matrix @ vr)
-    assert res.c == pytest.approx(want[0], rel=1e-10)
-    assert res.C == pytest.approx(want[-1], rel=1e-10)
-    assert want[-1] > 2 * want[0] > 0
-
-
-def test_sandwich_kernel_mismatch():
-    lam = chain(3)
-    H_N = number_operator(lam, [0])      # kernel: site 0 empty
-    target = number_operator(lam)        # kernel: vacuum only
-    with pytest.raises(KernelMismatchError) as err:
-        sandwich_check(target, H_N)
-    v = err.value.witness
-    assert np.linalg.norm(target.matrix @ v) > 1e-3
 
 
 @pytest.fixture(scope="module")
