@@ -243,6 +243,11 @@ def _constraints(task):
         test, need = _CHAIN_LENGTHS[model.name]
         if not test(len(sites)):
             yield "lattice.lengths", f"{model.name} needs {need}, got {len(sites)}"
+    if model is not None and model.name == "random_even" and min(
+            model.params.max_range + 1, len(sites)) > fock.EXPANSION_CAP:
+        yield "model.params.max_range", (   # its terms span up to max_range + 1 sites
+            f"need at most {fock.EXPANSION_CAP - 1} on more than {fock.EXPANSION_CAP} sites, "
+            f"got {model.params.max_range}")
     if task.task == "condexp-check" and len(sites) > fock.EXPANSION_CAP:
         # its probe is a full-support operator
         yield ("lattice.lengths",

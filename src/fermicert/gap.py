@@ -18,11 +18,17 @@ at least gamma (1 - eps sqrt(1 + ell))^2, a lower bound on the spectral
 gap of H_N above zero.
 
 The certificate is one pass over n = 1..N that keeps only what later
-steps read: the dense kernel projection of H_n until step n + 1 has formed
-E_n from it, the bases of each E_n, and the parity blocks of each g_n,
-which the windows and assumption (i) read at the end, gamma being the
-minimum over all steps.  The increments h_n are formed again there rather
-than kept.
+steps read: the dense kernel projection of H_n until step n + 1 has used
+it, the bases of each E_n, and the parity blocks of each g_n, which the
+windows and assumption (i) read at the end, gamma being the minimum over
+all steps; the h_n are formed again there.  Only the ``eigh`` of h_n and
+of H_n and the product M = E_n g_{n+1} E_n of their kernel projections
+are dense.  The lowest eigenvalue of h_n checks H_{n-1} <= H_n before its
+kernel is split off; the nesting G_{n+1} G_n = G_{n+1} is checked as
+||(1 - G_n) K_{n+1}|| = ||G_{n+1} (1 - G_n)||, with K_{n+1} the orthonormal
+kernel basis of H_{n+1}; eps_n^2 is the bound max_c ||M_cc|| + ||M_off||_F
+on ||M|| from the parity blocks of M, widened by the roundoff of a
+computed singular value.
 
 The E_n are checked and used through bases of their ranges: each E_n is
 formed as soon as G_{n+1} is known and diagonalized once per parity block,
@@ -51,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -86,12 +91,12 @@ def _lowest_eigenvalue(H: FockOperator) -> float:
     return min(float(np.linalg.eigvalsh(m).min()) for m in H.blocks)
 
 
-def _kernel(H: FockOperator) -> tuple:
-    """(w, k, P): the eigenvalues of H, the dimension of its kernel (the
-    eigenvalues up to KERNEL_RTOL times max(1, ||H||)) and the dense kernel
-    projection P of ``eigh``.  Raises AmbiguousKernelError when the next
-    eigenvalue is within KERNEL_GUARD times that tolerance."""
-    w, v = np.linalg.eigh(H.matrix)
+def _kernel(w: np.ndarray, v: np.ndarray) -> tuple:
+    """(k, K, P) from the ``eigh`` (w, v) of H: the dimension of its kernel
+    (the eigenvalues up to KERNEL_RTOL times max(1, ||H||)), its basis K,
+    the first k columns of v (a view), and the dense kernel projection
+    P = K K*.  Raises AmbiguousKernelError when the next eigenvalue is
+    within KERNEL_GUARD times that tolerance."""
     tol = KERNEL_RTOL * max(float(np.abs(w).max()), 1.0)
     if w[0] < -tol:
         raise ValueError(f"operator has eigenvalue {w[0]:.3e} below -tolerance")
@@ -101,7 +106,18 @@ def _kernel(H: FockOperator) -> tuple:
             f"eigenvalue {w[k]:.3e} too close to kernel tolerance {tol:.3e}",
             eigenvalues=w, tol=tol)
     vk = v[:, :k]
-    return w, k, vk @ vk.conj().T
+    return k, vk, vk @ vk.conj().T
+
+
+def _sector_norm_bound(m: np.ndarray) -> float:
+    """An upper bound on ||m||: the larger ``op_norm`` of its two on-sector
+    blocks plus the Frobenius norm of its two off-sector blocks, widened by
+    dim * machine epsilon, about the error of a computed singular value.
+    Each block is gathered in turn and freed once its norm is taken."""
+    on, off = (fock._sector_mesh(len(m), p) for p in (0, 1))
+    bound = (max(op_norm(m[rows, cols]) for rows, cols in on)
+             + math.hypot(*(np.linalg.norm(m[rows, cols]) for rows, cols in off)))
+    return bound * (1.0 + len(m) * np.finfo(float).eps)
 
 
 def kernel_projection(H: FockOperator) -> FockOperator:
@@ -113,7 +129,7 @@ def kernel_projection(H: FockOperator) -> FockOperator:
     """
     if not H.is_hermitian():
         raise ValueError("operator is not self-adjoint within 1e-12")
-    return FockOperator(_kernel(H)[2], H.ambient, None, EVEN)
+    return FockOperator(_kernel(*np.linalg.eigh(H.matrix))[2], H.ambient, None, EVEN)
 
 
 @dataclass(frozen=True)
@@ -132,8 +148,8 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
     FRUSTRATION_TOL."""
     if phi.is_time_dependent:
         raise ValueError("frustration-freeness is defined for static interactions")
-    # the eigenvalues of eigh, which eigvalsh does not reproduce to the bit
-    e0 = float(np.linalg.eigh(local_hamiltonian(phi, lam).matrix)[0][0])
+    # on the two parity blocks: no dense 2^L x 2^L matrix is assembled
+    e0 = _lowest_eigenvalue(local_hamiltonian(phi, lam))
     minima = []
     for t in phi.terms:
         if set(t.sites) <= set(lam.sites):
@@ -145,8 +161,8 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSequence:
-    """Increasing sequence 0 = H_0 <= H_1 <= ... <= H_N of nonnegative
-    even Hamiltonians; ``increments`` forms each h_n when it is read."""
+    """Sequence 0 = H_0, H_1, ..., H_N of even self-adjoint Hamiltonians, which
+    the certificate checks to increase; ``increments`` forms each h_n."""
 
     hamiltonians: tuple
 
@@ -179,20 +195,6 @@ class HamiltonianSequence:
         for prev, cur in zip(self.hamiltonians, self.hamiltonians[1:]):
             yield cur - prev
 
-    @cached_property
-    def monotonicity_defect(self) -> float:
-        """Most negative eigenvalue across increments (>= -MONOTONICITY_TOL required),
-        computed once per sequence."""
-        worst = 0.0
-        for h in self.increments():
-            worst = min(worst, _lowest_eigenvalue(h))
-        return -worst
-
-    def validate(self):
-        defect = self.monotonicity_defect
-        if defect > MONOTONICITY_TOL:
-            raise ValueError(f"sequence is not increasing: increment defect {defect:.3e}")
-
 
 def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     """Partial sums of the interaction terms inside ``lam``, one term per
@@ -205,36 +207,27 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     hams = [fock.zero(lam)]
     for t in inside:
         hams.append(hams[-1] + local_hamiltonian(Interaction((t,)), lam))
-    seq = HamiltonianSequence(tuple(hams))
-    seq.validate()
-    return seq
+    return HamiltonianSequence(tuple(hams))
 
 
 def _spectral_blocks(gs: Iterable[FockOperator]):
     """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N, each formed as soon
-    as its G_n arrive, once the nesting G_{n+1} G_n = G_{n+1} of the pair is
-    checked as a product; no G_n is held past the arrival of the next."""
+    as its G_n arrive; no G_n is held past the arrival of the next."""
     g_prev = None
     for g in gs:
-        if g_prev is None:
-            yield identity(g.ambient) - g
-        else:
-            defect = op_norm(g - g @ g_prev)
-            if defect > COMMUTE_TOL:
-                raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
-            yield g_prev - g
+        yield identity(g.ambient) - g if g_prev is None else g_prev - g
         g_prev = g
     yield g_prev
 
 
 def _range_bases(gs: Iterable[FockOperator]) -> tuple:
-    """Check the resolution family of the nested even G_n on the parity
-    blocks as the module docstring says, and return (sides, gram, delta):
-    per E_n and block, the basis of its lower-rank side; the largest
-    ||W* W - 1||; the largest projection defect, plus the Frobenius norm of
-    the anti-Hermitian part that ``eigh``, reading one triangle, does not
-    see.  The G_n are read once, in order, and each is dropped once E_n is
-    diagonalized."""
+    """Check the resolution family of the even G_n on the parity blocks as
+    the module docstring says, and return (sides, gram, delta): per E_n and
+    block, the basis of its lower-rank side; the largest ||W* W - 1||; the
+    largest projection defect, plus the Frobenius norm of the anti-Hermitian
+    part that ``eigh``, reading one triangle, does not see.  The G_n are
+    read once, in order, and each is dropped once E_n is diagonalized; the
+    certificate has checked their nesting."""
     ranges, sides, delta = [], [], 0.0
     for e in _spectral_blocks(gs):
         kept_ranges, kept_sides = [], []
@@ -322,31 +315,25 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
 
     gamma is the smallest nonzero eigenvalue across increments; ell is the
     smallest window width absorbing all commutators [E_k, g_{n+1}] above
-    COMMUTE_TOL with k <= n; eps^2 is the largest norm of E_n g_{n+1} E_n.  A bound is
+    COMMUTE_TOL with k <= n; eps^2 is the largest upper bound on the norm
+    of E_n g_{n+1} E_n (``_sector_norm_bound``).  A bound is
     emitted only when eps sqrt(1 + ell) < 1; failure to certify is a
     result, not an exception.
 
-    The resolution check and the windows run on range bases of the E_n
-    (module docstring); eps_n is the norm of the dense product of the
-    ``eigh`` kernel projections.  The steps run in one pass: step n forms
-    h_n, the dense kernel projections of h_n and H_n and eps_n, and frees
-    the dense work before the next step, keeping gamma_n, eps_n, the blocks
-    of g_n, the bases of E_{n-1} and the dense kernel projection of H_n,
-    which step n + 1 reads.
+    The steps run in one pass, and the resolution check and the windows on
+    range bases of the E_n (module docstring).  A sequence that does not
+    increase raises ValueError.
     """
-    seq.validate()
-    n_steps = seq.size
-
     gammas, g_projs, eps_per_step = [], [], []
     exact_gap = None
+    worst = 0.0
 
     def kernel_projections():
         """G_1, ..., G_N for ``_range_bases``, each yielded once gamma_n,
-        g_n and eps_n of its step are kept.  eps_n = ||E_n g_{n+1} E_n|| is
-        taken on the dense eigh projections, E_n = P_n - P_{n+1} with
-        P_0 = 1, written over P_n; only the dense P_n is carried to the next
-        step."""
-        nonlocal exact_gap
+        g_n and eps_n of its step are kept.  E_n = P_n - P_{n+1} with
+        P_0 = 1, written over P_n; only the dense P_n is carried to the
+        next step."""
+        nonlocal exact_gap, worst
         p_prev = np.eye(seq.lattice.dim, dtype=complex)
         increments = seq.increments()
         for n, H in enumerate(seq.hamiltonians[1:]):
@@ -354,23 +341,39 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             # tuple until the next step; drawn by next(), h is freed
             # before the kernel of H is found
             h = next(increments)
-            w, k, g = _kernel(h)
+            w, v = np.linalg.eigh(h.matrix)
+            if w[0] < -MONOTONICITY_TOL:
+                raise ValueError(f"sequence is not increasing: increment defect {-w[0]:.3e}")
+            worst = min(worst, float(w[0]))
+            k, vk, g = _kernel(w, v)
             if k == w.size:
                 raise ValueError("an increment vanishes; every step must add a nonzero operator")
             gammas.append(float(w[k]))
+            del v, vk   # freed before g's blocks are gathered
             g_projs.append(FockOperator(g, h.ambient, None, EVEN))
             del h
-            w, k, p = _kernel(H)
+            w, v = np.linalg.eigh(H.matrix)
+            k, vk, p = _kernel(w, v)
             if k == 0:
                 raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
                                  "nonempty ground spaces")
+            if n:   # G_0 = 1 nests every G_1
+                # ||G_{n+1} (1 - G_n)|| = ||(1 - G_n) K_{n+1}|| for orthonormal K_{n+1},
+                # from the k x k Gram matrix (an SVD of the tall x peaked higher)
+                x = p_prev @ vk
+                np.subtract(vk, x, out=x)
+                defect = math.sqrt(op_norm(x.conj().T @ x))
+                del x
+                if defect > COMMUTE_TOL:
+                    raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
+            del v, vk
             # the operators hold gathered copies of their blocks, so no one
             # else reads p_prev's buffer
             e = np.subtract(p_prev, p, out=p_prev)
             p_prev = p
             product = e @ g @ e
             del e, g    # freed before the norm runs
-            eps_per_step.append(op_norm(product))
+            eps_per_step.append(_sector_norm_bound(product))
             del product
             yield FockOperator(p, H.ambient, None, EVEN)
         exact_gap = float(w[k]) if k < w.size else None
@@ -394,32 +397,24 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
                 forward_defect = max(forward_defect, float(d))
             else:
                 ell = max(ell, n - k)
+    defects = {"assumption_i": assumption_i, "monotonicity": -worst,
+               "forward_commutator": forward_defect}
     if forward_defect > 0.0:
         return GapCertificate(
-            gamma=gamma, ell=ell, epsilon=math.nan, bound=None,
-            exact_gap=exact_gap,
-            defects={"assumption_i": assumption_i,
-                     "monotonicity": seq.monotonicity_defect,
-                     "forward_commutator": forward_defect},
-            per_step={"gamma_n": gammas},
+            gamma=gamma, ell=ell, epsilon=math.nan, bound=None, exact_gap=exact_gap,
+            defects=defects, per_step={"gamma_n": gammas},
             no_certificate_reason="a kernel projection fails to commute with a "
                                   "later spectral block")
 
     epsilon = math.sqrt(max(eps_per_step))
-
     bound = martingale_bound(gamma, ell, epsilon)
     reason = None if bound is not None else (
         f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
-    defects = {
-        "assumption_i": assumption_i,
-        "monotonicity": seq.monotonicity_defect,
-        "forward_commutator": forward_defect,
-        "max_allowed_window_commutator": float(commute_defects.max(initial=0.0)),
-    }
+    defects["max_allowed_window_commutator"] = float(commute_defects.max(initial=0.0))
     per_step = {
         "gamma_n": gammas,
         "eps_sq_n": eps_per_step,
-        "max_commutator_n": [float(commute_defects[:, n].max()) for n in range(n_steps)],
+        "max_commutator_n": commute_defects.max(axis=0).tolist(),
     }
     return GapCertificate(gamma=gamma, ell=ell, epsilon=epsilon, bound=bound,
                           exact_gap=exact_gap, defects=defects,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermicert import cli
+from fermicert import cli, fock
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -235,6 +235,20 @@ def test_semantic_rules_are_field_diagnostics(tmp_path, capsys, name, path, valu
     _set(config, path, value)
     assert any(d.startswith(field + ":") for d in cli.validate(config))
     _assert_config_error(config, tmp_path, capsys, field)
+
+
+def test_random_even_terms_beyond_the_expansion_cap_are_config_errors(tmp_path, capsys):
+    # seed 7 draws a term on all 10 sites, which embed cannot expand
+    config = _load("lr_chain.json")
+    config["lattice"]["lengths"] = [10]
+    config["model"] = {"name": "random_even", "params": {"max_range": 9}}
+    _assert_config_error(config, tmp_path, capsys, "model.params.max_range")
+    config["model"]["params"]["max_range"] = fock.EXPANSION_CAP - 1
+    assert cli.validate(config) == []
+    # on 8 sites no term is wider than the lattice
+    config["lattice"]["lengths"] = [8]
+    config["model"]["params"]["max_range"] = 9
+    assert cli.validate(config) == []
 
 
 def test_numerical_failure_is_not_a_config_error(tmp_path, capsys, monkeypatch):

@@ -1,8 +1,9 @@
 """Frustration-freeness, kernel projections, the martingale certificate on
 even sequences (its range-basis checks and windows against explicit E_n,
-its eps path against a dense recomputation), and gap-protected projection
-flow."""
+its in-pass monotonicity and nesting checks, its eps bound against a dense
+recomputation), and gap-protected projection flow."""
 
+import re
 import tracemalloc
 import weakref
 
@@ -15,8 +16,8 @@ from fermicert.errors import AmbiguousKernelError, GapClosureError
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             identity, number_operator, op_norm, zero)
 from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _kernel, _range_bases,
-                           _windows, frustration_free_check, hamiltonian_sequence,
-                           kernel_projection, martingale_bound,
+                           _sector_norm_bound, _windows, frustration_free_check,
+                           hamiltonian_sequence, kernel_projection, martingale_bound,
                            martingale_certificate, projection_flow)
 
 
@@ -29,13 +30,20 @@ def _onsite_number_interaction(L):
 
 
 def test_spectrum_examples(lam4, rng):
-    assert np.array_equal(_kernel(zero(lam4))[0], np.zeros(16))
+    w, v = np.linalg.eigh(zero(lam4).matrix)
+    assert np.array_equal(w, np.zeros(16))
+    assert _kernel(w, v)[0] == 16
     lam3 = chain(3)
-    w, kernel_dim, _ = _kernel(number_operator(lam3))
+    w, v = np.linalg.eigh(number_operator(lam3).matrix)
+    kernel_dim, basis, projection = _kernel(w, v)
     # occupation-count oracle over all 8 configurations
     oracle = sorted(bin(k).count("1") for k in range(8))
     assert np.allclose(w, oracle, atol=1e-12)
     assert kernel_dim == 1
+    # the basis is a view of v's kernel columns: the vacuum
+    assert np.shares_memory(basis, v)
+    assert np.abs(np.abs(basis[:, 0]) - np.eye(8)[0]).max() <= 1e-12
+    assert np.array_equal(projection, basis @ basis.conj().T)
     lam2 = chain(2)
     H = local_hamiltonian(models.hopping_chain(2), lam2)
     assert np.allclose(np.linalg.eigvalsh(H.matrix), [-1, 0, 0, 1], atol=1e-12)
@@ -122,21 +130,39 @@ def test_kernel_projection_is_tagged_even():
         kernel_projection(FockOperator(np.eye(2) - plus, lam, None, MIXED))
 
 
-def test_streamed_range_bases_refuse_a_non_nested_pair_when_it_arrives():
+def _rotating_kernel(monkeypatch, call, angle):
+    """Patch ``gap._kernel`` so that its call number ``call`` (from 1) turns
+    the first kernel column by ``angle`` toward the eigenvector of the
+    largest eigenvalue, with the projection to match, and return the list
+    of the eigenvalues it is given, one entry per call."""
+    calls = []
+    real = gap._kernel
+
+    def kernel(w, v):
+        calls.append(w)
+        k, basis, projection = real(w, v)
+        if len(calls) == call:
+            basis = basis.copy()
+            basis[:, 0] = np.cos(angle) * basis[:, 0] + np.sin(angle) * v[:, -1]
+            projection = basis @ basis.conj().T
+        return k, basis, projection
+
+    monkeypatch.setattr(gap, "_kernel", kernel)
+    return calls
+
+
+def test_certificate_refuses_a_non_nested_pair_when_it_arrives(monkeypatch):
+    # the kernels of h_1, H_1, h_2 and H_2 are calls 1 to 4; H_2's vacuum is
+    # turned toward |11>, which lies outside ker H_1 = ker n_0
     lam = chain(2)
-    G_small = kernel_projection(number_operator(lam))
-    G_big = kernel_projection(number_operator(lam, [0]))
-    pulled = []
-
-    def stream():
-        for g in (G_small, G_big, G_small):
-            pulled.append(g)
-            yield g
-
+    n0, n = number_operator(lam, [0]), number_operator(lam)
+    seq = HamiltonianSequence((zero(lam), n0, n, n + n0))
+    assert martingale_certificate(seq).certified
+    calls = _rotating_kernel(monkeypatch, 4, 1e-3)
     with pytest.raises(ValueError, match="nested"):
-        _range_bases(stream())
-    # refused on the pair (G_1, G_2): G_3 was never asked for
-    assert len(pulled) == 2
+        martingale_certificate(seq)
+    # refused on the pair (G_1, G_2): neither kernel of step 3 was asked for
+    assert len(calls) == 4
 
 
 def test_range_bases_drop_each_kernel_projection_after_the_next():
@@ -220,12 +246,14 @@ def test_resolution_family_full_sequence():
     _assert_sides_span(sides, _explicit_family(gs))
 
 
-def test_resolution_family_rejects_non_nested():
+def test_certificate_refuses_non_nested_kernels(monkeypatch):
+    # ||G_2 (1 - G_1)|| is the sine of the angle by which H_2's kernel is
+    # turned out of ker H_1; the check runs on the kernel basis of H_2
     lam = chain(2)
-    G_small = kernel_projection(number_operator(lam))          # vacuum only
-    G_big = kernel_projection(number_operator(lam, [0]))       # site-0 empty
-    with pytest.raises(ValueError, match="nested"):
-        _range_bases([G_small, G_big])  # grows instead of shrinking
+    seq = HamiltonianSequence((zero(lam), number_operator(lam, [0]), number_operator(lam)))
+    _rotating_kernel(monkeypatch, 4, 1e-3)
+    with pytest.raises(ValueError, match="not nested: defect 1.000e-03"):
+        martingale_certificate(seq)
 
 
 def _gap_model(name, L):
@@ -315,14 +343,23 @@ def test_mixed_tagged_sequence_is_refused():
         HamiltonianSequence((retagged[1],) + hams[1:])
 
 
-def test_sequence_validation():
+def test_sequence_validation(monkeypatch):
     lam = chain(2)
     with pytest.raises(ValueError, match="zero"):
         HamiltonianSequence((number_operator(lam), number_operator(lam)))
-    decreasing = (zero(lam), number_operator(lam), zero(lam))
-    seq = HamiltonianSequence(decreasing)
-    with pytest.raises(ValueError, match="not increasing"):
-        seq.validate()
+    n = number_operator(lam)
+    decreasing = HamiltonianSequence((zero(lam), n, zero(lam)))
+    # below -MONOTONICITY_TOL but within the kernel tolerance of _kernel
+    sagging = HamiltonianSequence((zero(lam), n, n - 1e-9 * identity(lam)))
+    calls = _rotating_kernel(monkeypatch, 0, 0.0)     # records the calls only
+    for seq, defect in ((decreasing, "2.000e+00"), (sagging, "1.000e-09")):
+        calls.clear()
+        message = f"not increasing: increment defect {defect}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            martingale_certificate(seq)
+        # refused on h_2's eigenvalues before _kernel split them: it saw
+        # only those of h_1 and H_1
+        assert len(calls) == 2
 
 
 def test_even_sequence_is_built_without_a_dense_matrix(monkeypatch):
@@ -334,14 +371,13 @@ def test_even_sequence_is_built_without_a_dense_matrix(monkeypatch):
         raise AssertionError("a dense matrix was assembled")
 
     monkeypatch.setattr(fock, "sector_matrix", refuse)
-    HamiltonianSequence(seq.hamiltonians).validate()
+    HamiltonianSequence(seq.hamiltonians)
 
 
 def test_certificate_refuses_a_vanishing_increment():
     lam = chain(2)
     H = number_operator(lam)
     seq = HamiltonianSequence((zero(lam), H, H))
-    seq.validate()
     with pytest.raises(ValueError, match="increment vanishes"):
         martingale_certificate(seq)
 
@@ -349,7 +385,6 @@ def test_certificate_refuses_a_vanishing_increment():
 def test_certificate_refuses_a_trivial_kernel():
     lam = chain(2)
     seq = HamiltonianSequence((zero(lam), number_operator(lam), 2.0 * identity(lam)))
-    seq.validate()
     with pytest.raises(ValueError, match="H_2 has trivial kernel"):
         martingale_certificate(seq)
 
@@ -375,7 +410,6 @@ def test_hamiltonian_sequence_grouping():
     terms = [local_hamiltonian(Interaction((t,)), lam).matrix for t in phi.terms]
     grouped = HamiltonianSequence((zero(lam),) + tuple(
         FockOperator(sum(terms[:n]), lam, frozenset(lam.sites), EVEN) for n in (2, 4)))
-    grouped.validate()
     assert grouped.size == 2
     full = hamiltonian_sequence(phi, lam)
     assert np.abs(grouped.hamiltonians[-1].matrix
@@ -415,7 +449,8 @@ def test_martingale_flat_band(L):
 
 def test_eps_is_the_dense_product_of_the_eigh_projections():
     # eps is roundoff only here, so it depends on the off-sector roundoff of
-    # the eigh projections, which the block-built operators drop
+    # the eigh projections, which the block-built operators drop; each
+    # eps_n^2 bounds the norm of their dense product from its parity blocks
     L = 6
     lam = chain(L)
     phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
@@ -435,8 +470,8 @@ def test_eps_is_the_dense_product_of_the_eigh_projections():
         e = p_prev - p
         want.append(op_norm(e @ kernel(h) @ e))
         p_prev = p
-    assert cert.per_step["eps_sq_n"] == want
-    assert cert.epsilon == np.sqrt(max(want))
+    _assert_bounds_tightly(cert.per_step["eps_sq_n"], want)
+    assert cert.epsilon == np.sqrt(max(cert.per_step["eps_sq_n"]))
     assert 0.0 < max(want) < 1e-15
 
 
@@ -614,10 +649,10 @@ def test_projection_flow_one_site_and_empty_lattice():
 def test_smallest_nonzero_eigenvalue():
     # the first eigenvalue above the kernel split, as gamma_n and exact_gap read it
     lam = chain(3)
-    w, k, _ = _kernel(number_operator(lam))
-    assert w[k] == pytest.approx(1.0)
-    w, k, _ = _kernel(zero(lam))
-    assert k == w.size
+    w, v = np.linalg.eigh(number_operator(lam).matrix)
+    assert w[_kernel(w, v)[0]] == pytest.approx(1.0)
+    w, v = np.linalg.eigh(zero(lam).matrix)
+    assert _kernel(w, v)[0] == w.size
 
 
 def test_spectrum_monotone_under_positive_perturbation(rng):
@@ -635,6 +670,33 @@ def test_spectrum_monotone_under_positive_perturbation(rng):
 
 
 # -- the epsilon path against a dense recomputation --------------------------
+
+def _assert_bounds_tightly(got, want):
+    """Each eps_n^2 is at least the dense product norm, and within 1e-12
+    relative plus 1e-28 of it."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert w <= g <= w * (1 + 1e-12) + 1e-28
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 5])
+@pytest.mark.parametrize("off", [1.0, 1e-3, 1e-12])
+def test_sector_norm_bound_is_at_least_the_norm(rng, L, off):
+    # random mixed matrices with an off-sector part of relative size off:
+    # max_c ||M_cc|| + ||M_off||_F >= ||M||, and it exceeds ||M|| by at most
+    # the Frobenius norm of the off-sector part and the roundoff widening
+    dim = 2**L
+    outside = fock._sector_mesh(dim, 1)
+    for _ in range(5):
+        m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for rows, cols in outside:
+            m[rows, cols] *= off
+        norm = np.linalg.svd(m, compute_uv=False)[0]
+        off_norm = np.sqrt(sum(np.linalg.norm(m[rows, cols])**2 for rows, cols in outside))
+        assert norm <= _sector_norm_bound(m) <= (norm + off_norm) * (1 + 1e-12)
+        # with no off-sector part it is the widened op_norm of the even operator
+        even = fock.parity_decompose(FockOperator(m, chain(L), None, MIXED))[0]
+        assert _sector_norm_bound(even.matrix) == op_norm(even) * (1 + dim * np.finfo(float).eps)
 
 def _dense_certificate(seq):
     """gamma_n, ell, eps_sq_n, epsilon, bound and exact_gap with every
@@ -688,29 +750,32 @@ def _bits(x):
 
 @pytest.mark.parametrize("index", range(5))
 def test_epsilon_path_is_bitwise_the_dense_recomputation(index):
+    # gamma, gamma_n, ell and exact_gap to the bit; eps_sq_n bounds the dense
+    # product norms from the parity blocks
     seq = list(_gap_sequences())[index]
     cert = martingale_certificate(seq)
     want = _dense_certificate(seq)
     assert cert.ell == want["ell"]
-    for key in ("gamma", "epsilon", "bound", "exact_gap"):
+    for key in ("gamma", "exact_gap"):
         assert _bits(getattr(cert, key)) == _bits(want[key]), key
-    for key in ("gamma_n", "eps_sq_n"):
-        assert _bits(cert.per_step[key]) == _bits(want[key]), key
+    assert _bits(cert.per_step["gamma_n"]) == _bits(want["gamma_n"])
+    _assert_bounds_tightly(cert.per_step["eps_sq_n"], want["eps_sq_n"])
+    assert cert.epsilon == np.sqrt(max(cert.per_step["eps_sq_n"]))
+    assert cert.bound == martingale_bound(cert.gamma, cert.ell, cert.epsilon)
 
 
 def test_monotonicity_defect_is_computed_once(monkeypatch):
     L = 6
     phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
                                  geometry.chain_graph(L))
-    seq = hamiltonian_sequence(phi, chain(L))
-    fresh = HamiltonianSequence(seq.hamiltonians).monotonicity_defect
     calls = []
     real = gap._lowest_eigenvalue
     monkeypatch.setattr(gap, "_lowest_eigenvalue", lambda H: calls.append(H) or real(H))
+    seq = hamiltonian_sequence(phi, chain(L))
+    assert calls == []      # no pass over the increments when it is built
     cert = martingale_certificate(seq)
-    # one call per assumption-(i) residual and none over the increments:
-    # validate() and the defects dict reuse the defect computed when
-    # hamiltonian_sequence validated the sequence
+    # one call per assumption-(i) residual and none over the increments: the
+    # defect is the lowest eigenvalue of the eigh that gives each kernel
     assert len(calls) == seq.size
-    assert seq.monotonicity_defect == cert.defects["monotonicity"]
-    assert _bits(cert.defects["monotonicity"]) == _bits(fresh)
+    lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in seq.increments())
+    assert _bits(cert.defects["monotonicity"]) == _bits(-min(0.0, lowest))
