@@ -243,6 +243,8 @@ def _constraints(task):
         test, need = _CHAIN_LENGTHS[model.name]
         if not test(len(sites)):
             yield "lattice.lengths", f"{model.name} needs {need}, got {len(sites)}"
+    if task.task in ("gap-certify", "flow-check") and model.ramp is not None:
+        yield "model.ramp", f"{task.task} takes a static model and no ramp"
     if model is not None and model.name == "random_even" and min(
             model.params.max_range + 1, len(sites)) > fock.EXPANSION_CAP:
         yield "model.params.max_range", (   # its terms span up to max_range + 1 sites
@@ -435,11 +437,9 @@ def _run_gap_certify(task, config, out_dir, prefix):
                "frustration_residual": ff.residual,
                "certificate": cert.to_dict()}
     per_step = cert.per_step
-    steps = len(per_step.get("gamma_n", []))
-    rows = [{"n": n + 1, "gamma_n": per_step["gamma_n"][n],
-             "eps_sq_n": per_step.get("eps_sq_n", [0.0] * steps)[n],
-             "commutator_defect_n": per_step.get("max_commutator_n", [0.0] * steps)[n]}
-            for n in range(steps)]
+    rows = [{"n": n, "gamma_n": g, "eps_sq_n": e, "commutator_defect_n": c}
+            for n, (g, e, c) in enumerate(zip(per_step["gamma_n"], per_step["eps_sq_n"],
+                                              per_step["max_commutator_n"]), start=1)]
     _emit(out_dir, prefix, payload, (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows))
     if not cert.certified:
         print(json.dumps(_error_object("no-certificate",

@@ -2,7 +2,7 @@
 martingale gap certificate, and gap-protected spectral-projection flow.
 
 The martingale certificate works on an increasing sequence of nonnegative
-Hamiltonians 0 = H_0 <= H_1 <= ... <= H_N with increments h_n = H_n -
+Hamiltonians 0 = H_0 <= H_1 <= ... <= H_N with differences h_n = H_n -
 H_{n-1}.  Writing G_n, g_n for the kernel projections of H_n, h_n and
 
     E_0 = 1 - G_1,  E_n = G_n - G_{n+1} (1 <= n <= N-1),  E_N = G_N,
@@ -17,27 +17,28 @@ If eps * sqrt(1 + ell) < 1, every state orthogonal to ker(H_N) has energy
 at least gamma (1 - eps sqrt(1 + ell))^2, a lower bound on the spectral
 gap of H_N above zero.
 
-The certificate is one pass over n = 1..N that keeps only what later
-steps read: the dense kernel projection of H_n until step n + 1 has used
-it, the bases of each E_n, and the parity blocks of each g_n, which the
-windows and assumption (i) read at the end, gamma being the minimum over
-all steps; the h_n are formed again there.  Only the ``eigh`` of h_n and
-of H_n and the product M = E_n g_{n+1} E_n of their kernel projections
-are dense.  The lowest eigenvalue of h_n checks H_{n-1} <= H_n before its
-kernel is split off; the nesting G_{n+1} G_n = G_{n+1} is checked as
-||(1 - G_n) K_{n+1}|| = ||G_{n+1} (1 - G_n)||, with K_{n+1} the orthonormal
-kernel basis of H_{n+1}; eps_n^2 is the bound max_c ||M_cc|| + ||M_off||_F
-on ||M|| from the parity blocks of M, widened by the roundoff of a
-computed singular value.
+The certificate is one loop over the pairs (H_{n-1}, H_n), n = 1..N, that
+keeps only what later steps read: the dense kernel projection G_n of H_n
+until step n + 1 has used it, the bases of each E_n, and the parity blocks
+of each g_n, which the windows and assumption (i) read after the loop,
+gamma being the minimum over all steps; the h_n are formed again there.
+Only the ``eigh`` of h_n and of H_n and the product M = E_n g_{n+1} E_n of
+their kernel projections are dense.  The lowest eigenvalue of h_n checks
+H_{n-1} <= H_n before its kernel is split off; the nesting G_{n+1} G_n =
+G_{n+1} is checked as ||(1 - G_n) K_{n+1}|| = ||G_{n+1} (1 - G_n)||, with
+K_{n+1} the orthonormal kernel basis of H_{n+1}; eps_n^2 is the bound
+max_c ||M_cc|| + ||M_off||_F on ||M|| from the parity blocks of M, widened
+by the roundoff of a computed singular value.
 
 The E_n are checked and used through bases of their ranges: each E_n is
-formed as soon as G_{n+1} is known and diagonalized once per parity block,
-its eigenvalues split at 1/2, and only its range basis V_n and the basis
-of its lower-rank side (range or complement) are kept; G_n is then
-dropped.  The E_n resolve the identity when
-W = [V_0 ... V_N] is square and ||W* W - 1|| + 2 delta <= COMMUTE_TOL, delta
-being the largest distance of an eigenvalue from 0 or 1; that sum bounds
-every ||E_i E_j - delta_ij E_i|| to first order.  Each window is
+formed once, densely, as G_n - G_{n+1} over the buffer of G_n (G_0 = 1) as
+soon as G_{n+1} is known, and E_N = G_N after the loop.  Its checked even
+operator gathers the two parity blocks, each diagonalized once, its
+eigenvalues split at 1/2, and only its range basis V_n and the basis of
+its lower-rank side (range or complement) are kept.  The E_n resolve the
+identity when W = [V_0 ... V_N] is square and ||W* W - 1|| + 2 delta <=
+COMMUTE_TOL, delta being the largest distance of an eigenvalue from 0 or
+1; that sum bounds every ||E_i E_j - delta_ij E_i|| to first order.  Each window is
 ||[E_k, g]|| = ||(1 - V V*) g V|| with V the lower-rank basis of E_k, since
 [1 - P, Q] = -[P, Q]; it is within 2 delta of the commutator of E_k itself,
 so a verdict against COMMUTE_TOL can change only within 2 delta of it.
@@ -162,7 +163,8 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
 @dataclass(frozen=True, eq=False)
 class HamiltonianSequence:
     """Sequence 0 = H_0, H_1, ..., H_N of even self-adjoint Hamiltonians, which
-    the certificate checks to increase; ``increments`` forms each h_n."""
+    the certificate checks to increase; it forms each h_n = H_n - H_{n-1}
+    where it reads it."""
 
     hamiltonians: tuple
 
@@ -190,11 +192,6 @@ class HamiltonianSequence:
     def lattice(self) -> SiteSet:
         return self.hamiltonians[0].ambient
 
-    def increments(self):
-        """h_n = H_n - H_{n-1} for n = 1..N, each formed when it is read."""
-        for prev, cur in zip(self.hamiltonians, self.hamiltonians[1:]):
-            yield cur - prev
-
 
 def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     """Partial sums of the interaction terms inside ``lam``, one term per
@@ -210,37 +207,27 @@ def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
     return HamiltonianSequence(tuple(hams))
 
 
-def _spectral_blocks(gs: Iterable[FockOperator]):
-    """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N, each formed as soon
-    as its G_n arrive; no G_n is held past the arrival of the next."""
-    g_prev = None
-    for g in gs:
-        yield identity(g.ambient) - g if g_prev is None else g_prev - g
-        g_prev = g
-    yield g_prev
-
-
-def _range_bases(gs: Iterable[FockOperator]) -> tuple:
-    """Check the resolution family of the even G_n on the parity blocks as
-    the module docstring says, and return (sides, gram, delta): per E_n and
-    block, the basis of its lower-rank side; the largest ||W* W - 1||; the
-    largest projection defect, plus the Frobenius norm of the anti-Hermitian
-    part that ``eigh``, reading one triangle, does not see.  The G_n are
-    read once, in order, and each is dropped once E_n is diagonalized; the
-    certificate has checked their nesting."""
+def _range_bases(e: FockOperator) -> tuple:
+    """(ranges, sides, delta) of one E_n from one ``eigh`` per parity block,
+    its eigenvalues split at 1/2: per block, the basis of its range and the
+    basis of its lower-rank side (range or complement); and the largest
+    distance of an eigenvalue from 0 or 1, plus the Frobenius norm of the
+    anti-Hermitian part that ``eigh``, reading one triangle, does not see."""
     ranges, sides, delta = [], [], 0.0
-    for e in _spectral_blocks(gs):
-        kept_ranges, kept_sides = [], []
-        for m in e.blocks:
-            w, v = np.linalg.eigh(m)
-            split = int(np.searchsorted(w, 0.5, side="right"))
-            delta = max(delta, float(np.abs(w - (w > 0.5)).max(initial=0.0)
-                                     + np.linalg.norm(m - m.conj().T)))
-            kept_ranges.append(v[:, split:].copy())
-            kept_sides.append(kept_ranges[-1] if 2 * split >= w.size else v[:, :split].copy())
-        ranges.append(kept_ranges)
-        sides.append(kept_sides)
-        del e, m, w, v    # freed before the next G_n is formed
+    for m in e.blocks:
+        w, v = np.linalg.eigh(m)
+        split = int(np.searchsorted(w, 0.5, side="right"))
+        delta = max(delta, float(np.abs(w - (w > 0.5)).max(initial=0.0)
+                                 + np.linalg.norm(m - m.conj().T)))
+        ranges.append(v[:, split:].copy())
+        sides.append(ranges[-1] if 2 * split >= w.size else v[:, :split].copy())
+    return ranges, sides, delta
+
+
+def _check_resolution(ranges: Sequence, delta: float) -> float:
+    """The largest Gram defect ||W* W - 1|| over the blocks, W = [V_0 ... V_N]
+    the range bases of the E_n; raises ValueError unless W is square and
+    that defect plus 2 delta is within COMMUTE_TOL (module docstring)."""
     gram = 0.0
     for block in zip(*ranges):
         W = np.hstack(block)
@@ -251,10 +238,10 @@ def _range_bases(gs: Iterable[FockOperator]) -> tuple:
     if gram + 2.0 * delta > COMMUTE_TOL:
         raise ValueError(f"E_n are not orthogonal projections summing to the identity: "
                          f"Gram defect {gram:.3e}, projection defect {delta:.3e}")
-    return sides, gram, delta
+    return gram
 
 
-def _windows(sides: list, g_projs: Sequence[FockOperator]) -> np.ndarray:
+def _windows(sides: Sequence, g_projs: Sequence[FockOperator]) -> np.ndarray:
     """||[E_k, g_{n+1}]|| = ||(1 - V V*) g_{n+1} V|| at row k and column n,
     the largest over the blocks of the largest singular value, with V the
     kept basis of E_k.  g V is projected off V twice: the second pass
@@ -313,112 +300,95 @@ def martingale_bound(gamma: float, ell: int, epsilon: float) -> float | None:
 def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     """Extract (gamma, ell, eps) from the sequence and certify the gap.
 
-    gamma is the smallest nonzero eigenvalue across increments; ell is the
+    gamma is the smallest nonzero eigenvalue across the h_n; ell is the
     smallest window width absorbing all commutators [E_k, g_{n+1}] above
     COMMUTE_TOL with k <= n; eps^2 is the largest upper bound on the norm
     of E_n g_{n+1} E_n (``_sector_norm_bound``).  A bound is
-    emitted only when eps sqrt(1 + ell) < 1; failure to certify is a
-    result, not an exception.
+    emitted only when eps sqrt(1 + ell) < 1 and no kernel projection fails
+    to commute with a later E_k; failure to certify is a result, not an
+    exception.
 
-    The steps run in one pass, and the resolution check and the windows on
-    range bases of the E_n (module docstring).  A sequence that does not
-    increase raises ValueError.
+    One loop over the pairs (H_{n-1}, H_n); the resolution check, assumption
+    (i) and the windows follow it (module docstring).  A sequence that does
+    not increase raises ValueError.
     """
-    gammas, g_projs, eps_per_step = [], [], []
-    exact_gap = None
+    lam = seq.lattice
+    pairs = list(zip(seq.hamiltonians, seq.hamiltonians[1:]))
+    gammas, g_projs, eps_sq, bases = [], [], [], []
     worst = 0.0
-
-    def kernel_projections():
-        """G_1, ..., G_N for ``_range_bases``, each yielded once gamma_n,
-        g_n and eps_n of its step are kept.  E_n = P_n - P_{n+1} with
-        P_0 = 1, written over P_n; only the dense P_n is carried to the
-        next step."""
-        nonlocal exact_gap, worst
-        p_prev = np.eye(seq.lattice.dim, dtype=complex)
-        increments = seq.increments()
-        for n, H in enumerate(seq.hamiltonians[1:]):
-            # a zip over the increments would hold h in its reused result
-            # tuple until the next step; drawn by next(), h is freed
-            # before the kernel of H is found
-            h = next(increments)
-            w, v = np.linalg.eigh(h.matrix)
-            if w[0] < -MONOTONICITY_TOL:
-                raise ValueError(f"sequence is not increasing: increment defect {-w[0]:.3e}")
-            worst = min(worst, float(w[0]))
-            k, vk, g = _kernel(w, v)
-            if k == w.size:
-                raise ValueError("an increment vanishes; every step must add a nonzero operator")
-            gammas.append(float(w[k]))
-            del v, vk   # freed before g's blocks are gathered
-            g_projs.append(FockOperator(g, h.ambient, None, EVEN))
-            del h
-            w, v = np.linalg.eigh(H.matrix)
-            k, vk, p = _kernel(w, v)
-            if k == 0:
-                raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
-                                 "nonempty ground spaces")
-            if n:   # G_0 = 1 nests every G_1
-                # ||G_{n+1} (1 - G_n)|| = ||(1 - G_n) K_{n+1}|| for orthonormal K_{n+1},
-                # from the k x k Gram matrix (an SVD of the tall x peaked higher)
-                x = p_prev @ vk
-                np.subtract(vk, x, out=x)
-                defect = math.sqrt(op_norm(x.conj().T @ x))
-                del x
-                if defect > COMMUTE_TOL:
-                    raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
-            del v, vk
-            # the operators hold gathered copies of their blocks, so no one
-            # else reads p_prev's buffer
-            e = np.subtract(p_prev, p, out=p_prev)
-            p_prev = p
-            product = e @ g @ e
-            del e, g    # freed before the norm runs
-            eps_per_step.append(_sector_norm_bound(product))
-            del product
-            yield FockOperator(p, H.ambient, None, EVEN)
-        exact_gap = float(w[k]) if k < w.size else None
-
-    sides = _range_bases(kernel_projections())[0]
+    p_prev = np.eye(lam.dim, dtype=complex)   # G_0 = 1
+    for n, (H_prev, H) in enumerate(pairs):
+        h = H - H_prev
+        w, v = np.linalg.eigh(h.matrix)
+        if w[0] < -MONOTONICITY_TOL:
+            raise ValueError(f"sequence is not increasing: increment defect {-w[0]:.3e}")
+        worst = min(worst, float(w[0]))
+        k, vk, g = _kernel(w, v)
+        if k == w.size:
+            raise ValueError("an increment vanishes; every step must add a nonzero operator")
+        gammas.append(float(w[k]))
+        del v, vk   # freed before g's blocks are gathered
+        g_projs.append(FockOperator(g, lam, None, EVEN))
+        # h is dropped only now: dropped before g's blocks were gathered,
+        # the 10-site flat band peaked 11 MB higher in RSS
+        del h
+        w, v = np.linalg.eigh(H.matrix)
+        k, vk, p = _kernel(w, v)
+        if k == 0:
+            raise ValueError(f"H_{n + 1} has trivial kernel; the method needs "
+                             "nonempty ground spaces")
+        if n:   # G_0 = 1 nests every G_1
+            # ||G_{n+1} (1 - G_n)|| = ||(1 - G_n) K_{n+1}|| for orthonormal K_{n+1},
+            # from the k x k Gram matrix (an SVD of the tall x peaked higher)
+            x = p_prev @ vk
+            np.subtract(vk, x, out=x)
+            defect = math.sqrt(op_norm(x.conj().T @ x))
+            del x
+            if defect > COMMUTE_TOL:
+                raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
+        del v, vk
+        # E_n = G_n - G_{n+1}, written over G_n; the checked constructor
+        # refuses an E_n that is not even and gathers the blocks diagonalized
+        e = np.subtract(p_prev, p, out=p_prev)
+        p_prev = p
+        bases.append(_range_bases(FockOperator(e, lam, None, EVEN)))
+        product = e @ g @ e
+        del e, g    # freed before the norm runs
+        eps_sq.append(_sector_norm_bound(product))
+        del product
+    exact_gap = float(w[k]) if k < w.size else None
+    bases.append(_range_bases(FockOperator(p_prev, lam, None, EVEN)))   # E_N = G_N
+    ranges, sides, deltas = zip(*bases)
+    _check_resolution(ranges, max(deltas))
     gamma = min(gammas)
 
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
-    assumption_i = 0.0
-    one = identity(seq.lattice)
-    for h, g in zip(seq.increments(), g_projs):
-        residual = h - gamma * (one - g)
-        assumption_i = max(assumption_i, max(0.0, -_lowest_eigenvalue(residual)))
+    one = identity(lam)
+    assumption_i = max(max(0.0, -_lowest_eigenvalue((H - H_prev) - gamma * (one - g)))
+                       for (H_prev, H), g in zip(pairs, g_projs))
 
-    ell = 0
-    forward_defect = 0.0
+    # window [E_k, g_{n+1}] at row k, column n: ell absorbs those with k <= n
     commute_defects = _windows(sides, g_projs)
-    for (k, n), d in np.ndenumerate(commute_defects):
-        if d > COMMUTE_TOL:
-            if k > n:
-                forward_defect = max(forward_defect, float(d))
-            else:
-                ell = max(ell, n - k)
-    defects = {"assumption_i": assumption_i, "monotonicity": -worst,
-               "forward_commutator": forward_defect}
+    k, n = np.indices(commute_defects.shape)
+    above = commute_defects > COMMUTE_TOL
+    ell = int((n - k)[above & (k <= n)].max(initial=0))
+    forward_defect = float(commute_defects[above & (k > n)].max(initial=0.0))
     if forward_defect > 0.0:
-        return GapCertificate(
-            gamma=gamma, ell=ell, epsilon=math.nan, bound=None, exact_gap=exact_gap,
-            defects=defects, per_step={"gamma_n": gammas},
-            no_certificate_reason="a kernel projection fails to commute with a "
-                                  "later spectral block")
-
-    epsilon = math.sqrt(max(eps_per_step))
-    bound = martingale_bound(gamma, ell, epsilon)
-    reason = None if bound is not None else (
-        f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
-    defects["max_allowed_window_commutator"] = float(commute_defects.max(initial=0.0))
-    per_step = {
-        "gamma_n": gammas,
-        "eps_sq_n": eps_per_step,
-        "max_commutator_n": commute_defects.max(axis=0).tolist(),
-    }
-    return GapCertificate(gamma=gamma, ell=ell, epsilon=epsilon, bound=bound,
-                          exact_gap=exact_gap, defects=defects,
-                          per_step=per_step, no_certificate_reason=reason)
+        epsilon, bound = math.nan, None
+        reason = "a kernel projection fails to commute with a later spectral block"
+    else:
+        epsilon = math.sqrt(max(eps_sq))
+        bound = martingale_bound(gamma, ell, epsilon)
+        reason = None if bound is not None else (
+            f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
+    return GapCertificate(
+        gamma=gamma, ell=ell, epsilon=epsilon, bound=bound, exact_gap=exact_gap,
+        defects={"assumption_i": assumption_i, "monotonicity": -worst,
+                 "forward_commutator": forward_defect,
+                 "max_allowed_window_commutator": float(commute_defects.max(initial=0.0))},
+        per_step={"gamma_n": gammas, "eps_sq_n": eps_sq,
+                  "max_commutator_n": commute_defects.max(axis=0).tolist()},
+        no_certificate_reason=reason)
 
 
 @dataclass(frozen=True)

@@ -452,6 +452,15 @@ def test_flow_check_only_transports_the_flat_band_family(tmp_path, capsys):
     _assert_config_error(config, tmp_path, capsys, "model")
 
 
+@pytest.mark.parametrize("name", ["gap_kitaev.json", "flow_rotation.json"])
+def test_a_ramp_on_a_static_task_is_config_error(tmp_path, capsys, name):
+    # gap-certify needs a static sequence and flow-check would ignore the ramp
+    config = _load(name)
+    config["lattice"]["lengths"] = [4]
+    config["model"]["ramp"] = {"kind": "linear", "slope": 0.5}
+    _assert_config_error(config, tmp_path, capsys, "model.ramp")
+
+
 @pytest.mark.parametrize("path, value, field", [
     (("model", "params"), {"angel": 0.9}, "model.params.angel"),
     (("lattice", "dimension"), "two", "lattice.dimension"),

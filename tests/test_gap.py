@@ -1,24 +1,25 @@
 """Frustration-freeness, kernel projections, the martingale certificate on
 even sequences (its range-basis checks and windows against explicit E_n,
-its in-pass monotonicity and nesting checks, its eps bound against a dense
-recomputation), and gap-protected projection flow."""
+its in-loop monotonicity, nesting and parity checks, its eps bound against
+a dense recomputation), and gap-protected projection flow."""
 
+import csv
+import json
 import re
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
 
-from fermicert import fock, gap, geometry, models
+from fermicert import cli, fock, gap, geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import AmbiguousKernelError, GapClosureError
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             identity, number_operator, op_norm, zero)
-from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _kernel, _range_bases,
-                           _sector_norm_bound, _windows, frustration_free_check,
-                           hamiltonian_sequence, kernel_projection, martingale_bound,
-                           martingale_certificate, projection_flow)
+from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _check_resolution, _kernel,
+                           _range_bases, _sector_norm_bound, _windows,
+                           frustration_free_check, hamiltonian_sequence, kernel_projection,
+                           martingale_bound, martingale_certificate, projection_flow)
 
 
 def _onsite_number_interaction(L):
@@ -165,31 +166,22 @@ def test_certificate_refuses_a_non_nested_pair_when_it_arrives(monkeypatch):
     assert len(calls) == 4
 
 
-def test_range_bases_drop_each_kernel_projection_after_the_next():
-    L = 6
-    seq = hamiltonian_sequence(_gap_model("flatband", L), chain(L))
-    refs = []
-
-    def stream():
-        for H in seq.hamiltonians[1:]:
-            # G_1 .. G_{n-1} are gone by the time G_{n+1} is formed
-            assert all(ref() is None for ref in refs[:-1])
-            g = kernel_projection(H)
-            refs.append(weakref.ref(g))
-            yield g
-
-    streamed = _range_bases(stream())
-    listed = _range_bases([kernel_projection(H) for H in seq.hamiltonians[1:]])
-    assert len(refs) == seq.size
-    assert streamed[1:] == listed[1:]
-    for got, want in zip(streamed[0], listed[0]):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
 def _explicit_family(gs):
     """E_0 = 1 - G_1, E_n = G_n - G_{n+1} and E_N = G_N as operators."""
     one = fock.identity(gs[0].ambient)
     return [one - gs[0]] + [gs[n] - gs[n + 1] for n in range(len(gs) - 1)] + [gs[-1]]
+
+
+def _resolution(es):
+    """(sides, gram, delta) of the E_n as the certificate checks them: the
+    range bases of each, then the Gram check over all."""
+    ranges, sides, deltas = zip(*map(_range_bases, es))
+    return sides, _check_resolution(ranges, max(deltas)), max(deltas)
+
+
+def _increments(seq):
+    """h_n = H_n - H_{n-1} for n = 1..N."""
+    return [H - H_prev for H_prev, H in zip(seq.hamiltonians, seq.hamiltonians[1:])]
 
 
 def _product_oracle(gs):
@@ -227,9 +219,9 @@ def _assert_sides_span(sides, es):
 def test_resolution_family_single_step():
     lam = chain(2)
     G1 = kernel_projection(number_operator(lam))
-    sides, gram, delta = _range_bases([G1])
-    assert gram + 2 * delta <= 1e-14
     E0, E1 = _explicit_family([G1])
+    sides, gram, delta = _resolution([E0, E1])
+    assert gram + 2 * delta <= 1e-14
     assert np.abs(E0.matrix - (np.eye(4) - G1.matrix)).max() <= 1e-12
     assert np.abs(E1.matrix - G1.matrix).max() <= 1e-12
     _assert_sides_span(sides, [E0, E1])
@@ -239,7 +231,7 @@ def test_resolution_family_full_sequence():
     L = 5
     seq = hamiltonian_sequence(models.kitaev_chain(L), chain(L))
     gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
-    sides, gram, delta = _range_bases(gs)
+    sides, gram, delta = _resolution(_explicit_family(gs))
     assert gram + 2 * delta <= COMMUTE_TOL
     products, completeness = _product_oracle(gs)
     assert max(products, completeness) <= 1e-10
@@ -254,6 +246,65 @@ def test_certificate_refuses_non_nested_kernels(monkeypatch):
     _rotating_kernel(monkeypatch, 4, 1e-3)
     with pytest.raises(ValueError, match="not nested: defect 1.000e-03"):
         martingale_certificate(seq)
+
+
+def test_certificate_refuses_a_kernel_projection_that_is_not_even(monkeypatch):
+    # the kernel projection of H_1 (call 2) gains a 1e-6 entry between the
+    # sectors: E_0 = 1 - G_1 is refused by its even tag before step 2 starts
+    lam = chain(2)
+    n0, n = number_operator(lam, [0]), number_operator(lam)
+    seq = HamiltonianSequence((zero(lam), n0, n))
+    even, odd = (int(sector[0]) for sector in fock._sector_index(lam.dim))
+    calls = []
+    real = gap._kernel
+
+    def kernel(w, v):
+        calls.append(w)
+        k, basis, projection = real(w, v)
+        if len(calls) == 2:
+            projection = projection.copy()
+            projection[even, odd] = projection[odd, even] = 1e-6
+        return k, basis, projection
+
+    monkeypatch.setattr(gap, "_kernel", kernel)
+    with pytest.raises(ValueError, match="declared parity 'even' violated"):
+        martingale_certificate(seq)
+    assert len(calls) == 2
+
+
+def test_a_forward_commutator_refuses_the_certificate_and_keeps_every_step(
+        monkeypatch, tmp_path, capsys):
+    seq = hamiltonian_sequence(_gap_model("flatband", 4), chain(4))
+    plain = martingale_certificate(seq)
+    given = []
+    real = gap._windows
+
+    def windows(sides, g_projs):
+        out = real(sides, g_projs)
+        out[2, 0] = 1e-3    # g_1 against the later E_2: row k > column n
+        given.append(out)
+        return out
+
+    monkeypatch.setattr(gap, "_windows", windows)
+    cert = martingale_certificate(seq)
+    assert not cert.certified
+    assert "later spectral block" in cert.no_certificate_reason
+    assert cert.defects["forward_commutator"] == 1e-3
+    assert cert.defects["max_allowed_window_commutator"] == 1e-3
+    report = cert.to_dict()
+    assert report["epsilon"] is None and report["bound"] is None
+    assert set(report["per_step"]) == {"gamma_n", "eps_sq_n", "max_commutator_n"}
+    assert report["per_step"]["gamma_n"] == plain.per_step["gamma_n"]
+    assert report["per_step"]["eps_sq_n"] == plain.per_step["eps_sq_n"]
+    assert report["per_step"]["max_commutator_n"] == given[0].max(axis=0).tolist()
+    # through the CLI: exit code 2, and the table lists every step's defects
+    config = {"task": "gap-certify", "lattice": {"lengths": [4]},
+              "model": {"name": "flat_band_chain", "params": {"angle": 0.35}}}
+    assert cli.run(config, tmp_path) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "no-certificate"
+    rows = list(csv.DictReader((tmp_path / "gap_certify_table.csv").read_text().splitlines()))
+    assert [float(r["commutator_defect_n"]) for r in rows] == given[1].max(axis=0).tolist()
+    assert [float(r["eps_sq_n"]) for r in rows] == plain.per_step["eps_sq_n"]
 
 
 def _gap_model(name, L):
@@ -271,8 +322,8 @@ def _gap_model(name, L):
 def test_range_bases_against_the_product_oracles(name, L):
     seq = hamiltonian_sequence(_gap_model(name, L), chain(L))
     gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
-    g_projs = [kernel_projection(h) for h in seq.increments()]
-    sides, gram, delta = _range_bases(gs)
+    g_projs = [kernel_projection(h) for h in _increments(seq)]
+    sides, gram, delta = _resolution(_explicit_family(gs))
     assert gram + 2 * delta <= COMMUTE_TOL
     products, completeness = _product_oracle(gs)
     assert products <= gram + 2 * delta
@@ -307,7 +358,7 @@ def test_resolution_family_refuses_an_oblique_block():
     assert max(op_norm(b - b @ a) for a, b in zip(gs, gs[1:])) <= COMMUTE_TOL
     assert _product_oracle(gs)[0] > COMMUTE_TOL
     with pytest.raises(ValueError, match="not orthogonal projections"):
-        _range_bases(gs)
+        _resolution(_explicit_family(gs))
 
 
 def test_gram_check_refuses_overlapping_ranges():
@@ -326,7 +377,7 @@ def test_gram_check_refuses_overlapping_ranges():
     # the Gram bound is conservative: these products stay below COMMUTE_TOL
     assert _product_oracle(gs)[0] <= COMMUTE_TOL
     with pytest.raises(ValueError, match="Gram defect"):
-        _range_bases(gs)
+        _resolution(_explicit_family(gs))
 
 
 def test_mixed_tagged_sequence_is_refused():
@@ -465,7 +516,7 @@ def test_eps_is_the_dense_product_of_the_eigh_projections():
 
     want = []
     p_prev = np.eye(lam.dim, dtype=complex)
-    for h, H in zip(seq.increments(), seq.hamiltonians[1:]):
+    for h, H in zip(_increments(seq), seq.hamiltonians[1:]):
         p = kernel(H)
         e = p_prev - p
         want.append(op_norm(e @ kernel(h) @ e))
@@ -777,5 +828,5 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     # one call per assumption-(i) residual and none over the increments: the
     # defect is the lowest eigenvalue of the eigh that gives each kernel
     assert len(calls) == seq.size
-    lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in seq.increments())
+    lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in _increments(seq))
     assert _bits(cert.defects["monotonicity"]) == _bits(-min(0.0, lowest))
