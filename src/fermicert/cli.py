@@ -1,11 +1,15 @@
 """Command-line entry point: run certification tasks from a JSON config.
 
 Tasks: lr-certify, condexp-check, gap-certify, flow-check, model-info.
-Each run writes <prefix>_report.json (full metadata), <prefix>_table.csv
-(the main table) and <prefix>_plot.csv (plot-ready columns) into the
-output directory.  Exit codes: 0 success, 1 usage/config error, 2
-certification or numerical failure.  Reports are byte-identical across
-runs with the same config and seed, except for the timestamp field.
+Each task's runner takes the typed task alone and returns ``(certified,
+fields, table, plot, error)``.  ``run`` alone then writes, in this order,
+<prefix>_report.json (``{"task", "config", "certified", **fields,
+"timestamp"}``), <prefix>_table.csv and <prefix>_plot.csv (``table`` and
+``plot`` are (columns, rows); a ``plot`` of None is the table) into the
+output directory, prints ``error`` unless it is None, and picks the exit
+code: 0 success, 1 usage/config error, 2 certification or numerical
+failure.  A runner that raises writes no file.  Reports are byte-identical
+across runs with the same config and seed, except for the timestamp field.
 
 BLAS thread count follows the usual environment variables
 (OMP_NUM_THREADS / OPENBLAS_NUM_THREADS).
@@ -354,27 +358,19 @@ def _write_json(path: Path, payload: dict):
 
 def _write_csv(path: Path, fieldnames: list, rows: list):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n",
+                                extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-
-
-def _emit(out_dir: Path, prefix: str, report: dict, table: tuple, plot: tuple = None):
-    """Write the report and the (columns, rows) tables; ``plot`` defaults to ``table``."""
-    report = dict(report)
-    report["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _write_json(out_dir / f"{prefix}_report.json", report)
-    _write_csv(out_dir / f"{prefix}_table.csv", *table)
-    _write_csv(out_dir / f"{prefix}_plot.csv", *(plot or table))
 
 
 def _error_object(code: str, message: str, **extra) -> dict:
     return {"error": code, "message": message, **extra}
 
 
-# -- task runners ------------------------------------------------------------
+# -- task runners: each returns (certified, fields, table, plot, error) ------
 
-def _run_lr_certify(task, config, out_dir, prefix):
+def _run_lr_certify(task):
     graph, phi = _build_model(task)
     lam = graph.sites
     f = task.f_function
@@ -384,18 +380,12 @@ def _run_lr_certify(task, config, out_dir, prefix):
     B = _build_observable(task.observables.B, lam)
     times = np.linspace(task.time.start, task.time.stop, task.time.points)
     rep = certify(A, B, phi, G, task.time.start, times, mode=task.mode, step=task.step)
-    payload = {"task": "lr-certify", "config": config, "certified": True,
-               "result": rep.to_dict()}
     rows = list(rep.rows())
-    plot_rows = [{"t": r["t"], "measured": r["measured"], "bound": r["bound"]}
-                 for r in rows]
-    _emit(out_dir, prefix, payload,
-          (["t", "measured", "bound", "ratio", "mode"], rows),
-          (["t", "measured", "bound"], plot_rows))
-    return 0
+    return (True, {"result": rep.to_dict()}, (["t", "measured", "bound", "ratio", "mode"], rows),
+            (["t", "measured", "bound"], rows), None)
 
 
-def _run_condexp_check(task, config, out_dir, prefix):
+def _run_condexp_check(task):
     lam = _build_graph(task.lattice).sites
     tol = float(task.tol)
     rep = cond_exp.expectation_family_report(lam, task.region_x, task.region_y,
@@ -414,41 +404,31 @@ def _run_condexp_check(task, config, out_dir, prefix):
         "range_parity": diag.range_parity_defect,
     }
     ok = max(defects.values()) <= tol
-    payload = {"task": "condexp-check", "config": config, "certified": ok,
-               "tolerance": tol, "defects": defects}
     rows = [{"defect": k, "value": v} for k, v in sorted(defects.items())]
-    _emit(out_dir, prefix, payload, (["defect", "value"], rows))
-    if not ok:
-        print(json.dumps(_error_object("defect-exceeds-tolerance",
-                                       f"worst defect {max(defects.values()):.3e}")))
-        return 2
-    return 0
+    return (ok, {"tolerance": tol, "defects": defects}, (["defect", "value"], rows), None,
+            None if ok else _error_object("defect-exceeds-tolerance",
+                                          f"worst defect {max(defects.values()):.3e}"))
 
 
-def _run_gap_certify(task, config, out_dir, prefix):
+def _run_gap_certify(task):
     graph, phi = _build_model(task)
     lam = graph.sites
     ff = gap.frustration_free_check(phi, lam)
     seq = gap.hamiltonian_sequence(phi, lam)
     cert = gap.martingale_certificate(seq)
-    payload = {"task": "gap-certify", "config": config,
-               "certified": cert.certified,
-               "frustration_free": ff.frustration_free,
-               "frustration_residual": ff.residual,
-               "certificate": cert.to_dict()}
     per_step = cert.per_step
     rows = [{"n": n, "gamma_n": g, "eps_sq_n": e, "commutator_defect_n": c}
             for n, (g, e, c) in enumerate(zip(per_step["gamma_n"], per_step["eps_sq_n"],
                                               per_step["max_commutator_n"]), start=1)]
-    _emit(out_dir, prefix, payload, (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows))
-    if not cert.certified:
-        print(json.dumps(_error_object("no-certificate",
-                                       cert.no_certificate_reason or "uncertified")))
-        return 2
-    return 0
+    return (cert.certified,
+            {"frustration_free": ff.frustration_free, "frustration_residual": ff.residual,
+             "certificate": cert.to_dict()},
+            (["n", "gamma_n", "eps_sq_n", "commutator_defect_n"], rows), None,
+            None if cert.certified else _error_object(
+                "no-certificate", cert.no_certificate_reason or "uncertified"))
 
 
-def _run_flow_check(task, config, out_dir, prefix):
+def _run_flow_check(task):
     graph = _build_graph(task.lattice)
     lam = graph.sites
     flow = task.flow
@@ -459,41 +439,31 @@ def _run_flow_check(task, config, out_dir, prefix):
     else:
         phi = models.flat_band_model(models.paired_cell_orbitals(len(lam), a0), graph,
                                      conduction_profile=lambda s: 1.0 - 2.0 * s)
-
+    columns = ["s", "gap", "defect"]
     try:
         rep = gap.projection_flow(lambda s: phi, lam, np.linspace(0.0, 1.0, flow.points),
                                   gamma_min=float(flow.gamma_min), defect_target=target)
     except GapClosureError as err:
-        payload = {"task": "flow-check", "config": config, "certified": False,
-                   "error": _error_object("gap-closure", str(err),
-                                          location=err.location,
-                                          bracket=list(err.bracket))}
-        _emit(out_dir, prefix, payload, (["s", "gap", "defect"], []))
-        print(json.dumps(payload["error"]))
-        return 2
+        error = _error_object("gap-closure", str(err), location=err.location,
+                              bracket=list(err.bracket))
+        return False, {"error": error}, (columns, []), None, error
+    fields = {"rank": rep.rank, "max_defect": rep.max_defect, "substeps": rep.substeps,
+              "parameters": [float(s) for s in rep.parameters],
+              "gaps": [float(g) for g in rep.gaps],
+              "defects": [float(d) for d in rep.defects]}
     # the substep cap can stop refinement before the transport meets its target
-    missed = rep.max_defect > target
-    payload = {"task": "flow-check", "config": config, "certified": not missed,
-               "rank": rep.rank, "max_defect": rep.max_defect,
-               "substeps": rep.substeps,
-               "parameters": [float(s) for s in rep.parameters],
-               "gaps": [float(g) for g in rep.gaps],
-               "defects": [float(d) for d in rep.defects]}
-    if missed:
-        payload["error"] = _error_object(
+    error = None
+    if rep.max_defect > target:
+        error = fields["error"] = _error_object(
             "defect-target-missed",
             f"max_defect {rep.max_defect:.3e} above defect_target {target:.3e} "
             f"at {rep.substeps} substeps")
     rows = [{"s": float(s), "gap": float(g), "defect": float(d)}
             for s, g, d in zip(rep.parameters, rep.gaps, rep.defects)]
-    _emit(out_dir, prefix, payload, (["s", "gap", "defect"], rows))
-    if missed:
-        print(json.dumps(payload["error"]))
-        return 2
-    return 0
+    return error is None, fields, (columns, rows), None, error
 
 
-def _run_model_info(task, config, out_dir, prefix):
+def _run_model_info(task):
     graph, phi = _build_model(task)
     lam = graph.sites
     info = {
@@ -511,12 +481,9 @@ def _run_model_info(task, config, out_dir, prefix):
         info["frustration_free"] = ff.frustration_free
         info["frustration_residual"] = ff.residual
         info["ground_energy"] = ff.ground_energy
-    payload = {"task": "model-info", "config": config, "certified": True,
-               "model": info}
     rows = [{"label": t["label"], "sites": " ".join(t["sites"]), "norm": t["norm"]}
             for t in info["terms"]]
-    _emit(out_dir, prefix, payload, (["label", "sites", "norm"], rows))
-    return 0
+    return True, {"model": info}, (["label", "sites", "norm"], rows), None, None
 
 
 _TASKS = {   # task: (schema, runner)
@@ -529,8 +496,8 @@ _TASKS = {   # task: (schema, runner)
 
 
 def run(config: dict, out_dir) -> int:
-    """Validate and execute one task; returns the process exit code.
-    The report echoes ``config`` as given."""
+    """Validate and execute one task; write its files and return the process
+    exit code (module docstring).  The report echoes ``config`` as given."""
     task, diags = _parse_config(config)
     if diags:
         print(json.dumps(_error_object("invalid-config", "config validation failed",
@@ -540,7 +507,7 @@ def run(config: dict, out_dir) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prefix = task.output_prefix or task.task.replace("-", "_")
     try:
-        return _TASKS[task.task][1](task, config, out_dir, prefix)
+        certified, fields, table, plot, error = _TASKS[task.task][1](task)
     except CertificationError as err:
         print(json.dumps(_error_object("certification-failed", str(err),
                                        where=err.where, measured=err.measured,
@@ -556,6 +523,15 @@ def run(config: dict, out_dir) -> int:
         print(json.dumps(_error_object("invalid-config",
                                        f"{type(err).__name__}: {err}")))
         return 1
+    _write_json(out_dir / f"{prefix}_report.json",
+                {"task": task.task, "config": config, "certified": certified, **fields,
+                 "timestamp": datetime.now(timezone.utc).isoformat()})
+    _write_csv(out_dir / f"{prefix}_table.csv", *table)
+    _write_csv(out_dir / f"{prefix}_plot.csv", *(plot or table))
+    if error is None:
+        return 0
+    print(json.dumps(error))
+    return 2
 
 
 def main(argv=None) -> int:

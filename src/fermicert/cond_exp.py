@@ -147,7 +147,7 @@ class FamilyReport:
 
 
 def expectation_family_report(lam: SiteSet, X: Iterable, Y: Iterable,
-                              samples: int = 10, seed: int = 0) -> FamilyReport:
+                              samples: int, seed: int) -> FamilyReport:
     """Measure on random inputs that the family behaves like a commuting
     system of projections:
 

@@ -370,9 +370,9 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     # window [E_k, g_{n+1}] at row k, column n: ell absorbs those with k <= n
     commute_defects = _windows(sides, g_projs)
     k, n = np.indices(commute_defects.shape)
-    above = commute_defects > COMMUTE_TOL
-    ell = int((n - k)[above & (k <= n)].max(initial=0))
-    forward_defect = float(commute_defects[above & (k > n)].max(initial=0.0))
+    above, allowed = commute_defects > COMMUTE_TOL, k <= n
+    ell = int((n - k)[above & allowed].max(initial=0))
+    forward_defect = float(commute_defects[above & ~allowed].max(initial=0.0))
     if forward_defect > 0.0:
         epsilon, bound = math.nan, None
         reason = "a kernel projection fails to commute with a later spectral block"
@@ -385,7 +385,8 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
         gamma=gamma, ell=ell, epsilon=epsilon, bound=bound, exact_gap=exact_gap,
         defects={"assumption_i": assumption_i, "monotonicity": -worst,
                  "forward_commutator": forward_defect,
-                 "max_allowed_window_commutator": float(commute_defects.max(initial=0.0))},
+                 "max_allowed_window_commutator":
+                     float(commute_defects[allowed].max(initial=0.0))},
         per_step={"gamma_n": gammas, "eps_sq_n": eps_sq,
                   "max_commutator_n": commute_defects.max(axis=0).tolist()},
         no_certificate_reason=reason)

@@ -1,12 +1,14 @@
 """Config validation, task execution, exit codes, report determinism."""
 
+import csv
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermicert import cli, fock
+from fermicert import cli, fock, gap
+from fermicert.errors import AmbiguousKernelError, CertificationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -494,3 +496,64 @@ def test_cli_does_not_import_scipy_sparse():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _raises(error):
+    def fail(*args, **kwargs):
+        raise error
+    return fail
+
+
+_CLOSING = {**_load("flow_rotation.json"), "lattice": {"lengths": [4]},
+            "flow": {"kind": "closing", "points": 9, "gamma_min": 0.2}}
+
+
+@pytest.mark.parametrize("text, patch, code, error, written", [
+    # condexp_chain's worst defect is about 5e-17, above a tolerance of 0
+    (json.dumps({**_load("condexp_chain.json"), "tol": 0.0}), None,
+     2, "defect-exceeds-tolerance", "condexp_chain"),
+    (json.dumps(_CLOSING), None, 2, "gap-closure", "flow_rotation"),
+    (json.dumps(_load("lr_chain.json")),
+     (cli, "certify", CertificationError("bound exceeded", 0.5, 1.0, 0.1)),
+     2, "certification-failed", None),
+    (json.dumps(_load("gap_kitaev.json")),
+     (gap, "martingale_certificate", AmbiguousKernelError("kernel unclear", [1e-9], 1e-8)),
+     2, "spectral-analysis-failed", None),
+    (json.dumps(_load("lr_chain.json")),
+     (cli, "certify", np.linalg.LinAlgError("SVD did not converge")),
+     2, "numerical-failure", None),
+    (json.dumps(_load("gap_kitaev.json")),
+     (gap, "martingale_certificate", ValueError("sequence is not increasing")),
+     1, "invalid-config", None),
+    (None, None, 1, "unreadable-config", None),   # no config file
+    ("{", None, 1, "unreadable-config", None),    # not JSON
+], ids=["defect-exceeds-tolerance", "gap-closure", "certification-failed",
+        "spectral-analysis-failed", "numerical-failure", "invalid-config",
+        "missing-config", "malformed-config"])
+def test_each_task_outcome_sets_exit_code_error_and_files(tmp_path, capsys, monkeypatch,
+                                                          text, patch, code, error, written):
+    """``written``: the prefix of the three files the run writes, or None."""
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    if text is not None:
+        path.write_text(text)
+    if patch is not None:
+        module, name, raised = patch
+        monkeypatch.setattr(module, name, _raises(raised))
+    assert cli.main(["--config", str(path), "--out", str(out)]) == code
+    assert json.loads(capsys.readouterr().out)["error"] == error
+    files = {f"{written}_{kind}" for kind in ("report.json", "table.csv", "plot.csv")}
+    assert {p.name for p in out.glob("*")} == (files if written else set())
+
+
+@pytest.mark.parametrize("name", ["lr_chain.json", "model_info_flatband.json"])
+def test_the_plot_holds_the_first_three_columns_of_the_table(tmp_path, name):
+    # lr-certify plots t, measured and bound of its five columns; model-info
+    # plots its whole three-column table
+    config = _load(name)
+    if "time" in config:
+        config["time"]["points"] = 3
+    assert cli.run(config, tmp_path) == 0
+    table, plot = (list(csv.reader((tmp_path / f"{config['output_prefix']}_{kind}.csv")
+                                   .read_text().splitlines()))
+                   for kind in ("table", "plot"))
+    assert plot == [row[:3] for row in table]

@@ -290,7 +290,10 @@ def test_a_forward_commutator_refuses_the_certificate_and_keeps_every_step(
     assert not cert.certified
     assert "later spectral block" in cert.no_certificate_reason
     assert cert.defects["forward_commutator"] == 1e-3
-    assert cert.defects["max_allowed_window_commutator"] == 1e-3
+    # the allowed windows (k <= n) leave out the forward one
+    k, n = np.indices(given[0].shape)
+    allowed = given[0][k <= n].max()
+    assert cert.defects["max_allowed_window_commutator"] == allowed < COMMUTE_TOL
     report = cert.to_dict()
     assert report["epsilon"] is None and report["bound"] is None
     assert set(report["per_step"]) == {"gamma_n", "eps_sq_n", "max_commutator_n"}
