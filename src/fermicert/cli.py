@@ -6,10 +6,12 @@ fields, table, plot, error)``.  ``run`` alone then writes, in this order,
 <prefix>_report.json (``{"task", "config", "certified", **fields,
 "timestamp"}``), <prefix>_table.csv and <prefix>_plot.csv (``table`` and
 ``plot`` are (columns, rows); a ``plot`` of None is the table) into the
-output directory, prints ``error`` unless it is None, and picks the exit
-code: 0 success, 1 usage/config error, 2 certification or numerical
-failure.  A runner that raises writes no file.  Reports are byte-identical
-across runs with the same config and seed, except for the timestamp field.
+output directory, made if needed, prints ``error`` unless it is None, and
+picks the exit code: 0 success, 1 usage/config error or an output that
+cannot be written (``"error": "unwritable-output"``), 2 certification or
+numerical failure.  A runner that raises writes no file.  Reports are
+byte-identical across runs with the same config and seed, except for the
+timestamp field.
 
 BLAS thread count follows the usual environment variables
 (OMP_NUM_THREADS / OPENBLAS_NUM_THREADS).
@@ -504,7 +506,6 @@ def run(config: dict, out_dir) -> int:
                                        diagnostics=diags)))
         return 1
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     prefix = task.output_prefix or task.task.replace("-", "_")
     try:
         certified, fields, table, plot, error = _TASKS[task.task][1](task)
@@ -523,11 +524,16 @@ def run(config: dict, out_dir) -> int:
         print(json.dumps(_error_object("invalid-config",
                                        f"{type(err).__name__}: {err}")))
         return 1
-    _write_json(out_dir / f"{prefix}_report.json",
-                {"task": task.task, "config": config, "certified": certified, **fields,
-                 "timestamp": datetime.now(timezone.utc).isoformat()})
-    _write_csv(out_dir / f"{prefix}_table.csv", *table)
-    _write_csv(out_dir / f"{prefix}_plot.csv", *(plot or table))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_json(out_dir / f"{prefix}_report.json",
+                    {"task": task.task, "config": config, "certified": certified, **fields,
+                     "timestamp": datetime.now(timezone.utc).isoformat()})
+        _write_csv(out_dir / f"{prefix}_table.csv", *table)
+        _write_csv(out_dir / f"{prefix}_plot.csv", *(plot or table))
+    except OSError as err:
+        print(json.dumps(_error_object("unwritable-output", f"{type(err).__name__}: {err}")))
+        return 1
     if error is None:
         return 0
     print(json.dumps(error))

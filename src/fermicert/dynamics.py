@@ -25,16 +25,16 @@ exponential per step and the same defect check on the accumulated product.
 Only even interactions are accepted: evenness is what makes the dynamics
 preserve the parity sectors and is assumed by every bound downstream.
 
-Everything runs on the two parity blocks: an even Hamiltonian is
-block-diagonal in the even and odd particle-number states.
-``local_hamiltonian`` adds each term's cached entries straight into the two
-blocks and returns an even ``FockOperator`` built from them, and
-``sector_eigh`` diagonalizes those half-size blocks.  The one parity check
-is the even tag of every term, made when the term is built.  The
-propagator is an even ``FockOperator`` built from its two blocks, and
-``heisenberg`` computes U* A U through the block product of ``fock``; a
-dense matrix is assembled only when one of these operators' ``matrix`` is
-read, and never kept.
+Everything runs on the (2, h, h) stack of parity blocks of ``fock``: an
+even Hamiltonian is block-diagonal in the even and odd particle-number
+states.  ``local_hamiltonian`` adds each term's cached entries straight
+into the flat stack, and ``sector_eigh`` diagonalizes both half-size blocks
+in one batched call.  The one parity check is the even tag of every term,
+made when the term is built.  The propagator is an even ``FockOperator``
+built from its stack, every exponential and product is batched over the
+two blocks, and ``heisenberg`` computes U* A U through the block product
+of ``fock``; a dense matrix is assembled only when one of these operators'
+``matrix`` is read, and never kept.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def scaled_profile(phi: Interaction, profile: Callable[[float], float],
 @lru_cache(maxsize=4096)
 def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
     """Term template embedded into ``lam``, kept as its nonzero entries on
-    the two parity blocks stacked flat, even block first
+    the (2, h, h) stack of parity blocks read flat, even block first
     (``fock._stacked_index``): (flat index, values), sorted by flat index.
     They come straight from the signed scatter of ``fock.embed``
     (``fock._embedded_entries``), so no dense or block-sized array is made
@@ -134,11 +134,11 @@ def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
 
 def _scatter(phi: Interaction, lam: SiteSet, coefficient) -> FockOperator:
     """Sum of ``coefficient(term) * term`` over the terms supported inside
-    ``lam``: an even operator built from its two parity blocks, each term's
-    entries added into them in term order (zero coefficients skipped)."""
+    ``lam``: an even operator, each term's entries added into its flat stack
+    of parity blocks in term order (zero coefficients skipped)."""
     ambient = set(lam.sites)
-    n0, n1 = (index.size for index in fock._sector_index(lam.dim))
-    acc = np.zeros(n0 * n0 + n1 * n1, dtype=complex)
+    h = lam.dim >> 1
+    acc = np.zeros(2 * h * h, dtype=complex)
     support = set()
     for term_obj in phi.terms:
         if not set(term_obj.sites) <= ambient:
@@ -149,46 +149,46 @@ def _scatter(phi: Interaction, lam: SiteSet, coefficient) -> FockOperator:
         flat, values = _embedded_sparse(term_obj, lam)
         acc[flat] += c * values
         support |= set(term_obj.sites)
-    blocks = acc[:n0 * n0].reshape(n0, n0), acc[n0 * n0:].reshape(n1, n1)
-    return FockOperator.from_blocks(blocks, lam, frozenset(support), EVEN)
+    return FockOperator.from_blocks(acc.reshape(2, h, h), lam, frozenset(support), EVEN)
 
 
 def local_hamiltonian(phi: Interaction, lam: SiteSet, t: float = 0.0) -> FockOperator:
     """Sum of all terms supported inside ``lam`` at time t, on the ambient
-    Fock space: an even operator built from its two parity blocks, each
-    term's entries added into them in term order."""
+    Fock space: an even operator built from its stack of parity blocks, each
+    term's entries added in term order.  An empty ``lam`` raises ValueError."""
     phi.check_time(t)
     return _scatter(phi, lam, lambda term_obj: term_obj.coefficient(t))
 
 
 def sector_eigh(H: FockOperator) -> tuple:
-    """Eigendecompositions ``((w, v), (w, v))`` of the even and the odd
-    parity block of an even self-adjoint operator: the block of H on the
-    basis states of sector c (``fock._sector_index``) is v diag(w) v*.
+    """The batched eigendecomposition ``(w, v)`` of the parity blocks of an
+    even self-adjoint operator: the block of H on the basis states of sector
+    c (``fock._sector_index``) is v[c] diag(w[c]) v[c]*.
 
     Only the blocks are read: the even tag, checked where H was built, is
     the one parity check.  An operator not tagged even raises ValueError.
     """
     if H.parity != EVEN:
         raise ValueError(f"sector_eigh needs an even operator, got {H.parity!r}")
-    return tuple(np.linalg.eigh(b) for b in H.blocks)
+    return np.linalg.eigh(H.blocks)
 
 
-def _sector_exp(sectors: tuple, factor: complex) -> list:
-    """exp(factor * H) on each sector block, from ``sector_eigh(H)``."""
-    return [(v * np.exp(factor * w)) @ v.conj().T for w, v in sectors]
+def _sector_exp(w: np.ndarray, v: np.ndarray, factor: complex) -> np.ndarray:
+    """The stack exp(factor * H) of both sector blocks, from ``sector_eigh(H)``."""
+    return (v * np.exp(factor * w)[:, None, :]) @ fock.adjoint(v)
 
 
-def _unitarize(blocks: list) -> tuple:
-    """(blocks, unitarity defect, corrections): a polar correction of every
-    block if the largest defect exceeds UNITARITY_TOL."""
+def _unitarize(blocks: np.ndarray) -> tuple:
+    """(blocks, unitarity defect, corrections): a polar correction of both
+    blocks of the stack if the larger defect exceeds UNITARITY_TOL."""
     def defect(bs):
-        return max(fock.op_norm(b.conj().T @ b - np.eye(len(b))) for b in bs)
+        return fock.op_norm(fock.adjoint(bs) @ bs - np.eye(bs.shape[-1]))
 
     worst = defect(blocks)
     if worst <= UNITARITY_TOL:
         return blocks, worst, 0
-    blocks = [w @ vh for w, _, vh in (np.linalg.svd(b) for b in blocks)]
+    w, _, vh = np.linalg.svd(blocks)
+    blocks = w @ vh
     return blocks, defect(blocks), 1
 
 
@@ -199,13 +199,13 @@ class Eigenbasis:
     the terms at unit coefficient.  On each parity sector H_0 = V diag(w) V*,
     and U(t, s) = V e^{-i w F} V* with F the integral of c from s to t.
 
-    ``vectors`` is V, an even ``FockOperator`` built from its two blocks,
-    after the polar correction of ``_unitarize`` if one was needed;
-    ``unitarity_defect`` and ``corrections`` are V's.
+    ``energies`` is the (2, h) stack w; ``vectors`` is V, an even
+    ``FockOperator``, after the polar correction of ``_unitarize`` if one was
+    needed; ``unitarity_defect`` and ``corrections`` are V's.
     """
 
     profile: Callable[[float], float] | None
-    energies: tuple
+    energies: np.ndarray
     vectors: FockOperator
     unitarity_defect: float
     corrections: int
@@ -236,9 +236,9 @@ class Eigenbasis:
                 out.append((F, abs(dt), steps))
         return out
 
-    def exponential(self, F: float) -> list:
-        """The two blocks of U = V e^{-i w F} V*."""
-        return _sector_exp(zip(self.energies, self.vectors.blocks), -1j * F)
+    def exponential(self, F: float) -> np.ndarray:
+        """The stack of blocks of U = V e^{-i w F} V*."""
+        return _sector_exp(self.energies, self.vectors.blocks, -1j * F)
 
     def rotate(self, A: FockOperator) -> FockOperator:
         """V* A V: A in the eigenbasis, (V* A V)[c] = V[c ^ p]* A[c] V[c]."""
@@ -248,16 +248,14 @@ class Eigenbasis:
         """V* tau(A) V = D* (V* A V) D with D = e^{-i w F}, from
         ``rotated`` = V* A V: an entrywise phase, on block c the row phases
         conj(D[c ^ p]) and the column phases D[c]."""
-        phases = [np.exp(-1j * F * w) for w in self.energies]
+        phases = np.exp(-1j * F * self.energies)
         if rotated.parity == MIXED:
             d = np.empty(rotated.dim, dtype=complex)
-            for index, sector in zip(fock._sector_index(rotated.dim), phases):
-                d[index] = sector
+            d[fock._sector_index(rotated.dim)] = phases
             return FockOperator(d.conj()[:, None] * rotated.matrix * d, rotated.ambient,
                                 rotated.support, MIXED)
-        p = fock._parity_bit(rotated.parity)
-        blocks = [phases[c ^ p].conj()[:, None] * b * phases[c]
-                  for c, b in enumerate(rotated.blocks)]
+        rows = fock._swap(phases, fock._parity_bit(rotated.parity)).conj()
+        blocks = rows[:, :, None] * rotated.blocks * phases[:, None, :]
         return FockOperator.from_blocks(blocks, rotated.ambient, rotated.support,
                                         rotated.parity)
 
@@ -269,9 +267,9 @@ def eigenbasis(phi: Interaction, lam: SiteSet) -> Eigenbasis | None:
     if len({id(term_obj.profile) for term_obj in phi.terms}) > 1:
         return None
     profile = phi.terms[0].profile if phi.terms else None
-    sectors = sector_eigh(_scatter(phi, lam, lambda term_obj: 1.0))
-    vectors, defect, corrections = _unitarize([v for _, v in sectors])
-    return Eigenbasis(profile, tuple(w for w, _ in sectors),
+    w, v = sector_eigh(_scatter(phi, lam, lambda term_obj: 1.0))
+    vectors, defect, corrections = _unitarize(v)
+    return Eigenbasis(profile, w,
                       FockOperator.from_blocks(vectors, lam, frozenset(lam.sites), EVEN),
                       defect, corrections)
 
@@ -292,8 +290,8 @@ class Propagator:
     """Unitary U(t, s) solving the Schroedinger equation for the local
     Hamiltonian, with step-size and unitarity metadata.
 
-    ``operator`` is U, an even ``FockOperator`` built from its two parity
-    blocks (even sector, odd sector).
+    ``operator`` is U, an even ``FockOperator`` built from its stack of
+    parity blocks (even sector, odd sector).
     """
 
     operator: FockOperator
@@ -321,7 +319,7 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
     def unitary(blocks):
         return FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), EVEN)
 
-    identity = [np.eye(len(index), dtype=complex) for index in fock._sector_index(lam.dim)]
+    identity = fock.identity(lam).blocks
     basis = eigenbasis(phi, lam)
     if basis is not None:
         for t, (F, dt, steps) in zip(times, basis.integrals(s, times, step)):
@@ -342,8 +340,7 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
             dt = (t - prev) / n_steps
             for k in range(n_steps):
                 H = local_hamiltonian(phi, lam, prev + (k + 0.5) * dt)
-                phases = _sector_exp(sector_eigh(H), -1j * dt)
-                blocks = [e @ b for e, b in zip(phases, blocks)]
+                blocks = _sector_exp(*sector_eigh(H), -1j * dt) @ blocks
             blocks, defect, fixed = _unitarize(blocks)
             corrections += fixed
             steps += n_steps

@@ -15,11 +15,12 @@ relations
 exact at the matrix level (all entries are small integers).
 
 The parity tag decides how an operator is stored: an even or odd one
-holds only its two parity blocks, however it was built, and its dense
-matrix is assembled on each read; a mixed one holds only its dense matrix.
-The checked constructor gathers the blocks of a definite-parity matrix
-once, and sums, differences and scalar multiples of definite-parity
-operands work block by block.
+holds only its two parity blocks, one read-only (2, h, h) stack with h =
+2^(L-1), and its dense matrix is assembled on each read; a mixed one holds
+only its dense matrix.  Products, brackets, adjoints, sums and scalar
+multiples of definite-parity operands are single expressions over the
+stack.  The empty lattice, whose sectors (sizes 1 and 0) do not stack,
+holds no even or odd operator.
 
 One signed reordering, ``_front_reordering``, moves a site subset X ahead
 of the rest C; in its basis an operator supported in X is M (x) 1_C.  The
@@ -133,83 +134,85 @@ def _parity_signs(lam: SiteSet, positions: tuple) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _sector_index(dim: int) -> tuple:
-    """Basis states with an even and with an odd particle number."""
+def _sector_index(dim: int) -> np.ndarray:
+    """The basis states of each parity sector, shape (2, dim / 2): row 0
+    those with an even particle number, row 1 those with an odd one.  The
+    sectors of the empty lattice do not stack: ValueError."""
+    if dim < 2:
+        raise ValueError("an even or odd operator needs at least one site: the odd "
+                         "sector of an empty lattice has no states")
     signs = _popcount_signs(dim.bit_length() - 1)
-    return np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)
+    index = np.stack([np.flatnonzero(signs > 0), np.flatnonzero(signs < 0)])
+    index.flags.writeable = False
+    return index
 
 
 def _parity_bit(parity: str) -> int:
     """0 for an even operator, 1 for an odd one: block c maps the column
-    sector c to the row sector c ^ bit."""
-    if parity == MIXED:
-        raise ValueError("a mixed-parity operator has no sector blocks")
+    sector c to the row sector c ^ bit.  Any other tag raises ValueError."""
+    if parity not in (EVEN, ODD):
+        raise ValueError(f"a {parity!r} operator has no sector blocks")
     return 0 if parity == EVEN else 1
+
+
+def _swap(stack: np.ndarray, p: int) -> np.ndarray:
+    """The stack read at c ^ p: its two entries swapped (a view) if p is 1."""
+    return stack[::-1] if p else stack
+
+
+def adjoint(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix or of every matrix of a stack."""
+    return m.conj().swapaxes(-2, -1)
 
 
 @lru_cache(maxsize=None)
 def _sector_mesh(dim: int, p: int) -> tuple:
-    """Index pairs (rows, cols) of the blocks [sector c ^ p, sector c] of a
-    dim x dim matrix, for the column sectors c = 0, 1."""
+    """Index arrays (rows, cols) of shapes (2, h, 1), (2, 1, h): m[rows, cols]
+    stacks the blocks [sector c ^ p, sector c] of m for c = 0, 1."""
     sectors = _sector_index(dim)
-    return tuple((sectors[c ^ p][:, None], sectors[c][None, :]) for c in (0, 1))
-
-
-@lru_cache(maxsize=None)
-def _block_shapes(dim: int, p: int) -> tuple:
-    """Shapes of the two blocks of ``_sector_mesh(dim, p)``."""
-    return tuple((rows.size, cols.size) for rows, cols in _sector_mesh(dim, p))
-
-
-def _gather(m: np.ndarray, p: int) -> tuple:
-    """The blocks [sector c ^ p, sector c] of m, for c = 0, 1."""
-    return tuple(m[rows, cols] for rows, cols in _sector_mesh(m.shape[0], p))
+    return _swap(sectors, p)[:, :, None], sectors[:, None, :]
 
 
 def _parity_defect(m: np.ndarray, parity: str) -> float:
     """Twice the largest |entry| in the two blocks that an operator of the
     given parity must not have: those of the opposite parity."""
-    mesh = _sector_mesh(m.shape[0], 1 - _parity_bit(parity))
-    return 2.0 * np.maximum(*(np.abs(m[rows, cols]).max(initial=0.0) for rows, cols in mesh))
+    return 2.0 * np.abs(m[_sector_mesh(m.shape[0], 1 - _parity_bit(parity))]).max()
 
 
-def sector_matrix(blocks, parity: str, dim: int) -> np.ndarray:
-    """Dense matrix with the given column-sector blocks and exact zeros
-    everywhere else (the inverse of ``FockOperator.blocks``)."""
+def sector_matrix(blocks: np.ndarray, parity: str, dim: int) -> np.ndarray:
+    """Dense matrix with the given stack of column-sector blocks and exact
+    zeros everywhere else (the inverse of ``FockOperator.blocks``)."""
     m = np.zeros((dim, dim), dtype=complex)
-    for (rows, cols), block in zip(_sector_mesh(dim, _parity_bit(parity)), blocks):
-        m[rows, cols] = block
+    m[_sector_mesh(dim, _parity_bit(parity))] = blocks
     return m
 
 
-def _stacked_index(lam: SiteSet, p: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat index of entry (row, col) in the blocks of ``_sector_mesh(dim,
-    p)`` stacked flat, column sector 0 first: column c lies in block
-    popcount(c) mod 2, and basis state k is the (k >> 1)-th state of its
-    sector (at L = 0 the odd block is empty)."""
-    (r0, c0), _ = _block_shapes(lam.dim, p)
-    return (_popcount_signs(len(lam))[cols] < 0) * (r0 * c0) + (rows >> 1) * c0 + (cols >> 1)
+def _stacked_index(lam: SiteSet, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat index of entry (row, col) in the (2, h, h) stack of blocks:
+    column c lies in block popcount(c) mod 2, and basis state k is the
+    (k >> 1)-th state of its sector."""
+    h = lam.dim >> 1
+    return (_popcount_signs(len(lam))[cols] < 0) * (h * h) + (rows >> 1) * h + (cols >> 1)
 
 
 def _from_entries(lam: SiteSet, flat: np.ndarray, values, support: frozenset,
                   parity: str) -> "FockOperator":
     """The even or odd operator with ``values`` at the stacked indices
     ``flat`` (``_stacked_index``) and exact zeros elsewhere."""
-    (r0, c0), (r1, c1) = _block_shapes(lam.dim, _parity_bit(parity))
-    stacked = np.zeros(r0 * c0 + r1 * c1, dtype=complex)
+    h = _sector_index(lam.dim).shape[1]
+    stacked = np.zeros(2 * h * h, dtype=complex)
     stacked[flat] = values
-    blocks = stacked[:r0 * c0].reshape(r0, c0), stacked[r0 * c0:].reshape(r1, c1)
-    return FockOperator.from_blocks(blocks, lam, support, parity)
+    return FockOperator.from_blocks(stacked.reshape(2, h, h), lam, support, parity)
 
 
-def _block_bracket(A: "FockOperator", B: "FockOperator", sign: float | None) -> tuple:
-    """Blocks of A B (sign None) or A B + sign * B A for definite-parity A
-    and B: (XY)[c] = X[c ^ p_Y] @ Y[c]."""
+def _block_bracket(A: "FockOperator", B: "FockOperator", sign: float | None) -> np.ndarray:
+    """The stack of A B (sign None) or A B + sign * B A for definite-parity
+    A and B: (XY)[c] = X[c ^ p_Y] @ Y[c]."""
     a, b = A.blocks, B.blocks
-    pa, pb = _parity_bit(A.parity), _parity_bit(B.parity)
+    ab = _swap(a, _parity_bit(B.parity)) @ b
     if sign is None:
-        return tuple(a[c ^ pb] @ b[c] for c in (0, 1))
-    return tuple(a[c ^ pb] @ b[c] + sign * (b[c ^ pa] @ a[c]) for c in (0, 1))
+        return ab
+    return ab + sign * (_swap(b, _parity_bit(A.parity)) @ a)
 
 
 def _mul_parity(p: str, q: str) -> str:
@@ -228,13 +231,13 @@ class FockOperator:
     operators run on its two nonzero ``blocks``.
 
     The parity tag decides the storage: an even or odd operator holds only
-    its two blocks, and ``matrix`` assembles them on each read; a mixed one
-    holds only its dense matrix.  The checked constructor
-    ``FockOperator(matrix, ...)`` validates a tag in {'even', 'odd'} on the
-    two blocks that the tag forbids (tolerance PARITY_TAG_TOL relative to
-    the matrix scale), gathers the two blocks once and drops the tolerated
-    entries; it accepts 'mixed' unchecked.  ``from_blocks`` takes the two
-    blocks of a definite-parity operator, whose parity is exact.
+    its blocks, one read-only (2, h, h) array, and ``matrix`` assembles them
+    on each read; a mixed one holds only its dense matrix.  The checked
+    constructor ``FockOperator(matrix, ...)`` validates a tag in {'even',
+    'odd'} on the two blocks that the tag forbids (tolerance PARITY_TAG_TOL
+    relative to the matrix scale), gathers the stack once and drops the
+    tolerated entries; it accepts 'mixed' unchecked.  ``from_blocks`` takes
+    the stack of a definite-parity operator, whose parity is exact.
     """
 
     def __init__(self, matrix: np.ndarray, ambient: SiteSet, support: Iterable | None = None,
@@ -249,34 +252,32 @@ class FockOperator:
         if parity == MIXED:
             self._hold("_matrix", m, ambient, support, parity)
             return
-        if parity not in (EVEN, ODD):
-            raise ValueError(f"unknown parity tag {parity!r}")
         defect = _parity_defect(m, parity)
-        scale = max(1.0, np.abs(m).max()) if m.size else 1.0
+        scale = max(1.0, np.abs(m).max())
         if defect > PARITY_TAG_TOL * scale:
             raise ValueError(
                 f"declared parity {parity!r} violated: defect {defect:.3e} "
                 f"at scale {scale:.3e}")
-        self._hold("_blocks", _gather(m, _parity_bit(parity)), ambient, support, parity)
+        self._hold("_blocks", m[_sector_mesh(d, _parity_bit(parity))], ambient, support, parity)
 
     @classmethod
     def from_blocks(cls, blocks, ambient: SiteSet, support: frozenset,
                     parity: str) -> "FockOperator":
-        """The definite-parity operator with the given column-sector blocks;
-        its parity is exact, so the tag is not re-checked."""
-        blocks = tuple(np.asarray(b, dtype=complex) for b in blocks)
-        shapes = _block_shapes(ambient.dim, _parity_bit(parity))
-        if tuple(b.shape for b in blocks) != shapes:
-            raise ValueError(f"block shapes {[b.shape for b in blocks]} != {list(shapes)}")
+        """The definite-parity operator with the given (2, h, h) stack of
+        column-sector blocks; its parity is exact, so it is not re-checked."""
+        _parity_bit(parity)     # refuses any tag but even and odd
+        h = _sector_index(ambient.dim).shape[1]
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.shape != (2, h, h):
+            raise ValueError(f"block stack shape {blocks.shape} != {(2, h, h)}")
         op = object.__new__(cls)
         op._hold("_blocks", blocks, ambient, frozenset(support), parity)
         return op
 
     def _hold(self, name: str, storage, ambient: SiteSet, support: frozenset, parity: str):
         """Set the fields once: ``storage`` is the matrix (``_matrix``) or the
-        tuple of two blocks (``_blocks``), frozen."""
-        for array in (storage,) if name == "_matrix" else storage:
-            array.flags.writeable = False
+        stack of blocks (``_blocks``), frozen."""
+        storage.flags.writeable = False
         for key, value in ((name, storage), ("ambient", ambient), ("support", support),
                            ("parity", parity)):
             object.__setattr__(self, key, value)
@@ -295,9 +296,9 @@ class FockOperator:
         return m
 
     @property
-    def blocks(self) -> tuple:
-        """The two nonzero blocks of a definite-parity operator, by column
-        sector: (ee, oo) if it is even, (oe, eo) if it is odd."""
+    def blocks(self) -> np.ndarray:
+        """The two nonzero blocks of a definite-parity operator, one read-only
+        (2, h, h) stack by column sector: (ee, oo) if even, (oe, eo) if odd."""
         if self.parity == MIXED:
             raise ValueError("a mixed-parity operator has no sector blocks")
         return self._blocks
@@ -310,22 +311,18 @@ class FockOperator:
 
     def adjoint(self) -> "FockOperator":
         if self.parity == MIXED:
-            return FockOperator(self.matrix.conj().T, self.ambient, self.support, MIXED)
+            return FockOperator(adjoint(self.matrix), self.ambient, self.support, MIXED)
         # A*[c] = A[c ^ p]*: A* on sector c is the adjoint of A into sector c
-        p, blocks = _parity_bit(self.parity), self.blocks
-        return FockOperator.from_blocks([blocks[c ^ p].conj().T for c in (0, 1)],
+        return FockOperator.from_blocks(adjoint(_swap(self.blocks, _parity_bit(self.parity))),
                                         self.ambient, self.support, self.parity)
 
     def is_hermitian(self) -> bool:
-        """Self-adjoint within HERMITIAN_RTOL of the matrix scale (at least
-        1), read from the kept view: the matrix against its adjoint, or block
-        c against the adjoint of block c ^ p."""
-        views, p = ((self._matrix,), 0) if self.parity == MIXED else (
-            self._blocks, _parity_bit(self.parity))
-        scale = max(1.0, np.maximum.reduce([np.abs(v).max(initial=0.0) for v in views]))
-        defect = np.maximum.reduce([np.abs(v - views[c ^ p].conj().T).max(initial=0.0)
-                                    for c, v in enumerate(views)])
-        return defect <= HERMITIAN_RTOL * scale
+        """Self-adjoint within HERMITIAN_RTOL of the scale max(1, max|entry|),
+        read from the kept matrix, or from block c against block c ^ p."""
+        kept = self._matrix if self.parity == MIXED else self._blocks
+        mirror = kept if self.parity == MIXED else _swap(kept, _parity_bit(self.parity))
+        scale = max(1.0, np.abs(kept).max())
+        return np.abs(kept - adjoint(mirror)).max() <= HERMITIAN_RTOL * scale
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -341,8 +338,7 @@ class FockOperator:
         support and parity tag."""
         if self.parity == MIXED:
             return FockOperator(f(self.matrix), self.ambient, self.support, MIXED)
-        return FockOperator.from_blocks([f(b) for b in self.blocks], self.ambient, self.support,
-                                        self.parity)
+        return FockOperator.from_blocks(f(self.blocks), self.ambient, self.support, self.parity)
 
     def _combine(self, other, f) -> "FockOperator":
         """f of two operators entry by entry: block by block when both have
@@ -352,8 +348,8 @@ class FockOperator:
         self._check_ambient(other)
         support = self.support | other.support
         if self.parity == other.parity != MIXED:
-            return FockOperator.from_blocks([f(a, b) for a, b in zip(self.blocks, other.blocks)],
-                                            self.ambient, support, self.parity)
+            return FockOperator.from_blocks(f(self.blocks, other.blocks), self.ambient, support,
+                                            self.parity)
         return FockOperator(f(self.matrix, other.matrix), self.ambient, support, MIXED)
 
     def __add__(self, other):
@@ -415,14 +411,15 @@ def _string_operator(lam: SiteSet, ops: tuple, support: frozenset) -> FockOperat
     signs = _popcount_signs(len(lam))
     odd = int(signs[flip] < 0)
     cols = np.flatnonzero((np.arange(lam.dim) & need) == want)
-    return _from_entries(lam, _stacked_index(lam, odd, cols ^ flip, cols), signs[cols & sign],
+    return _from_entries(lam, _stacked_index(lam, cols ^ flip, cols), signs[cols & sign],
                          support, ODD if odd else EVEN)
 
 
 def _diagonal(lam: SiteSet, diag: np.ndarray, support: Iterable) -> FockOperator:
     """The even operator with the given diagonal."""
-    blocks = [np.diag(diag[index]) for index in _sector_index(lam.dim)]
-    return FockOperator.from_blocks(blocks, lam, frozenset(support), EVEN)
+    states = np.arange(lam.dim)
+    return _from_entries(lam, _stacked_index(lam, states, states), diag, frozenset(support),
+                         EVEN)
 
 
 def identity(lam: SiteSet) -> FockOperator:
@@ -467,7 +464,7 @@ def parity_decompose(A: FockOperator) -> tuple:
     that change the particle-number parity.  These are (A +- theta A
     theta)/2 to the bit, since a + a = 2a and a - a = 0 are exact."""
     m = A.matrix
-    return tuple(FockOperator.from_blocks(_gather(m, p), A.ambient, A.support, parity)
+    return tuple(FockOperator.from_blocks(m[_sector_mesh(A.dim, p)], A.ambient, A.support, parity)
                  for p, parity in ((0, EVEN), (1, ODD)))
 
 
@@ -515,17 +512,17 @@ def _matrix_norm(m: np.ndarray) -> float:
 def op_norm(A) -> float:
     """Operator (spectral) norm: the largest singular value.
 
-    Accepts a FockOperator or a plain matrix.  A definite-parity operator
-    takes the larger norm of its two parity blocks and reads nothing else;
-    everything else the full matrix.  Hermitian inputs, and anti-Hermitian
-    ones such as commutators of Hermitian operators, go through the
-    symmetric eigensolver; an exactly-zero input short-circuits to 0.
+    Accepts a FockOperator (the stack of its parity blocks if it has
+    definite parity, else its matrix), a matrix, or an (..., n, n) stack,
+    whose norm is the largest of its matrices'.  Each matrix picks its own
+    solver: Hermitian ones, and anti-Hermitian ones such as commutators of
+    Hermitian operators, go through the symmetric eigensolver, and an
+    exactly-zero one short-circuits to 0.
     """
     if isinstance(A, FockOperator):
-        if A.parity != MIXED:
-            return max(_matrix_norm(b) for b in A.blocks)
-        A = A.matrix
-    return _matrix_norm(np.asarray(A))
+        A = A.matrix if A.parity == MIXED else A.blocks
+    m = np.asarray(A)
+    return max(_matrix_norm(m[i]) for i in np.ndindex(m.shape[:-2]))
 
 
 def commutator(A: FockOperator, B: FockOperator) -> FockOperator:
@@ -689,7 +686,7 @@ def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
 
 def _embedded_entries(A: FockOperator, target: SiteSet) -> tuple:
     """(flat, values): the nonzero entries of A on ``target``, flat in its
-    storage there (the stacked blocks of ``_stacked_index`` for an even or
+    storage there (the (2, h, h) stack of ``_stacked_index`` for an even or
     odd A, the dense matrix for a mixed one).
 
     With A's sites X moved ahead of the rest C by ``_front_reordering``,
@@ -710,7 +707,7 @@ def _embedded_entries(A: FockOperator, target: SiteSet) -> tuple:
     values = np.where(sign[:, r] == sign[:, c], trips[0, r, c], trips[1, r, c]).ravel()
     if A.parity == MIXED:
         return (rows * target.dim + cols).ravel(), values
-    return _stacked_index(target, _parity_bit(A.parity), rows, cols).ravel(), values
+    return _stacked_index(target, rows, cols).ravel(), values
 
 
 def embed(A: FockOperator, target: SiteSet) -> FockOperator:
@@ -720,8 +717,8 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
     Jordan-Wigner reordering M (x) 1_C, a signed scatter of A's own-lattice
     round trip (``_embedded_entries``), with the same result, bit for bit,
     as expanding A over its 4^k operator-basis strings and rebuilding it
-    with the target's strings.  An even or odd A goes straight into its two
-    parity blocks.
+    with the target's strings.  An even or odd A goes straight into its
+    stack of parity blocks.
     """
     flat, values = _embedded_entries(A, target)
     if A.parity != MIXED:

@@ -47,11 +47,11 @@ so a verdict against COMMUTE_TOL can change only within 2 delta of it.
 path H(s), read as ``local_hamiltonian(family(s), lam, s)``: a family may
 be one interaction whose terms carry profiles in s, so that each H(s) is
 one scatter of cached term entries.  Every operator of the flow is even,
-and the two parity sectors of a lattice with at least one site have equal
-size, so it runs on the stacked blocks, arrays of shape (2, h, h) with
-h = 2^(L-1): one batched ``eigh`` per parameter, every product and
-exponential batched over the two blocks, and every norm the largest
-``op_norm`` of the blocks.
+so it runs on the (2, h, h) stacks ``H.blocks`` of ``fock``: one batched
+``eigh`` per parameter, every product and exponential batched over the two
+blocks, and every norm the ``op_norm`` of a stack.  ``_sector_norm_bound``,
+``_range_bases`` and ``_windows`` go block by block: their ranks differ by
+block, and one block at a time keeps the 10-site peak memory low.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import fock
-from .dynamics import Interaction, local_hamiltonian
+from .dynamics import Interaction, local_hamiltonian, sector_eigh
 from .errors import AmbiguousKernelError, GapClosureError
-from .fock import EVEN, FockOperator, SiteSet, identity, op_norm
+from .fock import EVEN, FockOperator, SiteSet, adjoint, identity, op_norm
 
 #: default kernel tolerance relative to ||H||
 KERNEL_RTOL = 1e-8
@@ -87,9 +87,9 @@ CLOSURE_RESOLUTION = 1e-3
 
 
 def _lowest_eigenvalue(H: FockOperator) -> float:
-    """Smallest eigenvalue of an even self-adjoint operator, from its two
-    parity blocks."""
-    return min(float(np.linalg.eigvalsh(m).min()) for m in H.blocks)
+    """Smallest eigenvalue of an even self-adjoint operator, from one
+    batched ``eigvalsh`` of its two parity blocks."""
+    return float(np.linalg.eigvalsh(H.blocks).min())
 
 
 def _kernel(w: np.ndarray, v: np.ndarray) -> tuple:
@@ -115,7 +115,7 @@ def _sector_norm_bound(m: np.ndarray) -> float:
     blocks plus the Frobenius norm of its two off-sector blocks, widened by
     dim * machine epsilon, about the error of a computed singular value.
     Each block is gathered in turn and freed once its norm is taken."""
-    on, off = (fock._sector_mesh(len(m), p) for p in (0, 1))
+    on, off = (zip(*fock._sector_mesh(len(m), p)) for p in (0, 1))
     bound = (max(op_norm(m[rows, cols]) for rows, cols in on)
              + math.hypot(*(np.linalg.norm(m[rows, cols]) for rows, cols in off)))
     return bound * (1.0 + len(m) * np.finfo(float).eps)
@@ -175,7 +175,7 @@ class HamiltonianSequence:
             raise ValueError("need H_0 and at least one increment")
         if any(H.parity != EVEN for H in hams):
             raise ValueError("sequence members must be even")
-        if any(m.any() for m in hams[0].blocks):
+        if hams[0].blocks.any():
             raise ValueError("H_0 must be the zero operator")
         lam = hams[0].ambient
         for H in hams:
@@ -404,16 +404,6 @@ class FlowReport:
     substeps: int
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of every matrix of a stack."""
-    return m.conj().swapaxes(-2, -1)
-
-
-def _stack_norm(m: np.ndarray) -> float:
-    """The largest ``op_norm`` over a stack of matrices."""
-    return max(op_norm(b) for b in m.reshape(-1, *m.shape[-2:]))
-
-
 def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:
     """The stacked blocks of U = prod_i exp(ds_i (K_i + K_{i+1}) / 2) over
     the fine grid, later factors to the left, with K_i = [dP/ds, P] at
@@ -428,7 +418,7 @@ def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:
     del ks
     # exp(G) = v e^{-iw} v* for the anti-Hermitian G with i G = v diag(w) v*
     w, v = np.linalg.eigh(1j * generators)
-    steps = (v * np.exp(-1j * w)[..., None, :]) @ _adjoint(v)
+    steps = (v * np.exp(-1j * w)[..., None, :]) @ adjoint(v)
     u = steps[0]
     for step in steps[1:]:
         u = step @ u
@@ -448,8 +438,8 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     ``family`` may return one interaction whose terms carry profiles in s
     (``models.rotating_flat_band``), so each H(s) is one scatter of cached
     term entries, or a new interaction at each s whose terms carry none.
-    H(s), P(s), K(s) and U are even, so the flow runs on the stacked parity
-    blocks, shape (2, 2^(L-1), 2^(L-1)): one batched ``eigh`` per
+    H(s), P(s), K(s) and U are even, so the flow runs on their stacks of
+    parity blocks, shape (2, 2^(L-1), 2^(L-1)): one batched ``eigh`` per
     parameter, every product and exponential batched over the two blocks,
     and every norm the largest over them.
 
@@ -461,12 +451,9 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     CLOSURE_RESOLUTION.  Each interval between parameters is refined by
     doubling its substeps until its transport error is within its share of
     ``defect_target``, at most to ``max_substeps``; a run stopped by that
-    cap can end above the target, which its ``max_defect`` shows.  An
-    empty lattice raises ValueError: its sectors do not stack.
+    cap can end above the target, which its ``max_defect`` shows.  On an
+    empty lattice, which holds no even H(s), it raises ValueError.
     """
-    if len(lam) == 0:
-        raise ValueError("projection_flow needs at least one site: the parity "
-                         "sectors of an empty lattice have sizes 1 and 0")
     s_grid = np.asarray(sorted(float(s) for s in parameters))
     if s_grid.size < 2:
         raise ValueError("need at least two parameter values")
@@ -480,8 +467,7 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         key = round(float(s), 12)
         hit = eig_cache.get(key)
         if hit is None:
-            H = local_hamiltonian(family(float(s)), lam, float(s))
-            w, v = np.linalg.eigh(np.stack(H.blocks))
+            w, v = sector_eigh(local_hamiltonian(family(float(s)), lam, float(s)))
             hit = eig_cache[key] = np.sort(w, axis=None), w, v
         return hit
 
@@ -509,13 +495,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         counts = (w <= merged[rank - 1]).sum(axis=1)
         width = int(counts.max())
         vk = v[:, :, :width] * (np.arange(width) < counts[:, None])[:, None, :]
-        return vk @ _adjoint(vk)
+        return vk @ adjoint(vk)
 
     p0 = projection_at(s_grid[0])
     last_good = float(s_grid[0])
-    U = np.stack([np.eye(lam.dim // 2, dtype=complex)] * 2)
+    U = identity(lam).blocks
     gaps = [gap_at(s_grid[0])]
-    defects = [_stack_norm(p0 - U @ p0 @ _adjoint(U))]
+    defects = [op_norm(p0 - U @ p0 @ adjoint(U))]
     total_span = float(s_grid[-1] - s_grid[0])
     substeps_used = 1
 
@@ -527,11 +513,11 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         while True:
             fine = np.linspace(s_a, s_b, nsub + 1)
             projs = np.stack([projection_at(s) for s in fine])
-            if _stack_norm(projs[1:] - projs[:-1]) > 0.1 and nsub < max_substeps:
+            if op_norm(projs[1:] - projs[:-1]) > 0.1 and nsub < max_substeps:
                 nsub *= 2
                 continue
             u_step = _transport(projs, fine)
-            err = _stack_norm(u_step @ projs[0] @ _adjoint(u_step) - projs[-1])
+            err = op_norm(u_step @ projs[0] @ adjoint(u_step) - projs[-1])
             if err <= budget or nsub >= max_substeps:
                 break
             nsub *= 2
@@ -540,7 +526,7 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         U = u_step @ U
         last_good = s_b
         gaps.append(gap_at(s_b))
-        defects.append(_stack_norm(projs[-1] - U @ p0 @ _adjoint(U)))
+        defects.append(op_norm(projs[-1] - U @ p0 @ adjoint(U)))
 
     defects = np.array(defects)
     return FlowReport(parameters=s_grid, gaps=np.array(gaps), rank=rank,

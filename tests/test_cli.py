@@ -545,6 +545,22 @@ def test_each_task_outcome_sets_exit_code_error_and_files(tmp_path, capsys, monk
     assert {p.name for p in out.glob("*")} == (files if written else set())
 
 
+@pytest.mark.parametrize("blocked", ["out-dir", "report"])
+def test_an_unwritable_output_is_one_json_error(tmp_path, capsys, blocked):
+    # --out naming an existing file, or a directory in the place of the
+    # report, ends in one JSON error object with exit code 1, not a traceback
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    path.write_text(json.dumps(_load("model_info_flatband.json")))
+    if blocked == "out-dir":
+        out.write_text("")
+    else:
+        (out / "model_info_flatband_report.json").mkdir(parents=True)
+    assert cli.main(["--config", str(path), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "unwritable-output"
+    assert error["message"].startswith(("FileExistsError", "IsADirectoryError"))
+
+
 @pytest.mark.parametrize("name", ["lr_chain.json", "model_info_flatband.json"])
 def test_the_plot_holds_the_first_three_columns_of_the_table(tmp_path, name):
     # lr-certify plots t, measured and bound of its five columns; model-info

@@ -241,15 +241,35 @@ def test_interaction_validation(rng):
 def test_sector_eigh_exponential_matches_full_eigh(L, rng):
     H = _random_even_hermitian(L, rng)
     sectors = fock._sector_index(H.dim)
+    w, v = sector_eigh(H)
+    h = H.dim // 2
+    assert w.shape == (2, h) and v.shape == (2, h, h)
     U = np.zeros((H.dim, H.dim), dtype=complex)
-    for index, (w, v) in zip(sectors, sector_eigh(H)):
-        U[np.ix_(index, index)] = (v * np.exp(-0.7j * w)) @ v.conj().T
+    for index, w_c, v_c in zip(sectors, w, v):
+        U[np.ix_(index, index)] = (v_c * np.exp(-0.7j * w_c)) @ v_c.conj().T
     assert np.abs(U - spectral_expm(H.matrix, -0.7j)).max() <= 1e-12
+    # the batched exponential is the per-block one, bit for bit
+    assert np.array_equal(dynamics._sector_exp(w, v, -0.7j),
+                          [U[np.ix_(index, index)] for index in sectors])
     # the sectors partition the basis by particle-number parity
     even, odd = sectors
     signs = fock._popcount_signs(L)
     assert np.all(signs[even] == 1) and np.all(signs[odd] == -1)
     assert sorted(np.concatenate([even, odd])) == list(range(2 ** L))
+
+
+def test_unitarize_corrects_both_blocks_of_a_stack(rng):
+    # a stack off unitarity by about 1e-6 is replaced by its blocks' polar factors
+    h = 8
+    q = np.linalg.qr(rng.standard_normal((2, h, h)) + 1j * rng.standard_normal((2, h, h)))[0]
+    noisy = q + 1e-6 * rng.standard_normal((2, h, h))
+    blocks, defect, corrections = dynamics._unitarize(noisy)
+    assert corrections == 1 and defect <= 1e-12
+    for c in (0, 1):
+        w, _, vh = np.linalg.svd(noisy[c])
+        assert np.array_equal(blocks[c], w @ vh)
+    kept, _, corrections = dynamics._unitarize(q)    # a unitary stack is kept
+    assert kept is q and corrections == 0
 
 
 def test_sector_eigh_rejects_off_sector_entries(rng):
@@ -308,14 +328,15 @@ def test_local_hamiltonian_peaks_near_its_two_blocks():
 
 
 def test_local_hamiltonian_on_no_sites():
-    # the sectors of the empty lattice have sizes 1 and 0
+    # the sectors of the empty lattice have sizes 1 and 0, which do not
+    # stack: it holds no even operator, so no Hamiltonian and no even term
     lam = SiteSet(())
-    H = local_hamiltonian(Interaction(()), lam)
-    assert [b.shape for b in H.blocks] == [(1, 1), (0, 0)]
-    assert np.array_equal(H.matrix, np.zeros((1, 1)))
-    term = InteractionTerm((), 0.5 * fock.identity(lam))
-    H = local_hamiltonian(Interaction((term,)), lam)
-    assert np.array_equal(H.matrix, [[0.5]])
+    with pytest.raises(ValueError, match="at least one site"):
+        local_hamiltonian(Interaction(()), lam)
+    with pytest.raises(ValueError, match="at least one site"):
+        fock.identity(lam)
+    # a mixed operator on no sites stays
+    assert np.array_equal(FockOperator(np.eye(1), lam).matrix, [[1.0]])
 
 
 @pytest.mark.parametrize("name", ["static", "ramped", "random_even", "two_profiles"])

@@ -231,7 +231,7 @@ def test_matrix_norm_takes_the_oracle_branch_bitwise(n, monkeypatch):
 def test_is_hermitian_on_the_blocks_gives_the_dense_verdict(parity):
     # oracle: the test on the dense matrix, scale max(1, max|entry|)
     rng = np.random.default_rng(700)
-    for L in range(5):
+    for L in range(1, 5):
         lam = fock.SiteSet(range(L))
         A = random_local_operator(lam, lam.sites, rng, parity=parity)
         for scale in (1e-3, 1.0, 1e3):
@@ -291,6 +291,12 @@ def _mask_defect(m, parity):
 def test_parity_defect_matches_boolean_mask_oracle(L):
     rng = np.random.default_rng(300 + L)
     lam = fock.SiteSet(range(L))
+    if L == 0:
+        # the odd sector of no sites is empty: no tag to check, both refused
+        for parity in (EVEN, ODD):
+            with pytest.raises(ValueError, match="at least one site"):
+                FockOperator(np.ones((1, 1)), lam, None, parity)
+        return
     sector = np.array([bin(k).count("1") % 2 for k in range(lam.dim)])
     tol = fock.PARITY_TAG_TOL
     for parity in (EVEN, ODD):
@@ -496,6 +502,11 @@ def _assert_same_string(got, want):
 @pytest.mark.parametrize("L", range(6))
 def test_monomials_match_factor_loop_oracle(L):
     lam = fock.SiteSet(range(L))
+    if L == 0:
+        # the one monomial on no sites is the even identity, which is refused
+        with pytest.raises(ValueError, match="at least one site"):
+            monomial(lam, ())
+        return
     for labels in itertools.product(fock.MONOMIAL_SYMBOLS, repeat=L):
         ops = tuple((i, sym) for i, sym in enumerate(labels) if sym != "1")
         _assert_same_string(monomial(lam, labels).matrix, _string_dense_oracle(lam, ops))
@@ -737,9 +748,9 @@ def _model_configs():
 
 
 def test_term_cache_entries_match_the_expansion_embed_bitwise():
-    # oracle: the nonzero entries of the expansion embed's two parity
-    # blocks, stacked even block first, as the term cache once read them
-    # from a dense embed with np.flatnonzero
+    # oracle: the nonzero entries of the expansion embed's stack of parity
+    # blocks, even block first, as the term cache once read them from a
+    # dense embed with np.flatnonzero
     terms = 0
     for config in _model_configs():
         task, diagnostics = cli._parse_config(config)
@@ -750,7 +761,7 @@ def test_term_cache_entries_match_the_expansion_embed_bitwise():
         for term in phi.terms:
             flat, values = dynamics._embedded_sparse(term, lam)
             dense = _expansion_embed(term.operator, lam)
-            stacked = np.concatenate([b.ravel() for b in fock._gather(dense, 0)])
+            stacked = dense[fock._sector_mesh(lam.dim, 0)].ravel()
             want = np.flatnonzero(stacked)
             assert np.array_equal(flat, want)
             assert np.array_equal(_bits(values), _bits(stacked[want]))
@@ -843,19 +854,53 @@ def test_large_sparse_pairs_run_on_the_blocks():
 def test_block_built_adjoint_is_the_conjugate_transpose_bitwise(L):
     rng = np.random.default_rng(300 + L)
     lam = chain(L)
+    shape = (2, lam.dim // 2, lam.dim // 2)
     for parity in PARITIES:
         mesh = fock._sector_mesh(lam.dim, 0 if parity == EVEN else 1)
-        shapes = [(rows.size, cols.size) for rows, cols in mesh]
-        blocks = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in shapes]
+        blocks = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         A = FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), parity)
         adj = A.adjoint()
         assert adj.parity == parity and "_blocks" in adj.__dict__
         assert "matrix" not in A.__dict__ and "matrix" not in adj.__dict__
         want = A.matrix.conj().T
         assert np.array_equal(adj.matrix, want)
-        for block, (rows, cols) in zip(adj.blocks, mesh):
-            assert np.array_equal(np.ascontiguousarray(block).view(np.uint64),
-                                  want[rows, cols].view(np.uint64))
+        assert adj.blocks.shape == shape
+        assert np.array_equal(np.ascontiguousarray(adj.blocks).view(np.uint64),
+                              want[mesh].view(np.uint64))
+
+
+@pytest.mark.parametrize("h", [1, 4, 32, 128])
+def test_batched_linear_algebra_equals_the_per_block_calls_bitwise(h):
+    # byte-identical outputs from the stacked parity blocks rest on this:
+    # numpy's batched eigh, eigvalsh, svd and matmul give the bits of one
+    # call per block, the swapped stack a[::-1] and adjoint views included
+    rng = np.random.default_rng(900 + h)
+
+    def stack():
+        return rng.standard_normal((2, h, h)) + 1j * rng.standard_normal((2, h, h))
+
+    a, b = stack(), stack()
+    herm = a + fock.adjoint(a)
+    w, v = np.linalg.eigh(herm)
+    for c in (0, 1):
+        w_c, v_c = np.linalg.eigh(herm[c])
+        assert np.array_equal(_bits(w[c]), _bits(w_c))
+        assert np.array_equal(_bits(v[c]), _bits(v_c))
+        assert np.array_equal(_bits(np.linalg.eigvalsh(herm)[c]),
+                              _bits(np.linalg.eigvalsh(herm[c])))
+        assert np.array_equal(_bits(np.linalg.svd(a, compute_uv=False)[c]),
+                              _bits(np.linalg.svd(a[c], compute_uv=False)))
+        for got, want in ((a @ b, a[c] @ b[c]), (a[::-1] @ b, a[1 - c] @ b[c]),
+                          (a @ fock.adjoint(b), a[c] @ b[c].conj().T),
+                          (fock.adjoint(a[::-1]) @ b, a[1 - c].conj().T @ b[c])):
+            assert np.array_equal(_bits(got[c]), _bits(want))
+    # op_norm of a stack is the largest norm of its matrices, each matrix
+    # taking its own solver (zero, Hermitian, anti-Hermitian, general)
+    mixed = np.stack([np.zeros((h, h)), herm[0], 1j * herm[1], 3 * a[0]])
+    per_block = [op_norm(m) for m in mixed]
+    assert op_norm(mixed) == max(per_block)
+    assert op_norm(mixed.reshape(2, 2, h, h)) == max(per_block)
+    assert op_norm(herm) == max(op_norm(herm[0]), op_norm(herm[1]))
 
 
 @pytest.mark.parametrize("parity", [EVEN, ODD])
@@ -863,6 +908,13 @@ def test_block_built_adjoint_is_the_conjugate_transpose_bitwise(L):
 def test_storage_follows_the_parity_tag(L, parity):
     rng = np.random.default_rng(500 + L)
     lam = fock.SiteSet(range(L))
+    if L == 0:
+        # the sectors of no sites have sizes 1 and 0: no even or odd storage
+        with pytest.raises(ValueError, match="at least one site"):
+            FockOperator(np.eye(1), lam, None, parity)
+        with pytest.raises(ValueError, match="at least one site"):
+            FockOperator.from_blocks(np.zeros((2, 0, 0)), lam, frozenset(), parity)
+        return
     A, B = (random_local_operator(lam, lam.sites, rng, parity=parity) for _ in range(2))
     # a dense matrix with entries that the tag tolerates, dropped by the gather
     noise = 1e-13 * rng.standard_normal((lam.dim, lam.dim))
@@ -875,9 +927,11 @@ def test_storage_follows_the_parity_tag(L, parity):
         assert op.parity == parity
         assert "_blocks" in op.__dict__
         assert "_matrix" not in op.__dict__ and "matrix" not in op.__dict__
+        # one read-only stack of the two blocks
+        assert isinstance(op.blocks, np.ndarray) and not op.blocks.flags.writeable
+        assert op.blocks.shape == (2, lam.dim // 2, lam.dim // 2)
         # blocks, not whole matrices: 0 * c is -0.0 off the blocks of the oracle
-        for block, (rows, cols) in zip(op.blocks, mesh):
-            assert np.array_equal(_bits(block), _bits(want[rows, cols]))
+        assert np.array_equal(_bits(op.blocks), _bits(want[mesh]))
     M = random_local_operator(lam, lam.sites, rng)
     other = random_local_operator(lam, lam.sites, rng, parity=ODD if parity == EVEN else EVEN)
     for op, want in ((A + M, A.matrix + M.matrix), (M - A, M.matrix - A.matrix),
@@ -890,10 +944,21 @@ def test_storage_follows_the_parity_tag(L, parity):
 
 def test_from_blocks_rejects_wrong_shapes():
     lam = chain(3)
-    with pytest.raises(ValueError, match="block shapes"):
-        FockOperator.from_blocks((np.eye(4), np.eye(3)), lam, frozenset(), EVEN)
+    for shape in ((2, 4, 3), (4, 4), (1, 4, 4), (2, 8, 8)):
+        with pytest.raises(ValueError, match="block stack shape"):
+            FockOperator.from_blocks(np.zeros(shape), lam, frozenset(), EVEN)
     with pytest.raises(ValueError, match="mixed"):
-        FockOperator.from_blocks((np.eye(4), np.eye(4)), lam, frozenset(), fock.MIXED)
+        FockOperator.from_blocks(np.zeros((2, 4, 4)), lam, frozenset(), fock.MIXED)
+
+
+def test_unknown_parity_tags_are_refused():
+    # only 'even' and 'odd' have sector blocks; 'mixed' keeps the matrix
+    lam = chain(3)
+    for tag in ("Even", "bogus", ""):
+        with pytest.raises(ValueError, match="no sector blocks"):
+            FockOperator.from_blocks(np.zeros((2, 4, 4)), lam, frozenset(), tag)
+        with pytest.raises(ValueError, match="no sector blocks"):
+            FockOperator(np.eye(8), lam, None, tag)
 
 
 # every constructor that skips the parity re-check: products and brackets
@@ -1044,8 +1109,15 @@ _BLOCK_BUILT = {
 def test_block_built_constructors_keep_only_their_blocks(name, L):
     lam = fock.SiteSet(range(L))
     rng = np.random.default_rng(400 + L)
+    if L == 0:
+        # each of these builds an even or odd operator on no sites: refused
+        with pytest.raises(ValueError, match="at least one site"):
+            _BLOCK_BUILT[name][1](lam, rng)
+        return
     for op, want in _BLOCK_BUILT[name][1](lam, rng):
         assert "_blocks" in op.__dict__ and "matrix" not in op.__dict__
+        assert op.blocks.shape == (2, lam.dim // 2, lam.dim // 2)
+        assert not op.blocks.flags.writeable
         first, second = op.matrix, op.matrix
         assert "_blocks" in op.__dict__ and "matrix" not in op.__dict__
         assert first is not second
