@@ -85,6 +85,11 @@ FRUSTRATION_TOL = 1e-9
 #: relative width of the bracket to which a gap closure is bisected
 CLOSURE_RESOLUTION = 1e-3
 
+#: relative widening of a computed Frobenius norm before it may settle a
+#: norm test: on a rank-one matrix it equals the operator norm, and the two
+#: computed values differ by roundoff
+FROBENIUS_SLACK = 1e-12
+
 
 def _lowest_eigenvalue(H: FockOperator) -> float:
     """Smallest eigenvalue of an even self-adjoint operator, from one
@@ -404,6 +409,16 @@ class FlowReport:
     substeps: int
 
 
+def _exceeds(m: np.ndarray, tol: float) -> bool:
+    """op_norm(m) > tol for a matrix or an (..., n, n) stack.  The Frobenius
+    norm of all of m bounds op_norm(m) from above, so op_norm runs only when
+    that bound, widened by FROBENIUS_SLACK, exceeds tol.  NaN and inf fail
+    the bound and reach op_norm."""
+    if np.linalg.norm(m) * (1 + FROBENIUS_SLACK) <= tol:
+        return False
+    return op_norm(m) > tol
+
+
 def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:
     """The stacked blocks of U = prod_i exp(ds_i (K_i + K_{i+1}) / 2) over
     the fine grid, later factors to the left, with K_i = [dP/ds, P] at
@@ -448,15 +463,29 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     largest gap at the first parameter (the lowest one on ties); that gap
     must stay above ``gamma_min`` everywhere probed, and a closure raises
     GapClosureError with a crossing location bisected to
-    CLOSURE_RESOLUTION.  Each interval between parameters is refined by
-    doubling its substeps until its transport error is within its share of
-    ``defect_target``, at most to ``max_substeps``; a run stopped by that
-    cap can end above the target, which its ``max_defect`` shows.  On an
-    empty lattice, which holds no even H(s), it raises ValueError.
+    CLOSURE_RESOLUTION.  The parameters must be distinct.
+
+    Each interval between parameters is refined by doubling its substep
+    count, at most to ``max_substeps``: first while some consecutive pair
+    of its fine projections differs by more than 0.1 in norm, then while
+    its transport error exceeds its share of ``defect_target``.  The first
+    interval starts at one substep and each later one at the count that
+    the interval before it ended with, so the count never falls and
+    ``substeps`` is the last one.  Both tests read the Frobenius norm, an
+    upper bound, before any operator norm (``_exceeds``); the jump test
+    stops at the first pair that exceeds, and at the cap no error is
+    taken.  A run stopped by the cap can end above the target, which its
+    ``max_defect`` shows.  Repeated parameters, and an empty lattice, which
+    holds no even H(s), raise ValueError.
     """
     s_grid = np.asarray(sorted(float(s) for s in parameters))
     if s_grid.size < 2:
         raise ValueError("need at least two parameter values")
+    # not np.unique, which imports numpy.ma (about 1 MB) on its first call
+    repeated = dict.fromkeys(s_grid[1:][s_grid[1:] == s_grid[:-1]].tolist())
+    if repeated:
+        raise ValueError(f"parameter values must be distinct; repeated: "
+                         f"{', '.join(map(repr, repeated))}")
     if gamma_min <= 0:
         raise ValueError("gamma_min must be positive")
 
@@ -503,26 +532,23 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     gaps = [gap_at(s_grid[0])]
     defects = [op_norm(p0 - U @ p0 @ adjoint(U))]
     total_span = float(s_grid[-1] - s_grid[0])
-    substeps_used = 1
 
-    nsub_start = 1
+    nsub = 1
     for j in range(s_grid.size - 1):
         s_a, s_b = float(s_grid[j]), float(s_grid[j + 1])
-        budget = defect_target * (s_b - s_a) / total_span if total_span > 0 else defect_target
-        nsub = nsub_start
+        budget = defect_target * (s_b - s_a) / total_span
         while True:
             fine = np.linspace(s_a, s_b, nsub + 1)
             projs = np.stack([projection_at(s) for s in fine])
-            if op_norm(projs[1:] - projs[:-1]) > 0.1 and nsub < max_substeps:
+            if nsub < max_substeps and any(
+                    _exceeds(q - p, 0.1) for p, q in zip(projs, projs[1:])):
                 nsub *= 2
                 continue
             u_step = _transport(projs, fine)
-            err = op_norm(u_step @ projs[0] @ adjoint(u_step) - projs[-1])
-            if err <= budget or nsub >= max_substeps:
+            if nsub >= max_substeps or not _exceeds(
+                    u_step @ projs[0] @ adjoint(u_step) - projs[-1], budget):
                 break
             nsub *= 2
-        nsub_start = max(1, nsub // 2)
-        substeps_used = max(substeps_used, nsub)
         U = u_step @ U
         last_good = s_b
         gaps.append(gap_at(s_b))
@@ -531,7 +557,7 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     defects = np.array(defects)
     return FlowReport(parameters=s_grid, gaps=np.array(gaps), rank=rank,
                       defects=defects, max_defect=float(defects.max()),
-                      substeps=substeps_used)
+                      substeps=nsub)
 
 
 def _bisect_closure(gap_at: Callable[[float], float], lo: float, hi: float,

@@ -79,11 +79,10 @@ def dense_projection_flow(family, lam, parameters, gamma_min, defect_target=1e-6
     U = np.eye(lam.dim, dtype=complex)
     gaps, defects = [gap_at(s_grid[0])], [0.0]
     total_span = float(s_grid[-1] - s_grid[0])
-    substeps_used, nsub_start = 1, 1
+    nsub = 1     # carried from each interval to the next
     for j in range(s_grid.size - 1):
         s_a, s_b = float(s_grid[j]), float(s_grid[j + 1])
         budget = defect_target * (s_b - s_a) / total_span
-        nsub = nsub_start
         while True:
             fine = np.linspace(s_a, s_b, nsub + 1)
             projs = [projection_at(s) for s in fine]
@@ -105,12 +104,10 @@ def dense_projection_flow(family, lam, parameters, gamma_min, defect_target=1e-6
             if err <= budget or nsub >= max_substeps:
                 break
             nsub *= 2
-        nsub_start = max(1, nsub // 2)
-        substeps_used = max(substeps_used, nsub)
         U = u_step @ U
         last_good = s_b
         gaps.append(gap_at(s_b))
         defects.append(float(op_norm(projs[-1] - U @ p0 @ U.conj().T)))
     defects = np.array(defects)
     return FlowReport(parameters=s_grid, gaps=np.array(gaps), rank=rank, defects=defects,
-                      max_defect=float(defects.max()), substeps=substeps_used)
+                      max_defect=float(defects.max()), substeps=nsub)

@@ -16,8 +16,8 @@ from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import AmbiguousKernelError, GapClosureError
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             identity, number_operator, op_norm, zero)
-from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _check_resolution, _kernel,
-                           _range_bases, _sector_norm_bound, _windows,
+from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _check_resolution, _exceeds,
+                           _kernel, _range_bases, _sector_norm_bound, _windows,
                            frustration_free_check, hamiltonian_sequence, kernel_projection,
                            martingale_bound, martingale_certificate, projection_flow)
 
@@ -676,6 +676,113 @@ def test_projection_flow_matches_the_dense_oracle(L):
             flow(lambda s: closing, lam, grid, gamma_min=0.2)
         closures.append((err.value.location, tuple(err.value.bracket)))
     assert closures[0] == closures[1]
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_projection_flow_transports_once_per_interval_after_the_first(L, monkeypatch):
+    # each interval starts at the count the one before it ended with, and on
+    # this rotation that count suffices: one transport per later interval
+    starts = []
+    transport = gap._transport
+
+    def spy(projs, fine):
+        starts.append(float(fine[0]))
+        return transport(projs, fine)
+
+    monkeypatch.setattr(gap, "_transport", spy)
+    rotation, _ = _flow_families(L)
+    grid = np.linspace(0.0, 1.0, 11)
+    rep = projection_flow(lambda s: rotation, chain(L), grid, gamma_min=0.5,
+                          defect_target=3e-5)
+    assert len(starts) == 14
+    assert starts[:5] == [0.0] * 5      # 1, 2, 4, 8 and 16 substeps
+    assert starts[5:] == grid[1:-1].tolist()
+    assert rep.substeps == 16
+
+
+def test_projection_flow_meets_its_target_when_the_needed_count_falls():
+    # the angle turns fast near s = 0 and slowly later, so each interval on
+    # its own needs fewer substeps than the one before; the carried count
+    # is more than enough
+    lam = chain(4)
+    rotation = models.rotating_flat_band(4, lambda s: 0.3 + 0.5 * (1 - np.exp(-5 * s)))
+    grid = np.linspace(0.0, 1.0, 6)
+    target = 3e-5
+    needed = [projection_flow(lambda s: rotation, lam, [a, b], gamma_min=0.5,
+                              defect_target=target * (b - a)).substeps
+              for a, b in zip(grid, grid[1:])]
+    assert needed == sorted(needed, reverse=True) and needed[-1] < needed[0]
+    rep = projection_flow(lambda s: rotation, lam, grid, gamma_min=0.5,
+                          defect_target=target)
+    assert rep.substeps == needed[0]
+    assert rep.max_defect <= target
+
+
+def test_projection_flow_refuses_repeated_parameters(small_flow_setup):
+    lam, _, family = small_flow_setup
+    with pytest.raises(ValueError, match=r"repeated: 0\.5$"):
+        projection_flow(family, lam, [0.0, 0.5, 0.5, 1.0], gamma_min=0.5)
+    with pytest.raises(ValueError, match=r"repeated: 0\.0, 1\.0$"):
+        projection_flow(family, lam, [1.0, 0.0, 1.0, 0.0, 0.5], gamma_min=0.5)
+
+
+def test_projection_flow_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on its first call: about 1 MB that a
+    # flow-check run would hold to its end
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fermicert import fock, gap, models\n"
+        "phi = models.rotating_flat_band(2, lambda s: 0.3 + 0.5 * s)\n"
+        "gap.projection_flow(lambda s: phi, fock.chain(2), np.linspace(0, 1, 3), 0.5)\n"
+        "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
+
+
+def _norm_test_matrices(rng):
+    """Hermitian, anti-Hermitian, generic and rank-one matrices, and a
+    (2, h, h) stack, each with h = 8."""
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    a = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return [g + g.conj().T, g - g.conj().T, g, np.outer(a, a.conj()),
+            np.stack([g + g.conj().T, 0.5 * g])]
+
+
+def test_exceeds_agrees_with_the_operator_norm(rng, monkeypatch):
+    calls = []
+    monkeypatch.setattr(gap, "op_norm", lambda m: calls.append(1) or op_norm(m))
+    for m in _norm_test_matrices(rng):
+        norm, frobenius = op_norm(m), float(np.linalg.norm(m))
+        for tol in (0.5 * norm, norm, np.nextafter(norm, 0), 0.5 * (norm + frobenius),
+                    frobenius, 2 * frobenius):
+            assert _exceeds(m, tol) == (norm > tol)
+    # between the two norms the bound cannot settle the test, and op_norm decides
+    m = _norm_test_matrices(rng)[2]
+    norm, frobenius = op_norm(m), float(np.linalg.norm(m))
+    assert norm < frobenius
+    calls.clear()
+    assert not _exceeds(m, 0.5 * (norm + frobenius)) and calls == [1]
+    calls.clear()
+    assert not _exceeds(m, 2 * frobenius) and calls == []
+
+
+def test_exceeds_raises_on_nan_and_a_flow_never_passes_it(small_flow_setup, monkeypatch):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = np.nan
+    for tol in (0.1, np.inf):
+        with pytest.raises(np.linalg.LinAlgError):
+            _exceeds(m, tol)
+    lam, _, family = small_flow_setup
+    monkeypatch.setattr(gap, "_transport", lambda projs, fine: np.full_like(projs[0], np.nan))
+    with pytest.raises(np.linalg.LinAlgError):
+        projection_flow(family, lam, [0.0, 0.1], gamma_min=0.5)
 
 
 def test_projection_flow_rebuilt_and_profiled_families_agree(small_flow_setup):
