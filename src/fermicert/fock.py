@@ -493,11 +493,14 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
 def _matrix_norm(m: np.ndarray) -> float:
     """Largest singular value of one matrix: the symmetric eigensolver for a
     Hermitian matrix, and for an anti-Hermitian one (as i m); an
-    exactly-zero matrix short-circuits to 0.  Both tests read max|m| and
-    the conjugate transpose, each taken once."""
+    exactly-zero matrix short-circuits to 0, and one with a NaN or inf entry
+    raises LinAlgError (``eigvalsh`` would read only one triangle).  Both
+    tests read max|m| and the conjugate transpose, each taken once."""
     scale = np.abs(m).max(initial=0.0)
     if scale == 0.0:
         return 0.0
+    if not np.isfinite(scale):
+        raise np.linalg.LinAlgError("matrix has a non-finite entry")
     adjoint = m.conj().T
     hermitian = np.abs(m - adjoint).max() <= 1e-12 * scale
     anti = not hermitian and np.abs(m + adjoint).max() <= 1e-12 * scale
@@ -517,7 +520,8 @@ def op_norm(A) -> float:
     whose norm is the largest of its matrices'.  Each matrix picks its own
     solver: Hermitian ones, and anti-Hermitian ones such as commutators of
     Hermitian operators, go through the symmetric eigensolver, and an
-    exactly-zero one short-circuits to 0.
+    exactly-zero one short-circuits to 0.  A NaN or inf entry raises
+    ``np.linalg.LinAlgError``.
     """
     if isinstance(A, FockOperator):
         A = A.matrix if A.parity == MIXED else A.blocks

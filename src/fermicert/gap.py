@@ -17,11 +17,12 @@ If eps * sqrt(1 + ell) < 1, every state orthogonal to ker(H_N) has energy
 at least gamma (1 - eps sqrt(1 + ell))^2, a lower bound on the spectral
 gap of H_N above zero.
 
-The certificate is one loop over the pairs (H_{n-1}, H_n), n = 1..N, that
-keeps only what later steps read: the dense kernel projection G_n of H_n
-until step n + 1 has used it, the bases of each E_n, and the parity blocks
-of each g_n, which the windows and assumption (i) read after the loop,
-gamma being the minimum over all steps; the h_n are formed again there.
+A ``HamiltonianSequence`` holds steps, not the H_n: ``_pairs`` forms each
+H_n from the last, so at most two are alive.  The certificate is one loop
+over those pairs (H_{n-1}, H_n) that keeps only what later steps read: G_n
+until step n + 1 has used it, the bases of each E_n and the parity blocks
+of each g_n, which the windows and assumption (i) (a second stream of the
+pairs, gamma being the minimum over all steps) read after the loop.
 Only the ``eigh`` of h_n and of H_n and the product M = E_n g_{n+1} E_n of
 their kernel projections are dense.  The lowest eigenvalue of h_n checks
 H_{n-1} <= H_n before its kernel is split off; the nesting G_{n+1} G_n =
@@ -167,49 +168,36 @@ def frustration_free_check(phi: Interaction, lam: SiteSet) -> FrustrationReport:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSequence:
-    """Sequence 0 = H_0, H_1, ..., H_N of even self-adjoint Hamiltonians, which
-    the certificate checks to increase; it forms each h_n = H_n - H_{n-1}
-    where it reads it."""
+    """The steps of a sequence 0 = H_0, H_1, ..., H_N on ``lattice``, each a
+    static interaction: H_n = H_{n-1} + ``local_hamiltonian(steps[n-1],
+    lattice)``.  Only the steps are held; ``_pairs`` forms the H_n in turn,
+    and the certificate checks that they increase."""
 
-    hamiltonians: tuple
+    lattice: SiteSet
+    steps: tuple
 
     def __post_init__(self):
-        hams = tuple(self.hamiltonians)
-        object.__setattr__(self, "hamiltonians", hams)
-        if len(hams) < 2:
-            raise ValueError("need H_0 and at least one increment")
-        if any(H.parity != EVEN for H in hams):
-            raise ValueError("sequence members must be even")
-        if hams[0].blocks.any():
-            raise ValueError("H_0 must be the zero operator")
-        lam = hams[0].ambient
-        for H in hams:
-            if H.ambient != lam:
-                raise ValueError("sequence members live on different lattices")
-            if not H.is_hermitian():
-                raise ValueError("sequence members must be self-adjoint")
-
-    @property
-    def size(self) -> int:
-        return len(self.hamiltonians) - 1
-
-    @property
-    def lattice(self) -> SiteSet:
-        return self.hamiltonians[0].ambient
+        object.__setattr__(self, "steps", tuple(self.steps))
+        if not self.steps:
+            raise ValueError("need at least one step")
+        if any(step.is_time_dependent for step in self.steps):
+            raise ValueError("gap sequences are defined for static interactions")
 
 
 def hamiltonian_sequence(phi: Interaction, lam: SiteSet) -> HamiltonianSequence:
-    """Partial sums of the interaction terms inside ``lam``, one term per
-    step, added left to right (ordered by their leftmost site, then
-    extent)."""
-    if phi.is_time_dependent:
-        raise ValueError("gap sequences are defined for static interactions")
+    """The interaction terms inside ``lam``, one term per step, added left to
+    right (ordered by their leftmost site, then extent)."""
     inside = [t for t in phi.terms if set(t.sites) <= set(lam.sites)]
     inside.sort(key=lambda t: sorted(lam.positions(t.sites)))
-    hams = [fock.zero(lam)]
-    for t in inside:
-        hams.append(hams[-1] + local_hamiltonian(Interaction((t,)), lam))
-    return HamiltonianSequence(tuple(hams))
+    return HamiltonianSequence(lam, tuple(Interaction((t,)) for t in inside))
+
+
+def _pairs(seq: HamiltonianSequence):
+    """The pairs (H_{n-1}, H_n), n = 1..N, each H_n formed from the last
+    (H_0 = 0); the generator keeps only the latest H_n."""
+    H = fock.zero(seq.lattice)
+    for step in seq.steps:
+        yield H, (H := H + local_hamiltonian(step, seq.lattice))
 
 
 def _range_bases(e: FockOperator) -> tuple:
@@ -318,11 +306,10 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     not increase raises ValueError.
     """
     lam = seq.lattice
-    pairs = list(zip(seq.hamiltonians, seq.hamiltonians[1:]))
     gammas, g_projs, eps_sq, bases = [], [], [], []
     worst = 0.0
     p_prev = np.eye(lam.dim, dtype=complex)   # G_0 = 1
-    for n, (H_prev, H) in enumerate(pairs):
+    for n, (H_prev, H) in enumerate(_pairs(seq)):
         h = H - H_prev
         w, v = np.linalg.eigh(h.matrix)
         if w[0] < -MONOTONICITY_TOL:
@@ -335,7 +322,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
         del v, vk   # freed before g's blocks are gathered
         g_projs.append(FockOperator(g, lam, None, EVEN))
         # h is dropped only now: dropped before g's blocks were gathered,
-        # the 10-site flat band peaked 11 MB higher in RSS
+        # the 10-site flat band peaked 8 MB higher in RSS
         del h
         w, v = np.linalg.eigh(H.matrix)
         k, vk, p = _kernel(w, v)
@@ -348,7 +335,6 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             x = p_prev @ vk
             np.subtract(vk, x, out=x)
             defect = math.sqrt(op_norm(x.conj().T @ x))
-            del x
             if defect > COMMUTE_TOL:
                 raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
         del v, vk
@@ -370,7 +356,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
     one = identity(lam)
     assumption_i = max(max(0.0, -_lowest_eigenvalue((H - H_prev) - gamma * (one - g)))
-                       for (H_prev, H), g in zip(pairs, g_projs))
+                       for (H_prev, H), g in zip(_pairs(seq), g_projs))
 
     # window [E_k, g_{n+1}] at row k, column n: ell absorbs those with k <= n
     commute_defects = _windows(sides, g_projs)
@@ -413,7 +399,7 @@ def _exceeds(m: np.ndarray, tol: float) -> bool:
     """op_norm(m) > tol for a matrix or an (..., n, n) stack.  The Frobenius
     norm of all of m bounds op_norm(m) from above, so op_norm runs only when
     that bound, widened by FROBENIUS_SLACK, exceeds tol.  NaN and inf fail
-    the bound and reach op_norm."""
+    it (inf against a finite tol) and reach op_norm, which raises."""
     if np.linalg.norm(m) * (1 + FROBENIUS_SLACK) <= tol:
         return False
     return op_norm(m) > tol

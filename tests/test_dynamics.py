@@ -235,6 +235,14 @@ def test_interaction_validation(rng):
     nonherm = fock.random_local_operator(sub, (0, 1), rng)
     with pytest.raises(ValueError):
         InteractionTerm((0, 1), nonherm)
+    # even templates that an Interaction would accept: a gap sequence's
+    # members are self-adjoint because every term is
+    hop = creator(sub, 0) @ annihilator(sub, 1)
+    for template in (hop, 1j * number_operator(sub), hop + 1e-9 * hop.adjoint()):
+        assert template.parity == fock.EVEN
+        with pytest.raises(ValueError, match="term template must be self-adjoint"):
+            InteractionTerm((0, 1), template)
+    InteractionTerm((0, 1), hop + hop.adjoint())
 
 
 @pytest.mark.parametrize("L", [4, 5, 6, 7, 8])

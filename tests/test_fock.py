@@ -165,6 +165,18 @@ def test_op_norm_examples(lam4):
     assert op_norm(number_operator(lam4)) == pytest.approx(4.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("i, j, value", [(1, 2, np.inf), (2, 1, np.inf), (1, 2, np.nan),
+                                          (2, 2, -np.inf), (0, 3, complex(0, np.inf))])
+def test_op_norm_refuses_a_non_finite_entry(i, j, value):
+    # an inf above the diagonal passed the Hermitian test as inf <= inf, and
+    # eigvalsh, reading the lower triangle, returned 1.0
+    m = np.eye(4, dtype=complex)
+    m[i, j] = value
+    for x in (m, np.stack([np.eye(4, dtype=complex), m])):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            op_norm(x)
+
+
 def test_op_norm_anti_hermitian_matches_svd_without_svd(rng, lam6, monkeypatch):
     cases = []
     for _ in range(3):

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from fermicert import cli, fock, gap, geometry, models
-from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
+from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian, scaled_profile
 from fermicert.errors import AmbiguousKernelError, GapClosureError
 from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
                             identity, number_operator, op_norm, zero)
 from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _check_resolution, _exceeds,
-                           _kernel, _range_bases, _sector_norm_bound, _windows,
+                           _kernel, _pairs, _range_bases, _sector_norm_bound, _windows,
                            frustration_free_check, hamiltonian_sequence, kernel_projection,
                            martingale_bound, martingale_certificate, projection_flow)
 
@@ -28,6 +28,17 @@ def _onsite_number_interaction(L):
         sub = fock.SiteSet((x,))
         terms.append(InteractionTerm((x,), creator(sub, x) @ annihilator(sub, x)))
     return Interaction(tuple(terms))
+
+
+def _whole_lattice_steps(lam, *increments):
+    """The sequence whose step n adds the whole-lattice term increments[n-1]."""
+    return HamiltonianSequence(
+        lam, [Interaction((InteractionTerm(lam.sites, h),)) for h in increments])
+
+
+def _hamiltonians(seq):
+    """H_1, ..., H_N as the certificate forms them."""
+    return [H for _, H in _pairs(seq)]
 
 
 def test_spectrum_examples(lam4, rng):
@@ -157,7 +168,7 @@ def test_certificate_refuses_a_non_nested_pair_when_it_arrives(monkeypatch):
     # turned toward |11>, which lies outside ker H_1 = ker n_0
     lam = chain(2)
     n0, n = number_operator(lam, [0]), number_operator(lam)
-    seq = HamiltonianSequence((zero(lam), n0, n, n + n0))
+    seq = _whole_lattice_steps(lam, n0, n - n0, n0)
     assert martingale_certificate(seq).certified
     calls = _rotating_kernel(monkeypatch, 4, 1e-3)
     with pytest.raises(ValueError, match="nested"):
@@ -181,7 +192,7 @@ def _resolution(es):
 
 def _increments(seq):
     """h_n = H_n - H_{n-1} for n = 1..N."""
-    return [H - H_prev for H_prev, H in zip(seq.hamiltonians, seq.hamiltonians[1:])]
+    return [H - H_prev for H_prev, H in _pairs(seq)]
 
 
 def _product_oracle(gs):
@@ -230,7 +241,7 @@ def test_resolution_family_single_step():
 def test_resolution_family_full_sequence():
     L = 5
     seq = hamiltonian_sequence(models.kitaev_chain(L), chain(L))
-    gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
+    gs = [kernel_projection(H) for H in _hamiltonians(seq)]
     sides, gram, delta = _resolution(_explicit_family(gs))
     assert gram + 2 * delta <= COMMUTE_TOL
     products, completeness = _product_oracle(gs)
@@ -242,7 +253,8 @@ def test_certificate_refuses_non_nested_kernels(monkeypatch):
     # ||G_2 (1 - G_1)|| is the sine of the angle by which H_2's kernel is
     # turned out of ker H_1; the check runs on the kernel basis of H_2
     lam = chain(2)
-    seq = HamiltonianSequence((zero(lam), number_operator(lam, [0]), number_operator(lam)))
+    n0, n = number_operator(lam, [0]), number_operator(lam)
+    seq = _whole_lattice_steps(lam, n0, n - n0)
     _rotating_kernel(monkeypatch, 4, 1e-3)
     with pytest.raises(ValueError, match="not nested: defect 1.000e-03"):
         martingale_certificate(seq)
@@ -253,7 +265,7 @@ def test_certificate_refuses_a_kernel_projection_that_is_not_even(monkeypatch):
     # sectors: E_0 = 1 - G_1 is refused by its even tag before step 2 starts
     lam = chain(2)
     n0, n = number_operator(lam, [0]), number_operator(lam)
-    seq = HamiltonianSequence((zero(lam), n0, n))
+    seq = _whole_lattice_steps(lam, n0, n - n0)
     even, odd = (int(sector[0]) for sector in fock._sector_index(lam.dim))
     calls = []
     real = gap._kernel
@@ -324,7 +336,7 @@ def _gap_model(name, L):
 @pytest.mark.parametrize("L", [6, 8])
 def test_range_bases_against_the_product_oracles(name, L):
     seq = hamiltonian_sequence(_gap_model(name, L), chain(L))
-    gs = [kernel_projection(H) for H in seq.hamiltonians[1:]]
+    gs = [kernel_projection(H) for H in _hamiltonians(seq)]
     g_projs = [kernel_projection(h) for h in _increments(seq)]
     sides, gram, delta = _resolution(_explicit_family(gs))
     assert gram + 2 * delta <= COMMUTE_TOL
@@ -383,28 +395,25 @@ def test_gram_check_refuses_overlapping_ranges():
         _resolution(_explicit_family(gs))
 
 
-def test_mixed_tagged_sequence_is_refused():
-    L = 4
-    lam = chain(L)
-    hams = hamiltonian_sequence(models.kitaev_chain(L), lam).hamiltonians
-    retagged = [FockOperator(H.matrix, lam, None, MIXED) for H in hams]
-    with pytest.raises(ValueError, match="must be even"):
-        HamiltonianSequence(tuple(retagged))
-    # one mixed member among even ones, and a mixed H_0 that is not zero
-    with pytest.raises(ValueError, match="must be even"):
-        HamiltonianSequence(hams[:-1] + (retagged[-1],))
-    with pytest.raises(ValueError, match="must be even"):
-        HamiltonianSequence((retagged[1],) + hams[1:])
+def test_sequence_refuses_no_steps_and_a_time_dependent_step():
+    lam = chain(2)
+    with pytest.raises(ValueError, match="at least one step"):
+        HamiltonianSequence(lam, ())
+    with pytest.raises(ValueError, match="at least one step"):
+        hamiltonian_sequence(models.hopping_chain(3), chain(1))
+    ramped = scaled_profile(models.hopping_chain(2), lambda t: 1.0 + t, (0.0, 1.0))
+    with pytest.raises(ValueError, match="static interactions"):
+        HamiltonianSequence(lam, (models.hopping_chain(2), ramped))
+    with pytest.raises(ValueError, match="static interactions"):
+        hamiltonian_sequence(ramped, lam)
 
 
 def test_sequence_validation(monkeypatch):
     lam = chain(2)
-    with pytest.raises(ValueError, match="zero"):
-        HamiltonianSequence((number_operator(lam), number_operator(lam)))
     n = number_operator(lam)
-    decreasing = HamiltonianSequence((zero(lam), n, zero(lam)))
+    decreasing = _whole_lattice_steps(lam, n, -1.0 * n)
     # below -MONOTONICITY_TOL but within the kernel tolerance of _kernel
-    sagging = HamiltonianSequence((zero(lam), n, n - 1e-9 * identity(lam)))
+    sagging = _whole_lattice_steps(lam, n, -1e-9 * identity(lam))
     calls = _rotating_kernel(monkeypatch, 0, 0.0)     # records the calls only
     for seq, defect in ((decreasing, "2.000e+00"), (sagging, "1.000e-09")):
         calls.clear()
@@ -417,35 +426,39 @@ def test_sequence_validation(monkeypatch):
 
 
 def test_even_sequence_is_built_without_a_dense_matrix(monkeypatch):
-    # H_0 was tested through its dense matrix: 268 MB at 12 sites
+    # only the terms' own small matrices are read, for their embedding
     L = 6
     seq = hamiltonian_sequence(_gap_model("flatband", L), chain(L))
+    real = fock.sector_matrix
 
-    def refuse(*args):
-        raise AssertionError("a dense matrix was assembled")
+    def refuse_full(blocks, parity, dim):
+        if dim == seq.lattice.dim:
+            raise AssertionError("a 2^L x 2^L matrix was assembled")
+        return real(blocks, parity, dim)
 
-    monkeypatch.setattr(fock, "sector_matrix", refuse)
-    HamiltonianSequence(seq.hamiltonians)
+    monkeypatch.setattr(fock, "sector_matrix", refuse_full)
+    assert len(list(_pairs(seq))) == len(seq.steps)
 
 
 def test_certificate_refuses_a_vanishing_increment():
     lam = chain(2)
-    H = number_operator(lam)
-    seq = HamiltonianSequence((zero(lam), H, H))
+    seq = _whole_lattice_steps(lam, number_operator(lam), zero(lam))
     with pytest.raises(ValueError, match="increment vanishes"):
         martingale_certificate(seq)
 
 
 def test_certificate_refuses_a_trivial_kernel():
     lam = chain(2)
-    seq = HamiltonianSequence((zero(lam), number_operator(lam), 2.0 * identity(lam)))
+    n = number_operator(lam)
+    seq = _whole_lattice_steps(lam, n, 2.0 * identity(lam) - n)
     with pytest.raises(ValueError, match="H_2 has trivial kernel"):
         martingale_certificate(seq)
 
 
 def test_flat_band_certificate_peaks_near_what_it_keeps():
-    # the 8-site sequence holds 4.6 MB; keeping every increment and kernel
-    # projection with the dense eps work until the end peaked at 24.2 MB
+    # peaks at 10.6 MiB with at most two H_n alive; holding every H_n
+    # (4.6 MB at 8 sites) peaked at 14.1 MiB, and keeping every increment
+    # and kernel projection with the dense eps work as well at 24.2 MB
     L = 8
     tracemalloc.start()
     try:
@@ -453,7 +466,7 @@ def test_flat_band_certificate_peaks_near_what_it_keeps():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_hamiltonian_sequence_grouping():
@@ -461,13 +474,12 @@ def test_hamiltonian_sequence_grouping():
     lam = chain(L)
     phi = _onsite_number_interaction(L)
     # two terms per step: the on-site terms of sites {0, 1}, then of {2, 3}
-    terms = [local_hamiltonian(Interaction((t,)), lam).matrix for t in phi.terms]
-    grouped = HamiltonianSequence((zero(lam),) + tuple(
-        FockOperator(sum(terms[:n]), lam, frozenset(lam.sites), EVEN) for n in (2, 4)))
-    assert grouped.size == 2
+    grouped = HamiltonianSequence(lam, (Interaction(phi.terms[:2]),
+                                        Interaction(phi.terms[2:])))
+    hams = _hamiltonians(grouped)
+    assert len(hams) == 2
     full = hamiltonian_sequence(phi, lam)
-    assert np.abs(grouped.hamiltonians[-1].matrix
-                  - full.hamiltonians[-1].matrix).max() <= 1e-14
+    assert np.abs(hams[-1].matrix - _hamiltonians(full)[-1].matrix).max() <= 1e-14
     cert = martingale_certificate(grouped)
     assert cert.bound == pytest.approx(1.0, abs=1e-10)
 
@@ -519,7 +531,7 @@ def test_eps_is_the_dense_product_of_the_eigh_projections():
 
     want = []
     p_prev = np.eye(lam.dim, dtype=complex)
-    for h, H in zip(_increments(seq), seq.hamiltonians[1:]):
+    for h, H in zip(_increments(seq), _hamiltonians(seq)):
         p = kernel(H)
         e = p_prev - p
         want.append(op_norm(e @ kernel(h) @ e))
@@ -548,7 +560,7 @@ def test_martingale_bound_holds_statewise(rng):
     seq = hamiltonian_sequence(phi, lam)
     cert = martingale_certificate(seq)
     assert cert.certified
-    H = seq.hamiltonians[-1]
+    H = _hamiltonians(seq)[-1]
     G = kernel_projection(H)
     comp = np.eye(lam.dim) - G.matrix
     for _ in range(20):
@@ -779,6 +791,13 @@ def test_exceeds_raises_on_nan_and_a_flow_never_passes_it(small_flow_setup, monk
     for tol in (0.1, np.inf):
         with pytest.raises(np.linalg.LinAlgError):
             _exceeds(m, tol)
+    # an inf on either side of the diagonal, alone or in a (2, h, h) stack
+    for i, j in ((1, 2), (2, 1)):
+        m = np.eye(4, dtype=complex)
+        m[i, j] = np.inf
+        for x in (m, np.stack([np.eye(4, dtype=complex), m])):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                _exceeds(x, 10.0)
     lam, _, family = small_flow_setup
     monkeypatch.setattr(gap, "_transport", lambda projs, fine: np.full_like(projs[0], np.nan))
     with pytest.raises(np.linalg.LinAlgError):
@@ -870,7 +889,7 @@ def _dense_certificate(seq):
         assert k == w.size or w[k] >= KERNEL_GUARD * tol
         return w, k, v[:, :k] @ v[:, :k].conj().T
 
-    hams = [H.matrix for H in seq.hamiltonians]
+    hams = [fock.zero(seq.lattice).matrix] + [H.matrix for H in _hamiltonians(seq)]
     gammas, gs = [], []
     for prev, cur in zip(hams, hams[1:]):
         w, k, g = kernel(cur - prev)
@@ -936,6 +955,6 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     cert = martingale_certificate(seq)
     # one call per assumption-(i) residual and none over the increments: the
     # defect is the lowest eigenvalue of the eigh that gives each kernel
-    assert len(calls) == seq.size
+    assert len(calls) == len(seq.steps)
     lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in _increments(seq))
     assert _bits(cert.defects["monotonicity"]) == _bits(-min(0.0, lowest))
