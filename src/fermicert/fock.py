@@ -492,15 +492,19 @@ def monomial(lam: SiteSet, labels: Sequence[str]) -> FockOperator:
 
 def _matrix_norm(m: np.ndarray) -> float:
     """Largest singular value of one matrix: the symmetric eigensolver for a
-    Hermitian matrix, and for an anti-Hermitian one (as i m); an
-    exactly-zero matrix short-circuits to 0, and one with a NaN or inf entry
-    raises LinAlgError (``eigvalsh`` would read only one triangle).  Both
-    tests read max|m| and the conjugate transpose, each taken once."""
+    Hermitian matrix, and for an anti-Hermitian one (as i m), and the SVD
+    for any other, a rectangular one included; an exactly-zero matrix
+    short-circuits to 0, and one with a NaN or inf entry raises LinAlgError
+    (``eigvalsh`` would read only one triangle, and the SVD of an inf
+    returns NaN).  Both tests read max|m| and the conjugate transpose, each
+    taken once."""
     scale = np.abs(m).max(initial=0.0)
     if scale == 0.0:
         return 0.0
     if not np.isfinite(scale):
         raise np.linalg.LinAlgError("matrix has a non-finite entry")
+    if m.shape[0] != m.shape[1]:
+        return float(np.linalg.svd(m, compute_uv=False)[0])
     adjoint = m.conj().T
     hermitian = np.abs(m - adjoint).max() <= 1e-12 * scale
     anti = not hermitian and np.abs(m + adjoint).max() <= 1e-12 * scale
@@ -516,7 +520,7 @@ def op_norm(A) -> float:
     """Operator (spectral) norm: the largest singular value.
 
     Accepts a FockOperator (the stack of its parity blocks if it has
-    definite parity, else its matrix), a matrix, or an (..., n, n) stack,
+    definite parity, else its matrix), a matrix, or an (..., n, m) stack,
     whose norm is the largest of its matrices'.  Each matrix picks its own
     solver: Hermitian ones, and anti-Hermitian ones such as commutators of
     Hermitian operators, go through the symmetric eigensolver, and an

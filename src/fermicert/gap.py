@@ -20,16 +20,20 @@ gap of H_N above zero.
 A ``HamiltonianSequence`` holds steps, not the H_n: ``_pairs`` forms each
 H_n from the last, so at most two are alive.  The certificate is one loop
 over those pairs (H_{n-1}, H_n) that keeps only what later steps read: G_n
-until step n + 1 has used it, the bases of each E_n and the parity blocks
-of each g_n, which the windows and assumption (i) (a second stream of the
-pairs, gamma being the minimum over all steps) read after the loop.
+until step n + 1 has used it, the bases of each E_n, the parity blocks of
+each g_n, which the windows read after the loop, and two eigenvalues of
+h_n, its lowest w_n[0] and its first above the kernel, gamma_n = w_n[k_n].
 Only the ``eigh`` of h_n and of H_n and the product M = E_n g_{n+1} E_n of
 their kernel projections are dense.  The lowest eigenvalue of h_n checks
 H_{n-1} <= H_n before its kernel is split off; the nesting G_{n+1} G_n =
 G_{n+1} is checked as ||(1 - G_n) K_{n+1}|| = ||G_{n+1} (1 - G_n)||, with
 K_{n+1} the orthonormal kernel basis of H_{n+1}; eps_n^2 is the bound
 max_c ||M_cc|| + ||M_off||_F on ||M|| from the parity blocks of M, widened
-by the roundoff of a computed singular value.
+by the roundoff of a computed singular value.  Assumption (i) is read from
+the kept eigenvalues once gamma, the minimum over all steps, is known: in
+the eigenbasis of h_n, h_n - gamma (1 - g_n) has the eigenvalues w_i on
+ker h_n and w_i - gamma off it, so its residual is max(0, -min(w_n[0],
+w_n[k_n] - gamma)).
 
 The E_n are checked and used through bases of their ranges: each E_n is
 formed once, densely, as G_n - G_{n+1} over the buffer of G_n (G_0 = 1) as
@@ -43,6 +47,9 @@ COMMUTE_TOL, delta being the largest distance of an eigenvalue from 0 or
 ||[E_k, g]|| = ||(1 - V V*) g V|| with V the lower-rank basis of E_k, since
 [1 - P, Q] = -[P, Q]; it is within 2 delta of the commutator of E_k itself,
 so a verdict against COMMUTE_TOL can change only within 2 delta of it.
+The windows and the nesting and Gram defects are read Frobenius first
+(``_norm_bound``), so a reported window is an upper bound, the largest
+singular value wherever it exceeds COMMUTE_TOL, and no verdict changes.
 
 ``projection_flow`` transports the spectral projection below a gap along a
 path H(s), read as ``local_hamiltonian(family(s), lam, s)``: a family may
@@ -125,6 +132,17 @@ def _sector_norm_bound(m: np.ndarray) -> float:
     bound = (max(op_norm(m[rows, cols]) for rows, cols in on)
              + math.hypot(*(np.linalg.norm(m[rows, cols]) for rows, cols in off)))
     return bound * (1.0 + len(m) * np.finfo(float).eps)
+
+
+def _norm_bound(m: np.ndarray, tol: float) -> float:
+    """op_norm(m), or an upper bound on it within tol.  The Frobenius norm of
+    all of m bounds op_norm(m) from above, so op_norm runs only when that
+    bound, widened by FROBENIUS_SLACK, exceeds tol or is not finite: a NaN
+    or inf entry always reaches op_norm, which raises."""
+    bound = float(np.linalg.norm(m)) * (1 + FROBENIUS_SLACK)
+    if math.isfinite(bound) and bound <= tol:
+        return bound
+    return op_norm(m)
 
 
 def kernel_projection(H: FockOperator) -> FockOperator:
@@ -219,15 +237,17 @@ def _range_bases(e: FockOperator) -> tuple:
 
 def _check_resolution(ranges: Sequence, delta: float) -> float:
     """The largest Gram defect ||W* W - 1|| over the blocks, W = [V_0 ... V_N]
-    the range bases of the E_n; raises ValueError unless W is square and
-    that defect plus 2 delta is within COMMUTE_TOL (module docstring)."""
+    the range bases of the E_n, or its ``_norm_bound`` within COMMUTE_TOL -
+    2 delta; raises ValueError unless W is square and that defect plus
+    2 delta is within COMMUTE_TOL (module docstring)."""
     gram = 0.0
     for block in zip(*ranges):
         W = np.hstack(block)
         if W.shape[0] != W.shape[1]:
             raise ValueError(f"the ranges of the E_n have total rank {W.shape[1]} "
                              f"in a block of dimension {W.shape[0]}")
-        gram = max(gram, op_norm(W.conj().T @ W - np.eye(W.shape[1])))
+        gram = max(gram, _norm_bound(W.conj().T @ W - np.eye(W.shape[1]),
+                                     COMMUTE_TOL - 2.0 * delta))
     if gram + 2.0 * delta > COMMUTE_TOL:
         raise ValueError(f"E_n are not orthogonal projections summing to the identity: "
                          f"Gram defect {gram:.3e}, projection defect {delta:.3e}")
@@ -235,9 +255,10 @@ def _check_resolution(ranges: Sequence, delta: float) -> float:
 
 
 def _windows(sides: Sequence, g_projs: Sequence[FockOperator]) -> np.ndarray:
-    """||[E_k, g_{n+1}]|| = ||(1 - V V*) g_{n+1} V|| at row k and column n,
-    the largest over the blocks of the largest singular value, with V the
-    kept basis of E_k.  g V is projected off V twice: the second pass
+    """An upper bound on ||[E_k, g_{n+1}]|| = ||(1 - V V*) g_{n+1} V|| at row
+    k and column n, with V the kept basis of E_k: the largest over the blocks
+    of ``_norm_bound`` against COMMUTE_TOL, so every window above it is the
+    largest singular value.  g V is projected off V twice: the second pass
     removes the roundoff that the first leaves along V."""
     out = np.zeros((len(sides), len(g_projs)))
     for n, g in enumerate(g_projs):
@@ -247,7 +268,7 @@ def _windows(sides: Sequence, g_projs: Sequence[FockOperator]) -> np.ndarray:
                     x = m @ v
                     for _ in range(2):
                         x = x - v @ (v.conj().T @ x)
-                    out[k, n] = max(out[k, n], np.linalg.svd(x, compute_uv=False)[0])
+                    out[k, n] = max(out[k, n], _norm_bound(x, COMMUTE_TOL))
     return out
 
 
@@ -302,22 +323,22 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     exception.
 
     One loop over the pairs (H_{n-1}, H_n); the resolution check, assumption
-    (i) and the windows follow it (module docstring).  A sequence that does
-    not increase raises ValueError.
+    (i), read from two eigenvalues of each h_n that the loop keeps, and the
+    windows, each reported as an upper bound, follow it (module docstring).
+    A sequence that does not increase raises ValueError.
     """
     lam = seq.lattice
-    gammas, g_projs, eps_sq, bases = [], [], [], []
-    worst = 0.0
+    gammas, lows, g_projs, eps_sq, bases = [], [], [], [], []
     p_prev = np.eye(lam.dim, dtype=complex)   # G_0 = 1
     for n, (H_prev, H) in enumerate(_pairs(seq)):
         h = H - H_prev
         w, v = np.linalg.eigh(h.matrix)
         if w[0] < -MONOTONICITY_TOL:
             raise ValueError(f"sequence is not increasing: increment defect {-w[0]:.3e}")
-        worst = min(worst, float(w[0]))
         k, vk, g = _kernel(w, v)
         if k == w.size:
             raise ValueError("an increment vanishes; every step must add a nonzero operator")
+        lows.append(float(w[0]))
         gammas.append(float(w[k]))
         del v, vk   # freed before g's blocks are gathered
         g_projs.append(FockOperator(g, lam, None, EVEN))
@@ -334,7 +355,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             # from the k x k Gram matrix (an SVD of the tall x peaked higher)
             x = p_prev @ vk
             np.subtract(vk, x, out=x)
-            defect = math.sqrt(op_norm(x.conj().T @ x))
+            defect = math.sqrt(_norm_bound(x.conj().T @ x, COMMUTE_TOL ** 2))
             if defect > COMMUTE_TOL:
                 raise ValueError(f"kernel projections are not nested: defect {defect:.3e}")
         del v, vk
@@ -352,11 +373,9 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     ranges, sides, deltas = zip(*bases)
     _check_resolution(ranges, max(deltas))
     gamma = min(gammas)
-
-    # assumption (i) residual: h_n - gamma (1 - g_n) >= 0
-    one = identity(lam)
-    assumption_i = max(max(0.0, -_lowest_eigenvalue((H - H_prev) - gamma * (one - g)))
-                       for (H_prev, H), g in zip(_pairs(seq), g_projs))
+    # assumption (i) residual: h_n - gamma (1 - g_n) >= 0 (module docstring)
+    assumption_i = max(max(0.0, -min(low, gamma_n - gamma))
+                       for low, gamma_n in zip(lows, gammas))
 
     # window [E_k, g_{n+1}] at row k, column n: ell absorbs those with k <= n
     commute_defects = _windows(sides, g_projs)
@@ -374,7 +393,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
     return GapCertificate(
         gamma=gamma, ell=ell, epsilon=epsilon, bound=bound, exact_gap=exact_gap,
-        defects={"assumption_i": assumption_i, "monotonicity": -worst,
+        defects={"assumption_i": assumption_i, "monotonicity": -min(0.0, *lows),
                  "forward_commutator": forward_defect,
                  "max_allowed_window_commutator":
                      float(commute_defects[allowed].max(initial=0.0))},
@@ -396,13 +415,9 @@ class FlowReport:
 
 
 def _exceeds(m: np.ndarray, tol: float) -> bool:
-    """op_norm(m) > tol for a matrix or an (..., n, n) stack.  The Frobenius
-    norm of all of m bounds op_norm(m) from above, so op_norm runs only when
-    that bound, widened by FROBENIUS_SLACK, exceeds tol.  NaN and inf fail
-    it (inf against a finite tol) and reach op_norm, which raises."""
-    if np.linalg.norm(m) * (1 + FROBENIUS_SLACK) <= tol:
-        return False
-    return op_norm(m) > tol
+    """op_norm(m) > tol for a matrix or an (..., n, n) stack, read through
+    ``_norm_bound``."""
+    return _norm_bound(m, tol) > tol
 
 
 def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:

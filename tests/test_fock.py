@@ -172,9 +172,19 @@ def test_op_norm_refuses_a_non_finite_entry(i, j, value):
     # eigvalsh, reading the lower triangle, returned 1.0
     m = np.eye(4, dtype=complex)
     m[i, j] = value
-    for x in (m, np.stack([np.eye(4, dtype=complex), m])):
+    # and a rectangular one, whose SVD would return NaN for an inf
+    for x in (m, np.stack([np.eye(4, dtype=complex), m]), m[:, :3]):
+        if np.isfinite(x).all():
+            continue
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             op_norm(x)
+
+
+def test_op_norm_of_a_rectangular_matrix_is_its_largest_singular_value(rng):
+    for shape in ((8, 3), (3, 8), (6, 1)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        assert op_norm(m) == np.linalg.svd(m, compute_uv=False)[0]
+    assert op_norm(np.zeros((5, 2), dtype=complex)) == 0.0
 
 
 def test_op_norm_anti_hermitian_matches_svd_without_svd(rng, lam6, monkeypatch):

@@ -1,12 +1,15 @@
 """Frustration-freeness, kernel projections, the martingale certificate on
 even sequences (its range-basis checks and windows against explicit E_n,
 its in-loop monotonicity, nesting and parity checks, its eps bound against
-a dense recomputation), and gap-protected projection flow."""
+a dense recomputation, assumption (i) and the windows against their
+recomputations), and gap-protected projection flow."""
 
 import csv
+import importlib.util
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -791,13 +794,27 @@ def test_exceeds_raises_on_nan_and_a_flow_never_passes_it(small_flow_setup, monk
     for tol in (0.1, np.inf):
         with pytest.raises(np.linalg.LinAlgError):
             _exceeds(m, tol)
-    # an inf on either side of the diagonal, alone or in a (2, h, h) stack
+    # an inf on either side of the diagonal, alone or in a (2, h, h) stack,
+    # against a finite and an infinite tol (inf <= inf must not settle it)
     for i, j in ((1, 2), (2, 1)):
         m = np.eye(4, dtype=complex)
         m[i, j] = np.inf
         for x in (m, np.stack([np.eye(4, dtype=complex), m])):
-            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-                _exceeds(x, 10.0)
+            for tol in (10.0, np.inf):
+                with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                    _exceeds(x, tol)
+    # the windows share the rule: a NaN or inf in a kernel projection raises
+    # rather than being read as a window within COMMUTE_TOL
+    lam = chain(2)
+    sides, _, _ = _resolution(_explicit_family([kernel_projection(number_operator(lam))]))
+    for bad in (np.nan, np.inf):
+        blocks = np.zeros((2, 2, 2), dtype=complex)
+        blocks[0, 1, 0] = bad
+        g = FockOperator.from_blocks(blocks, lam, lam.sites, EVEN)
+        # inf times the zeros of the basis warns before the norm raises
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                          match="non-finite"):
+            _windows(sides, [g])
     lam, _, family = small_flow_setup
     monkeypatch.setattr(gap, "_transport", lambda projs, fine: np.full_like(projs[0], np.nan))
     with pytest.raises(np.linalg.LinAlgError):
@@ -947,14 +964,115 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     L = 6
     phi = models.flat_band_model(models.paired_cell_orbitals(L, 0.35),
                                  geometry.chain_graph(L))
-    calls = []
-    real = gap._lowest_eigenvalue
+    calls, streams = [], []
+    real, real_pairs = gap._lowest_eigenvalue, gap._pairs
     monkeypatch.setattr(gap, "_lowest_eigenvalue", lambda H: calls.append(H) or real(H))
+    monkeypatch.setattr(gap, "_pairs", lambda seq: streams.append(seq) or real_pairs(seq))
     seq = hamiltonian_sequence(phi, chain(L))
     assert calls == []      # no pass over the increments when it is built
     cert = martingale_certificate(seq)
-    # one call per assumption-(i) residual and none over the increments: the
-    # defect is the lowest eigenvalue of the eigh that gives each kernel
-    assert len(calls) == len(seq.steps)
+    # no call at all, and one stream of the pairs: the defect and assumption
+    # (i) are read from the eigh that gives each kernel
+    assert calls == [] and len(streams) == 1
     lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in _increments(seq))
     assert _bits(cert.defects["monotonicity"]) == _bits(-min(0.0, lowest))
+
+
+# -- assumption (i) and the windows against their recomputations -------------
+
+def _gap_config_sequences():
+    """(name, sequence) of every shipped gap-certify config and of the
+    benchmark's gap-certify configs of seed 0."""
+    root = Path(__file__).resolve().parent.parent
+    configs = {path.name: json.loads(path.read_text())
+               for path in sorted((root / "configs").glob("gap_*.json"))}
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for config in workloads.configs("spectral", 0):
+        if config["task"] == "gap-certify":
+            configs[f"spectral-0-{config['output_prefix']}"] = config
+    for name, config in configs.items():
+        task, diagnostics = cli._parse_config(config)
+        assert not diagnostics
+        graph, phi = cli._build_model(task)
+        yield name, hamiltonian_sequence(phi, graph.sites)
+
+
+def _weighted_flat_band(L, seed):
+    """The flat-band steps scaled by seeded weights in [0.5, 2], so that the
+    gamma_n differ."""
+    seq = hamiltonian_sequence(_gap_model("flatband", L), chain(L))
+    weights = np.random.default_rng(seed).uniform(0.5, 2.0, size=len(seq.steps))
+    return HamiltonianSequence(seq.lattice, [
+        Interaction(tuple(InteractionTerm(t.sites, c * t.operator) for t in step.terms))
+        for c, step in zip(weights, seq.steps)])
+
+
+def _oracle_sequences():
+    yield from _gap_config_sequences()
+    for name in ("kitaev", "flatband", "overlap"):
+        for L in (6, 8):
+            yield f"{name}-{L}", hamiltonian_sequence(_gap_model(name, L), chain(L))
+    yield "weighted-flatband-6", _weighted_flat_band(6, 1)
+
+
+def _assumption_i_oracle(seq, gamma):
+    """The largest max(0, -lambda_min(h_n - gamma (1 - g_n))), from a second
+    stream of the pairs and the two parity blocks of each difference."""
+    one, residuals = identity(seq.lattice), []
+    for H_prev, H in _pairs(seq):
+        h = H - H_prev
+        difference = h - gamma * (one - kernel_projection(h))
+        residuals.append(max(0.0, -gap._lowest_eigenvalue(difference)))
+    return max(residuals)
+
+
+def _svd_windows(sides, g_projs):
+    """||(1 - V V*) g_{n+1} V|| at row k and column n, each the largest
+    singular value over the blocks."""
+    out = np.zeros((len(sides), len(g_projs)))
+    for n, g in enumerate(g_projs):
+        for m, vs in zip(g.blocks, zip(*sides)):
+            for k, v in enumerate(vs):
+                if v.shape[1]:
+                    x = m @ v
+                    for _ in range(2):
+                        x = x - v @ (v.conj().T @ x)
+                    out[k, n] = max(out[k, n], np.linalg.svd(x, compute_uv=False)[0])
+    return out
+
+
+def test_assumption_i_is_the_residual_of_each_increment():
+    distinct = 0
+    for name, seq in _oracle_sequences():
+        cert = martingale_certificate(seq)
+        want = _assumption_i_oracle(seq, cert.gamma)
+        assert abs(cert.defects["assumption_i"] - want) <= 1e-12, name
+        distinct = max(distinct, len(set(cert.per_step["gamma_n"])))
+    assert distinct > 1     # some sequence has gamma_n - gamma > 0
+
+
+def test_windows_bound_the_singular_values_and_keep_every_verdict(monkeypatch):
+    real = gap._windows
+    above = 0
+    for name, seq in _oracle_sequences():
+        seen = []
+
+        def windows(sides, g_projs):
+            seen.append((real(sides, g_projs), _svd_windows(sides, g_projs)))
+            return seen[-1][0]
+
+        monkeypatch.setattr(gap, "_windows", windows)
+        cert = martingale_certificate(seq)
+        got, want = seen[0]
+        assert np.all(got >= want), name
+        assert _bits(got[got > COMMUTE_TOL]) == _bits(want[got > COMMUTE_TOL]), name
+        assert np.array_equal(got > COMMUTE_TOL, want > COMMUTE_TOL), name
+        above += int((got > COMMUTE_TOL).sum())
+        monkeypatch.setattr(gap, "_windows", _svd_windows)
+        oracle = martingale_certificate(seq)
+        assert (cert.ell, cert.certified) == (oracle.ell, oracle.certified), name
+        assert cert.defects["forward_commutator"] == oracle.defects["forward_commutator"], name
+        assert cert.bound == oracle.bound, name
+    assert above     # the overlap models reach the singular-value branch
