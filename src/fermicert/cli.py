@@ -45,6 +45,7 @@ TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info
 SITE_CAP = 12        # one dense complex matrix at 13 sites is 1 GiB
 COUNT_CAP = 10_000   # every count in a config: grid points, samples, terms, steps
 MAGNITUDE_CAP = 1e6  # every time and coupling in a config, in absolute value
+FLOW_SITE_CAP = 8    # flow-check: 238 MB at 8 sites; its batched transport needs GBs at 10
 
 
 # -- config schema -----------------------------------------------------------
@@ -260,6 +261,9 @@ def _constraints(task):
         # its probe is a full-support operator
         yield ("lattice.lengths",
                f"condexp-check needs at most {fock.EXPANSION_CAP} sites, got {len(sites)}")
+    if task.task == "flow-check" and len(sites) > FLOW_SITE_CAP:
+        yield ("lattice.lengths",
+               f"flow-check needs at most {FLOW_SITE_CAP} sites, got {len(sites)}")
     located = [(key, site) for key in ("region_x", "region_y")
                for site in getattr(task, key, ())]
     for key in ("A", "B") if hasattr(task, "observables") else ():

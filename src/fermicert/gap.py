@@ -29,11 +29,11 @@ H_{n-1} <= H_n before its kernel is split off; the nesting G_{n+1} G_n =
 G_{n+1} is checked as ||(1 - G_n) K_{n+1}|| = ||G_{n+1} (1 - G_n)||, with
 K_{n+1} the orthonormal kernel basis of H_{n+1}; eps_n^2 is the bound
 max_c ||M_cc|| + ||M_off||_F on ||M|| from the parity blocks of M, widened
-by the roundoff of a computed singular value.  Assumption (i) is read from
-the kept eigenvalues once gamma, the minimum over all steps, is known: in
-the eigenbasis of h_n, h_n - gamma (1 - g_n) has the eigenvalues w_i on
-ker h_n and w_i - gamma off it, so its residual is max(0, -min(w_n[0],
-w_n[k_n] - gamma)).
+by the roundoff of a computed singular value.  Assumption (i) needs no
+more: in the eigenbasis of h_n, h_n - gamma (1 - g_n) has the eigenvalues
+w_i on ker h_n and w_i - gamma off it, and w_n[k_n] - gamma >= 0 since
+gamma is the minimum of the gamma_n, so its residual is max(0, -min_n
+w_n[0]), the monotonicity defect.
 
 The E_n are checked and used through bases of their ranges: each E_n is
 formed once, densely, as G_n - G_{n+1} over the buffer of G_n (G_0 = 1) as
@@ -57,9 +57,11 @@ be one interaction whose terms carry profiles in s, so that each H(s) is
 one scatter of cached term entries.  Every operator of the flow is even,
 so it runs on the (2, h, h) stacks ``H.blocks`` of ``fock``: one batched
 ``eigh`` per parameter, every product and exponential batched over the two
-blocks, and every norm the ``op_norm`` of a stack.  ``_sector_norm_bound``,
-``_range_bases`` and ``_windows`` go block by block: their ranks differ by
-block, and one block at a time keeps the 10-site peak memory low.
+blocks, and every norm the ``op_norm`` of a stack.  It holds one
+interval's projections and no spectrum: each H(s) is diagonalized once.
+``_sector_norm_bound``, ``_range_bases`` and ``_windows`` go block by
+block: their ranks differ by block, and one block at a time keeps the
+10-site peak memory low.
 """
 
 from __future__ import annotations
@@ -322,10 +324,10 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     to commute with a later E_k; failure to certify is a result, not an
     exception.
 
-    One loop over the pairs (H_{n-1}, H_n); the resolution check, assumption
-    (i), read from two eigenvalues of each h_n that the loop keeps, and the
+    One loop over the pairs (H_{n-1}, H_n); the resolution check and the
     windows, each reported as an upper bound, follow it (module docstring).
-    A sequence that does not increase raises ValueError.
+    Assumption (i)'s residual is the monotonicity defect: gamma is the
+    smallest gamma_n.  A sequence that does not increase raises ValueError.
     """
     lam = seq.lattice
     gammas, lows, g_projs, eps_sq, bases = [], [], [], [], []
@@ -373,9 +375,8 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
     ranges, sides, deltas = zip(*bases)
     _check_resolution(ranges, max(deltas))
     gamma = min(gammas)
-    # assumption (i) residual: h_n - gamma (1 - g_n) >= 0 (module docstring)
-    assumption_i = max(max(0.0, -min(low, gamma_n - gamma))
-                       for low, gamma_n in zip(lows, gammas))
+    # the residual of assumption (i) is the monotonicity defect (module docstring)
+    monotonicity = max(0.0, -min(lows))
 
     # window [E_k, g_{n+1}] at row k, column n: ell absorbs those with k <= n
     commute_defects = _windows(sides, g_projs)
@@ -393,7 +394,7 @@ def martingale_certificate(seq: HamiltonianSequence) -> GapCertificate:
             f"eps sqrt(1+ell) = {epsilon * math.sqrt(1 + ell):.3f} >= 1")
     return GapCertificate(
         gamma=gamma, ell=ell, epsilon=epsilon, bound=bound, exact_gap=exact_gap,
-        defects={"assumption_i": assumption_i, "monotonicity": -min(0.0, *lows),
+        defects={"assumption_i": monotonicity, "monotonicity": monotonicity,
                  "forward_commutator": forward_defect,
                  "max_allowed_window_commutator":
                      float(commute_defects[allowed].max(initial=0.0))},
@@ -457,7 +458,8 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     H(s), P(s), K(s) and U are even, so the flow runs on their stacks of
     parity blocks, shape (2, 2^(L-1), 2^(L-1)): one batched ``eigh`` per
     parameter, every product and exponential batched over the two blocks,
-    and every norm the largest over them.
+    and every norm the largest over them.  It holds P(s_0), U and one
+    interval's projections, and diagonalizes each H(s) once.
 
     The tracked projection is onto the eigenvectors of the lowest ``rank``
     values of the merged spectrum of both blocks, ``rank`` being set by the
@@ -472,12 +474,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     its transport error exceeds its share of ``defect_target``.  The first
     interval starts at one substep and each later one at the count that
     the interval before it ended with, so the count never falls and
-    ``substeps`` is the last one.  Both tests read the Frobenius norm, an
-    upper bound, before any operator norm (``_exceeds``); the jump test
-    stops at the first pair that exceeds, and at the cap no error is
-    taken.  A run stopped by the cap can end above the target, which its
-    ``max_defect`` shows.  Repeated parameters, and an empty lattice, which
-    holds no even H(s), raise ValueError.
+    ``substeps`` is the last one; a doubling forms only the new odd points.
+    Both tests read the Frobenius norm, an upper bound, before any operator
+    norm (``_exceeds``); the jump test stops at the first pair that
+    exceeds, and at the cap no error is taken.  A run stopped by the cap
+    can end above the target, which its ``max_defect`` shows.  Repeated
+    parameters, and an empty lattice, which holds no even H(s), raise
+    ValueError.
     """
     s_grid = np.asarray(sorted(float(s) for s in parameters))
     if s_grid.size < 2:
@@ -490,34 +493,18 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     if gamma_min <= 0:
         raise ValueError("gamma_min must be positive")
 
-    eig_cache: dict = {}
+    def spectrum(s: float) -> tuple:
+        """(merged spectrum, block eigenvalues, block eigenvectors) of H(s)."""
+        w, v = sector_eigh(local_hamiltonian(family(s), lam, s))
+        return np.sort(w, axis=None), w, v
 
-    def eig_at(s: float) -> tuple:
-        """(merged spectrum, per-block eigenvalues, per-block eigenvectors)."""
-        key = round(float(s), 12)
-        hit = eig_cache.get(key)
-        if hit is None:
-            w, v = sector_eigh(local_hamiltonian(family(float(s)), lam, float(s)))
-            hit = eig_cache[key] = np.sort(w, axis=None), w, v
-        return hit
-
-    gaps0 = np.diff(eig_at(s_grid[0])[0])
-    # first gap within tolerance of the largest, so equal gaps resolve to
-    # the lowest spectral block rather than by float noise
-    rank = int(np.flatnonzero(gaps0 >= float(gaps0.max()) * (1 - 1e-9))[0]) + 1
-
-    last_good = None
-
-    def gap_at(s: float) -> float:
-        merged = eig_at(s)[0]
-        return float(merged[rank] - merged[rank - 1])
-
-    def projection_at(s: float) -> np.ndarray:
-        merged, w, v = eig_at(s)
-        g = float(merged[rank] - merged[rank - 1])
+    def projection(s: float, start: float, eig: tuple) -> tuple:
+        """(P(s), its gap) from the spectrum ``eig``; a closure is bisected from ``start``."""
+        merged, w, v = eig
+        g = float(np.diff(merged)[rank - 1])
         if g < gamma_min:
-            lo = last_good if last_good is not None else s_grid[0]
-            location, bracket = _bisect_closure(gap_at, lo, s, gamma_min)
+            location, bracket = _bisect_closure(lambda t: np.diff(spectrum(t)[0])[rank - 1],
+                                                start, s, gamma_min)
             raise GapClosureError(
                 f"gap {g:.3e} below {gamma_min} near s = {location:.6f}",
                 location=location, bracket=bracket, gap=g)
@@ -525,35 +512,44 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         counts = (w <= merged[rank - 1]).sum(axis=1)
         width = int(counts.max())
         vk = v[:, :, :width] * (np.arange(width) < counts[:, None])[:, None, :]
-        return vk @ adjoint(vk)
+        return vk @ adjoint(vk), g
 
-    p0 = projection_at(s_grid[0])
-    last_good = float(s_grid[0])
+    s_0 = float(s_grid[0])
+    eig = spectrum(s_0)
+    gaps0 = np.diff(eig[0])
+    # first gap within tolerance of the largest, so equal gaps resolve to
+    # the lowest spectral block rather than by float noise
+    rank = int(np.flatnonzero(gaps0 >= float(gaps0.max()) * (1 - 1e-9))[0]) + 1
+    p0, g = projection(s_0, s_0, eig)
     U = identity(lam).blocks
-    gaps = [gap_at(s_grid[0])]
-    defects = [op_norm(p0 - U @ p0 @ adjoint(U))]
+    gaps, defects = [g], [0.0]      # U = 1 carries P(s_0) onto itself
     total_span = float(s_grid[-1] - s_grid[0])
 
-    nsub = 1
+    nsub, p_b = 1, p0
     for j in range(s_grid.size - 1):
         s_a, s_b = float(s_grid[j]), float(s_grid[j + 1])
         budget = defect_target * (s_b - s_a) / total_span
+        fine = np.linspace(s_a, s_b, nsub + 1)
+        projs, gs = zip(*(projection(s, s_a, spectrum(s)) for s in fine[1:].tolist()))
+        projs = np.stack((p_b, *projs))     # p_b ended the interval before
         while True:
-            fine = np.linspace(s_a, s_b, nsub + 1)
-            projs = np.stack([projection_at(s) for s in fine])
-            if nsub < max_substeps and any(
+            if nsub >= max_substeps or not any(
                     _exceeds(q - p, 0.1) for p, q in zip(projs, projs[1:])):
-                nsub *= 2
-                continue
-            u_step = _transport(projs, fine)
-            if nsub >= max_substeps or not _exceeds(
-                    u_step @ projs[0] @ adjoint(u_step) - projs[-1], budget):
-                break
+                u_step = _transport(projs, fine)
+                if nsub >= max_substeps or not _exceeds(
+                        u_step @ projs[0] @ adjoint(u_step) - projs[-1], budget):
+                    break
+            # linspace(s_a, s_b, nsub + 1) is, bit for bit, the even points of
+            # linspace(s_a, s_b, 2 nsub + 1): only the odd points are new
             nsub *= 2
+            fine = np.linspace(s_a, s_b, nsub + 1)
+            projs = np.insert(projs, range(1, len(projs)), 0.0, axis=0)
+            for i, s in enumerate(fine[1::2].tolist()):
+                projs[2 * i + 1] = projection(s, s_a, spectrum(s))[0]
         U = u_step @ U
-        last_good = s_b
-        gaps.append(gap_at(s_b))
-        defects.append(op_norm(projs[-1] - U @ p0 @ adjoint(U)))
+        p_b = projs[-1].copy()      # a view would keep the stack alive
+        gaps.append(gs[-1])         # from the spectrum that gave P(s_b)
+        defects.append(op_norm(p_b - U @ p0 @ adjoint(U)))
 
     defects = np.array(defects)
     return FlowReport(parameters=s_grid, gaps=np.array(gaps), rank=rank,
@@ -561,16 +557,15 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
                       substeps=nsub)
 
 
-def _bisect_closure(gap_at: Callable[[float], float], lo: float, hi: float,
+def _bisect_closure(gap_of: Callable[[float], float], lo: float, hi: float,
                     gamma_min: float) -> tuple:
-    """Bisect the first crossing of gap(s) below gamma_min in [lo, hi] to a
-    bracket of CLOSURE_RESOLUTION times max(1, hi - lo)."""
-    if gap_at(lo) < gamma_min:
-        return lo, (lo, lo)
+    """Bisect the first crossing of gap(s) below gamma_min in [lo, hi], the
+    gap at lo having passed, to a bracket of CLOSURE_RESOLUTION times
+    max(1, hi - lo); lo = hi when the first parameter fails."""
     a, b = lo, hi
     while b - a > CLOSURE_RESOLUTION * max(1.0, abs(hi - lo)):
         mid = 0.5 * (a + b)
-        if gap_at(mid) < gamma_min:
+        if gap_of(mid) < gamma_min:
             b = mid
         else:
             a = mid

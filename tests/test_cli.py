@@ -239,6 +239,17 @@ def test_semantic_rules_are_field_diagnostics(tmp_path, capsys, name, path, valu
     _assert_config_error(config, tmp_path, capsys, field)
 
 
+def test_flow_check_above_eight_sites_is_a_config_error(tmp_path, capsys):
+    # the transport's batched projections take 238 MB at 8 sites and would
+    # take GBs at 10: refused before anything is built or written
+    config = _load("flow_rotation.json")
+    config["lattice"]["lengths"] = [10]
+    _assert_config_error(config, tmp_path, capsys, "lattice.lengths")
+    assert list(tmp_path.iterdir()) == []
+    config["lattice"]["lengths"] = [8]
+    assert cli.validate(config) == []
+
+
 def test_random_even_terms_beyond_the_expansion_cap_are_config_errors(tmp_path, capsys):
     # seed 7 draws a term on all 10 sites, which embed cannot expand
     config = _load("lr_chain.json")

@@ -715,6 +715,65 @@ def test_projection_flow_transports_once_per_interval_after_the_first(L, monkeyp
     assert rep.substeps == 16
 
 
+# -- the shipped flow_rotation flow at L = 6: 21 points, target 1e-6 ---------
+
+_SHIPPED_GRID = np.linspace(0.0, 1.0, 21)
+
+
+def test_doubling_an_interval_keeps_its_points_bit_for_bit():
+    # the flow keeps a doubled interval's projections as its even points
+    for a, b in zip(_SHIPPED_GRID.tolist(), _SHIPPED_GRID[1:].tolist()):
+        n = 1
+        while n < 512:
+            coarse, fine = np.linspace(a, b, n + 1), np.linspace(a, b, 2 * n + 1)
+            assert coarse.tobytes() == fine[::2].tobytes(), (a, b, n)
+            n *= 2
+
+
+def test_projection_flow_diagonalizes_each_probed_parameter_once(monkeypatch):
+    rotation, _ = _flow_families(6)
+    closing = models.flat_band_model(models.paired_cell_orbitals(6, 0.3),
+                                     geometry.chain_graph(6),
+                                     conduction_profile=lambda s: 1.0 - 2.0 * s)
+    calls, probed = [], []
+    real = gap.sector_eigh
+    monkeypatch.setattr(gap, "sector_eigh", lambda H: calls.append(1) or real(H))
+
+    def flow(phi, gamma_min):
+        calls.clear()
+        probed.clear()
+        return projection_flow(lambda s: probed.append(s) or phi, chain(6), _SHIPPED_GRID,
+                               gamma_min=gamma_min)
+
+    rep = flow(rotation, 0.5)
+    assert len(calls) == len(probed) == len(set(probed)) == 1281
+    assert rep.substeps == 64
+    with pytest.raises(GapClosureError) as err:
+        flow(closing, 0.5)
+    assert len(calls) == len(probed) == len(set(probed)) == 13
+    assert (err.value.location, err.value.bracket) == (0.250390625, (0.25, 0.25078125))
+    # a gap that fails at the first parameter: one spectrum, a bracket of one point
+    with pytest.raises(GapClosureError) as err:
+        flow(rotation, 50.0)
+    assert len(calls) == len(probed) == 1
+    assert (err.value.location, err.value.bracket) == (0.0, (0.0, 0.0))
+
+
+def test_projection_flow_holds_one_interval_of_projections():
+    # every spectrum of this flow kept to its end peaked at 54.1 MiB; one
+    # interval's projections and the transport's temporaries take 12.2 MiB
+    rotation, _ = _flow_families(6)
+    lam = chain(6)
+    local_hamiltonian(rotation, lam, 0.0)    # the term cache is filled outside the peak
+    tracemalloc.start()
+    try:
+        projection_flow(lambda s: rotation, lam, _SHIPPED_GRID, gamma_min=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2 ** 20
+
+
 def test_projection_flow_meets_its_target_when_the_needed_count_falls():
     # the angle turns fast near s = 0 and slowly later, so each interval on
     # its own needs fewer substeps than the one before; the carried count
@@ -975,7 +1034,7 @@ def test_monotonicity_defect_is_computed_once(monkeypatch):
     # (i) are read from the eigh that gives each kernel
     assert calls == [] and len(streams) == 1
     lowest = min(float(np.linalg.eigh(h.matrix)[0][0]) for h in _increments(seq))
-    assert _bits(cert.defects["monotonicity"]) == _bits(-min(0.0, lowest))
+    assert _bits(cert.defects["monotonicity"]) == _bits(max(0.0, -lowest))
 
 
 # -- assumption (i) and the windows against their recomputations -------------
