@@ -46,6 +46,7 @@ SITE_CAP = 12        # one dense complex matrix at 13 sites is 1 GiB
 COUNT_CAP = 10_000   # every count in a config: grid points, samples, terms, steps
 MAGNITUDE_CAP = 1e6  # every time and coupling in a config, in absolute value
 FLOW_SITE_CAP = 8    # flow-check: 238 MB at 8 sites; its batched transport needs GBs at 10
+CONDEXP_SITE_CAP = 8  # condexp-check: its volume check embeds into L + 2; 956 MB, 170 s at 10
 
 
 # -- config schema -----------------------------------------------------------
@@ -257,10 +258,9 @@ def _constraints(task):
         yield "model.params.max_range", (   # its terms span up to max_range + 1 sites
             f"need at most {fock.EXPANSION_CAP - 1} on more than {fock.EXPANSION_CAP} sites, "
             f"got {model.params.max_range}")
-    if task.task == "condexp-check" and len(sites) > fock.EXPANSION_CAP:
-        # its probe is a full-support operator
+    if task.task == "condexp-check" and len(sites) > CONDEXP_SITE_CAP:
         yield ("lattice.lengths",
-               f"condexp-check needs at most {fock.EXPANSION_CAP} sites, got {len(sites)}")
+               f"condexp-check needs at most {CONDEXP_SITE_CAP} sites, got {len(sites)}")
     if task.task == "flow-check" and len(sites) > FLOW_SITE_CAP:
         yield ("lattice.lengths",
                f"flow-check needs at most {FLOW_SITE_CAP} sites, got {len(sites)}")

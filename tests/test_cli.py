@@ -226,8 +226,8 @@ def test_run_bad_observable_site_is_config_error(tmp_path, capsys):
     ("lr_ramped.json", ("time", "stop"), 3.0, "time.stop"),     # beyond the ramp interval
     ("lr_chain.json", ("time", "stop"), 1e308, "time.stop"),    # beyond MAGNITUDE_CAP
     ("lr_ramped.json", ("model", "ramp", "slope"), -1e7, "model.ramp.slope"),
-    # beyond the 8 sites that embed expands over: a full-support probe, and
-    # overlap-model terms that span the chain
+    # beyond condexp-check's 8 sites, and overlap-model terms that span the
+    # chain beyond the 8 sites that the term cache expands over
     ("condexp_chain.json", ("lattice", "lengths"), [9], "lattice.lengths"),
     ("gap_overlap.json", ("lattice", "lengths"), [9], "lattice.lengths"),
 ])
@@ -250,8 +250,18 @@ def test_flow_check_above_eight_sites_is_a_config_error(tmp_path, capsys):
     assert cli.validate(config) == []
 
 
+def test_condexp_check_above_its_site_cap_is_a_config_error():
+    # embed has no site limit; the volume check embeds into L + 2 sites
+    config = _load("condexp_chain.json")
+    config["lattice"]["lengths"] = [cli.CONDEXP_SITE_CAP + 1]
+    assert cli.validate(config) == [
+        f"lattice.lengths: condexp-check needs at most {cli.CONDEXP_SITE_CAP} sites, got 9"]
+    config["lattice"]["lengths"] = [cli.CONDEXP_SITE_CAP]
+    assert cli.validate(config) == []
+
+
 def test_random_even_terms_beyond_the_expansion_cap_are_config_errors(tmp_path, capsys):
-    # seed 7 draws a term on all 10 sites, which embed cannot expand
+    # seed 7 draws a term on all 10 sites, which the term cache cannot expand
     config = _load("lr_chain.json")
     config["lattice"]["lengths"] = [10]
     config["model"] = {"name": "random_even", "params": {"max_range": 9}}

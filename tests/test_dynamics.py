@@ -298,12 +298,16 @@ def test_sector_eigh_rejects_off_sector_entries(rng):
 
 
 def _dense_hamiltonian(phi, lam, t):
-    """Oracle: every term inside ``lam`` embedded densely, scaled by its
-    coefficient at t and added in term order."""
+    """Oracle: every term inside ``lam`` embedded densely as the term cache
+    takes it, the round trip of its template (``fock._round_trip``), scaled
+    by its coefficient at t and added in term order."""
     acc = np.zeros((lam.dim, lam.dim), dtype=complex)
     for term in phi.terms:
         if set(term.sites) <= set(lam.sites):
-            acc = acc + term.coefficient(t) * fock.embed(term.operator, lam).matrix
+            op = term.operator
+            trip = FockOperator(fock._round_trip(op.matrix, len(op.ambient)), op.ambient,
+                                op.support, op.parity)
+            acc = acc + term.coefficient(t) * fock.embed(trip, lam).matrix
     return acc
 
 

@@ -698,8 +698,8 @@ def _assemble_per_string(dim, positions, coeffs, lam):
 @pytest.fixture(scope="module")
 def bitwise_cases():
     """(A, target lattice, region X or None) with the per-string results:
-    the embedding of A into the target and the reassembled expansion of A
-    over X on its own lattice."""
+    the round trip of A (its expansion over its own sites, reassembled
+    there) and the reassembled expansion of A over X on its own lattice."""
     rng = np.random.default_rng(4711)
     cases = []
     for parity in (EVEN, ODD, "mixed"):
@@ -713,7 +713,8 @@ def bitwise_cases():
     m = random_local_operator(chain(3), range(3), rng).matrix.copy()
     m[rng.random(m.shape) < 0.5] = 0.0
     cases.append((FockOperator(m, chain(3)), fock.SiteSet((-1, 0, 1, 2, 3)), (1,)))
-    cases.append((FockOperator(1j * m.imag, chain(3)), chain(5), (0, 2)))
+    # zero real parts, negated where site 5 lies between A's sites 1 and 2
+    cases.append((FockOperator(1j * m.imag, chain(3)), fock.SiteSet((0, 1, 5, 2, 3)), (0, 2)))
     # the empty region, and an operator on no sites at all
     cases.append((random_local_operator(chain(4), range(4), rng), chain(4), ()))
     cases.append((FockOperator(np.array([[2.5 - 1j]]), fock.SiteSet(())), chain(3), ()))
@@ -722,31 +723,30 @@ def bitwise_cases():
     cases.append((random_local_operator(lam8, lam8.sites, rng), lam8, None))
     out = []
     for A, target, X in cases:
-        pos = target.positions(A.ambient.sites)
-        want_embed = _assemble_per_string(
-            target.dim, pos, _decompose_per_string(A, A.ambient.sites), target)
+        lam = A.ambient
+        want_trip = _assemble_per_string(
+            lam.dim, lam.positions(lam.sites), _decompose_per_string(A, lam.sites), lam)
         want_proj = None
         if X is not None:
-            lam = A.ambient
             coeffs = _decompose_per_string(A, X)
             want_proj = (coeffs, _assemble_per_string(lam.dim, lam.positions(X), coeffs, lam))
-        out.append((A, target, X, want_embed, want_proj))
+        out.append((A, target, X, want_trip, want_proj))
     return out
 
 
 @pytest.mark.parametrize("strings_per_block", [None, 1, 3])
 def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per_block,
                                                       monkeypatch):
-    for A, target, X, want_embed, want_proj in bitwise_cases:
+    for A, _, X, want_trip, want_proj in bitwise_cases:
+        lam = A.ambient
         if strings_per_block is not None:
-            # block boundaries inside the string range of embed's round trip
-            # on A's own lattice, and of decompose and _assemble over X
-            monkeypatch.setattr(fock, "_TABLE_BLOCK", strings_per_block << len(A.ambient))
-        emb = embed(A, target)
-        assert np.array_equal(_bits(emb.matrix), _bits(want_embed))
+            # block boundaries inside the string range of the round trip on
+            # A's own lattice, and of decompose and _assemble over X
+            monkeypatch.setattr(fock, "_TABLE_BLOCK", strings_per_block << len(lam))
+        trip = fock._round_trip(A.matrix, len(lam))
+        assert np.array_equal(_bits(trip), _bits(want_trip))
         if X is None:
             continue
-        lam = A.ambient
         coeffs = decompose(A, X)
         want_coeffs, want_matrix = want_proj
         assert list(coeffs) == list(want_coeffs)
@@ -754,6 +754,75 @@ def test_batched_tables_match_per_string_loop_bitwise(bitwise_cases, strings_per
                               _bits(np.array(list(want_coeffs.values()), dtype=complex)))
         got = _assemble(lam.dim, lam.positions(X), coeffs, lam)
         assert np.array_equal(_bits(got), _bits(want_matrix))
+
+
+# -- embed: the signed scatter against a per-entry Jordan-Wigner count -------
+
+def _jordan_wigner_embed(A, target):
+    """Dense matrix of A on ``target``, entry by entry.  For every
+    configuration k of the complement sites C, entry (r, c) of A's matrix M
+    goes to the target states whose C bits read k and whose bits of A's
+    sites read r and c.  Its sign is (-1)^n, n the number of pairs (occupied
+    site of A, occupied C site before it) counted in both states; a negated
+    entry is 0 - M[r, c], so a zero part stays +0.  Exact zeros of M are
+    left out."""
+    pos = target.positions(A.ambient.sites)
+    comp = [p for p in range(len(target)) if p not in pos]
+
+    def state(k, s):
+        bits = sum((k >> j & 1) << p for j, p in enumerate(comp))
+        bits |= sum((s >> j & 1) << p for j, p in enumerate(pos))
+        crossings = sum(s >> j & 1 and bits >> y & 1
+                        for j, p in enumerate(pos) for y in comp if y < p)
+        return bits, crossings
+
+    m = A.matrix
+    out = np.zeros((target.dim, target.dim), dtype=complex)
+    for k in range(2 ** len(comp)):
+        for r, c in zip(*np.nonzero(m)):
+            (row, n_row), (col, n_col) = state(k, r), state(k, c)
+            out[row, col] = m[r, c] if (n_row + n_col) % 2 == 0 else 0.0 - m[r, c]
+    return out
+
+
+def test_embed_is_the_per_entry_jordan_wigner_scatter_bitwise(bitwise_cases, monkeypatch):
+    # even, odd and mixed operators, sites interleaved with the target's,
+    # exact zeros and an operator on no sites; no expansion is involved
+    def refuse(*args):
+        raise AssertionError("embed expanded an operator over the operator basis")
+
+    monkeypatch.setattr(fock, "_round_trip", refuse)
+    for A, target, _, _, _ in bitwise_cases:
+        if len(A.ambient) == 8:
+            continue    # 4^8 entries: the oracle's loop is too slow
+        emb = embed(A, target)
+        assert emb.parity == A.parity and emb.support == A.support
+        assert np.array_equal(_bits(emb.matrix), _bits(_jordan_wigner_embed(A, target)))
+    # random_local_operator embeds its operator through the same scatter
+    lam = chain(6)
+    for parity in (EVEN, ODD, "mixed"):
+        A = random_local_operator(lam, (1, 4), np.random.default_rng(3), parity=parity)
+        assert A.parity == parity and A.ambient == lam
+
+
+def test_embed_agrees_with_the_expansion_embed_within_ulps(bitwise_cases):
+    for A, target, _, _, _ in bitwise_cases:
+        # in ulps of the largest entry; the expansion leaves roundoff even
+        # where A has an exact zero, and the 8-site case differs by 4.5
+        got, want = embed(A, target).matrix, _expansion_embed(A, target)
+        assert np.abs(got - want).max() <= 8 * np.spacing(np.abs(want).max())
+
+
+def test_embed_has_no_site_cap_but_the_term_cache_keeps_the_expansion_cap():
+    lam = chain(9)
+    A = random_local_operator(lam, lam.sites, np.random.default_rng(9), parity=EVEN)
+    # the tenth site follows all of A's, so no sign: M (x) 1 is two copies of M
+    emb = embed(A, chain(10))
+    assert emb.parity == EVEN
+    assert np.array_equal(emb.matrix, np.kron(np.eye(2), A.matrix))
+    term = dynamics.InteractionTerm(lam.sites, A + A.adjoint())
+    with pytest.raises(ValueError, match="expansion over 9 sites is too large"):
+        dynamics._embedded_sparse(term, lam)
 
 
 def _model_configs():
@@ -1096,7 +1165,7 @@ def _embed_cases(lam, rng):
     cases = []
     for parity in (EVEN, ODD):
         A = random_local_operator(sub, sub.sites, rng, parity=parity)
-        cases.append((embed(A, lam), _expansion_embed(A, lam)))
+        cases.append((embed(A, lam), _jordan_wigner_embed(A, lam)))
     return cases
 
 
