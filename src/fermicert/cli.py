@@ -45,7 +45,8 @@ TASKS = ("lr-certify", "condexp-check", "gap-certify", "flow-check", "model-info
 SITE_CAP = 12        # one dense complex matrix at 13 sites is 1 GiB
 COUNT_CAP = 10_000   # every count in a config: grid points, samples, terms, steps
 MAGNITUDE_CAP = 1e6  # every time and coupling in a config, in absolute value
-FLOW_SITE_CAP = 8    # flow-check: 238 MB at 8 sites; its batched transport needs GBs at 10
+FLOW_SITE_CAP = 8    # flow-check: 5 s, 104 MB at 8 sites; at 10 (estimated) 1,281 eighs
+                     # of 512^2 blocks, minutes, and ~1 GB of one interval's projections
 CONDEXP_SITE_CAP = 8  # condexp-check: its volume check embeds into L + 2; 956 MB, 170 s at 10
 
 

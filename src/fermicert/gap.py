@@ -56,9 +56,10 @@ path H(s), read as ``local_hamiltonian(family(s), lam, s)``: a family may
 be one interaction whose terms carry profiles in s, so that each H(s) is
 one scatter of cached term entries.  Every operator of the flow is even,
 so it runs on the (2, h, h) stacks ``H.blocks`` of ``fock``: one batched
-``eigh`` per parameter, every product and exponential batched over the two
-blocks, and every norm the ``op_norm`` of a stack.  It holds one
-interval's projections and no spectrum: each H(s) is diagonalized once.
+``eigh`` per parameter, every product batched over the two blocks, every
+exponential taken in the span of the tracked eigenvectors, and every norm
+the ``op_norm`` of a stack.  It holds one interval's projections and no
+spectrum: each H(s) is diagonalized once.
 ``_sector_norm_bound``, ``_range_bases`` and ``_windows`` go block by
 block: their ranks differ by block, and one block at a time keeps the
 10-site peak memory low.
@@ -421,24 +422,34 @@ def _exceeds(m: np.ndarray, tol: float) -> bool:
     return _norm_bound(m, tol) > tol
 
 
-def _transport(projs: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """The stacked blocks of U = prod_i exp(ds_i (K_i + K_{i+1}) / 2) over
-    the fine grid, later factors to the left, with K_i = [dP/ds, P] at
-    fine[i] and dP/ds from central differences, one-sided at the ends."""
-    dps = np.empty_like(projs)
-    dps[0] = (projs[1] - projs[0]) / (fine[1] - fine[0])
-    dps[1:-1] = (projs[2:] - projs[:-2]) / (fine[2:] - fine[:-2])[:, None, None, None]
-    dps[-1] = (projs[-1] - projs[-2]) / (fine[-1] - fine[-2])
-    ks = dps @ projs - projs @ dps
-    del dps
-    generators = (np.diff(fine) * 0.5)[:, None, None, None] * (ks[:-1] + ks[1:])
-    del ks
-    # exp(G) = v e^{-iw} v* for the anti-Hermitian G with i G = v diag(w) v*
-    w, v = np.linalg.eigh(1j * generators)
-    steps = (v * np.exp(-1j * w)[..., None, :]) @ adjoint(v)
-    u = steps[0]
-    for step in steps[1:]:
-        u = step @ u
+def _transport(bases: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """The stacked blocks of U = prod_i exp(G_i) over the fine grid, later
+    factors to the left: G_i = ds_i (K_i + K_{i+1}) / 2, K_j = [dP_j, P_j] at
+    fine[j], P_j = V_j V_j* for the (nsub + 1, 2, h, w) stack ``bases``, and
+    dP_j from central differences, one-sided at the ends.
+
+    G_i maps into, and vanishes off, the span of V_{i-1} .. V_{i+2}
+    (``projection_flow``).  Per block, one batched QR of those columns gives
+    an orthonormal basis Q_i of m = min(h, 4w) columns that holds the span,
+    zero or repeated columns being harmless, and R = Q_i* [V_{i-1} ...
+    V_{i+2}], from which S_i = Q_i* G_i Q_i is formed; U is accumulated by the
+    low-rank updates exp(G_i) = 1 + Q_i (e^{S_i} - 1) Q_i*, e^{S_i} from an
+    m x m ``eigh``."""
+    n, w = len(fine) - 1, bases.shape[-1]
+    i = np.arange(n)
+    window = np.stack((np.maximum(i - 1, 0), i, i + 1, np.minimum(i + 2, n)))
+    q, r = np.linalg.qr(np.concatenate(bases[window], axis=-1))
+    # the window's four projections in the coordinates of Q_i: C_j C_j*
+    p = [c @ adjoint(c) for c in np.split(r, 4, axis=-1)]
+    denom = (fine[window[2:]] - fine[window[:2]])[..., None, None, None]
+    dp_i, dp_next = (p[2] - p[0]) / denom[0], (p[3] - p[1]) / denom[1]
+    ks = dp_i @ p[1] - p[1] @ dp_i + dp_next @ p[2] - p[2] @ dp_next
+    # e^S - 1 = v (e^{-iw} - 1) v* for the anti-Hermitian S with i S = v diag(w) v*
+    e, v = np.linalg.eigh((0.5j * np.diff(fine))[:, None, None, None] * ks)
+    steps = (v * np.expm1(-1j * e)[..., None, :]) @ adjoint(v)
+    u = np.eye(bases.shape[2], dtype=complex)
+    for q_i, step in zip(q, steps):
+        u = u + q_i @ (step @ (adjoint(q_i) @ u))
     return u
 
 
@@ -456,10 +467,20 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     (``models.rotating_flat_band``), so each H(s) is one scatter of cached
     term entries, or a new interaction at each s whose terms carry none.
     H(s), P(s), K(s) and U are even, so the flow runs on their stacks of
-    parity blocks, shape (2, 2^(L-1), 2^(L-1)): one batched ``eigh`` per
-    parameter, every product and exponential batched over the two blocks,
-    and every norm the largest over them.  It holds P(s_0), U and one
-    interval's projections, and diagonalizes each H(s) once.
+    parity blocks, shape (2, h, h) with h = 2^(L-1): one batched ``eigh``
+    per parameter, every product batched over the two blocks, and every
+    norm the largest over them.  It holds P(s_0), U and one interval's
+    projections with their eigenvector blocks, and diagonalizes each H(s)
+    once.
+
+    Each P(s) is V(s) V(s)*, V(s) the (2, h, w) stack of its eigenvectors,
+    w = min(rank, h), with a block's columns past its own count zero.  The
+    difference quotient dP/ds at a fine point is a difference of the
+    projections at its neighbours, so the generator of substep i maps into,
+    and vanishes off, the span of V at fine points i - 1 to i + 2: the
+    transport (``_transport``) exponentiates it in an orthonormal basis of
+    that span, of at most 4w columns per block, and forms no dense
+    exponential.  The refinement tests and the defects read the dense P(s).
 
     The tracked projection is onto the eigenvectors of the lowest ``rank``
     values of the merged spectrum of both blocks, ``rank`` being set by the
@@ -499,7 +520,8 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         return np.sort(w, axis=None), w, v
 
     def projection(s: float, start: float, eig: tuple) -> tuple:
-        """(P(s), its gap) from the spectrum ``eig``; a closure is bisected from ``start``."""
+        """(V(s), P(s) = V V*, its gap) from the spectrum ``eig``; a closure is
+        bisected from ``start``."""
         merged, w, v = eig
         g = float(np.diff(merged)[rank - 1])
         if g < gamma_min:
@@ -508,11 +530,11 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
             raise GapClosureError(
                 f"gap {g:.3e} below {gamma_min} near s = {location:.6f}",
                 location=location, bracket=bracket, gap=g)
-        # the lowest rank values of the merged spectrum, counted per block
+        # the lowest rank values of the merged spectrum, counted per block; a
+        # block's columns past its count are zero, so V has one width on the path
         counts = (w <= merged[rank - 1]).sum(axis=1)
-        width = int(counts.max())
         vk = v[:, :, :width] * (np.arange(width) < counts[:, None])[:, None, :]
-        return vk @ adjoint(vk), g
+        return vk, vk @ adjoint(vk), g
 
     s_0 = float(s_grid[0])
     eig = spectrum(s_0)
@@ -520,7 +542,8 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
     # first gap within tolerance of the largest, so equal gaps resolve to
     # the lowest spectral block rather than by float noise
     rank = int(np.flatnonzero(gaps0 >= float(gaps0.max()) * (1 - 1e-9))[0]) + 1
-    p0, g = projection(s_0, s_0, eig)
+    width = min(rank, eig[2].shape[-1])
+    v_b, p0, g = projection(s_0, s_0, eig)
     U = identity(lam).blocks
     gaps, defects = [g], [0.0]      # U = 1 carries P(s_0) onto itself
     total_span = float(s_grid[-1] - s_grid[0])
@@ -530,12 +553,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
         s_a, s_b = float(s_grid[j]), float(s_grid[j + 1])
         budget = defect_target * (s_b - s_a) / total_span
         fine = np.linspace(s_a, s_b, nsub + 1)
-        projs, gs = zip(*(projection(s, s_a, spectrum(s)) for s in fine[1:].tolist()))
-        projs = np.stack((p_b, *projs))     # p_b ended the interval before
+        vs, projs, gs = zip(*(projection(s, s_a, spectrum(s)) for s in fine[1:].tolist()))
+        # v_b and p_b ended the interval before
+        bases, projs = np.stack((v_b, *vs)), np.stack((p_b, *projs))
         while True:
             if nsub >= max_substeps or not any(
                     _exceeds(q - p, 0.1) for p, q in zip(projs, projs[1:])):
-                u_step = _transport(projs, fine)
+                u_step = _transport(bases, fine)
                 if nsub >= max_substeps or not _exceeds(
                         u_step @ projs[0] @ adjoint(u_step) - projs[-1], budget):
                     break
@@ -543,11 +567,13 @@ def projection_flow(family: Callable[[float], Interaction], lam: SiteSet,
             # linspace(s_a, s_b, 2 nsub + 1): only the odd points are new
             nsub *= 2
             fine = np.linspace(s_a, s_b, nsub + 1)
-            projs = np.insert(projs, range(1, len(projs)), 0.0, axis=0)
+            odd = range(1, len(projs))
+            bases, projs = (np.insert(x, odd, 0.0, axis=0) for x in (bases, projs))
             for i, s in enumerate(fine[1::2].tolist()):
-                projs[2 * i + 1] = projection(s, s_a, spectrum(s))[0]
+                bases[2 * i + 1], projs[2 * i + 1], _ = projection(s, s_a, spectrum(s))
         U = u_step @ U
-        p_b = projs[-1].copy()      # a view would keep the stack alive
+        # copies: a view would keep the stacks alive
+        v_b, p_b = bases[-1].copy(), projs[-1].copy()
         gaps.append(gs[-1])         # from the spectrum that gave P(s_b)
         defects.append(op_norm(p_b - U @ p0 @ adjoint(U)))
 

@@ -4,7 +4,10 @@ profiled flat-band families that it transports.
 ``dense_projection_flow`` is the flow on the dense 2^L matrices: one
 ``eigh`` of the whole H(s) per parameter, the tracked projection from its
 lowest ``rank`` eigenvectors, and every product, exponential and norm on
-full matrices.  ``rotation_rebuild`` and ``closing_rebuild`` build a new
+full matrices.  ``dense_transport`` is one interval's transport on the
+stacked parity blocks of its dense projections: every generator formed
+and exponentiated by an ``eigh`` of the whole block, with no use of their
+rank.  ``rotation_rebuild`` and ``closing_rebuild`` build a new
 interaction at each s, whose terms carry no profile.
 """
 
@@ -13,7 +16,7 @@ import numpy as np
 from fermicert import geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian
 from fermicert.errors import GapClosureError
-from fermicert.fock import op_norm
+from fermicert.fock import adjoint, op_norm
 from fermicert.gap import FlowReport, _bisect_closure
 
 
@@ -35,6 +38,26 @@ def closing_rebuild(L, angle):
             if t.label.startswith("conduction") else t for t in base.terms))
 
     return family
+
+
+def dense_transport(projs, fine):
+    """The stacked blocks of U = prod_i exp(ds_i (K_i + K_{i+1}) / 2) over
+    the fine grid, later factors to the left, from the (nsub + 1, 2, h, h)
+    stack ``projs`` of the P_i, with K_i = [dP/ds, P] at fine[i] and dP/ds
+    from central differences, one-sided at the ends."""
+    dps = np.empty_like(projs)
+    dps[0] = (projs[1] - projs[0]) / (fine[1] - fine[0])
+    dps[1:-1] = (projs[2:] - projs[:-2]) / (fine[2:] - fine[:-2])[:, None, None, None]
+    dps[-1] = (projs[-1] - projs[-2]) / (fine[-1] - fine[-2])
+    ks = dps @ projs - projs @ dps
+    generators = (np.diff(fine) * 0.5)[:, None, None, None] * (ks[:-1] + ks[1:])
+    # exp(G) = v e^{-iw} v* for the anti-Hermitian G with i G = v diag(w) v*
+    w, v = np.linalg.eigh(1j * generators)
+    steps = (v * np.exp(-1j * w)[..., None, :]) @ adjoint(v)
+    u = steps[0]
+    for step in steps[1:]:
+        u = step @ u
+    return u
 
 
 def _expm_antihermitian(K):

@@ -240,8 +240,10 @@ def test_semantic_rules_are_field_diagnostics(tmp_path, capsys, name, path, valu
 
 
 def test_flow_check_above_eight_sites_is_a_config_error(tmp_path, capsys):
-    # the transport's batched projections take 238 MB at 8 sites and would
-    # take GBs at 10: refused before anything is built or written
+    # 5 s and 104 MB at 8 sites, mostly the 1,281 eigh of H(s)'s blocks and
+    # one interval's dense projections; at 10 sites an estimated 1,281 eigh
+    # of 512 x 512 blocks and about 1 GB of projections: refused before
+    # anything is built or written
     config = _load("flow_rotation.json")
     config["lattice"]["lengths"] = [10]
     _assert_config_error(config, tmp_path, capsys, "lattice.lengths")

@@ -17,8 +17,8 @@ import pytest
 from fermicert import cli, fock, gap, geometry, models
 from fermicert.dynamics import Interaction, InteractionTerm, local_hamiltonian, scaled_profile
 from fermicert.errors import AmbiguousKernelError, GapClosureError
-from fermicert.fock import (EVEN, MIXED, FockOperator, annihilator, chain, creator,
-                            identity, number_operator, op_norm, zero)
+from fermicert.fock import (EVEN, MIXED, FockOperator, adjoint, annihilator, chain,
+                            creator, identity, number_operator, op_norm, zero)
 from fermicert.gap import (COMMUTE_TOL, HamiltonianSequence, _check_resolution, _exceeds,
                            _kernel, _pairs, _range_bases, _sector_norm_bound, _windows,
                            frustration_free_check, hamiltonian_sequence, kernel_projection,
@@ -700,9 +700,9 @@ def test_projection_flow_transports_once_per_interval_after_the_first(L, monkeyp
     starts = []
     transport = gap._transport
 
-    def spy(projs, fine):
+    def spy(bases, fine):
         starts.append(float(fine[0]))
-        return transport(projs, fine)
+        return transport(bases, fine)
 
     monkeypatch.setattr(gap, "_transport", spy)
     rotation, _ = _flow_families(L)
@@ -713,6 +713,65 @@ def test_projection_flow_transports_once_per_interval_after_the_first(L, monkeyp
     assert starts[:5] == [0.0] * 5      # 1, 2, 4, 8 and 16 substeps
     assert starts[5:] == grid[1:-1].tolist()
     assert rep.substeps == 16
+
+
+def _split_family(L):
+    """H(s) = D + s X on the whole lattice, X even and random with norm 0.5:
+    D's two lowest even levels (0, 0.1) and lowest odd one (0.05) lie about
+    5 below the rest, so the tracked rank is 3, split (2, 1) over the parity
+    blocks, and each block's basis has zero columns."""
+    lam, h = chain(L), 2 ** (L - 1)
+    upper = 5.0 + np.linspace(0.0, 1.0, h)
+    diag = np.stack([np.concatenate(([0.0, 0.1], upper[2:])),
+                     np.concatenate(([0.05], upper[1:]))])
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(2, h, h)) + 1j * rng.normal(size=(2, h, h))
+    x = g + adjoint(g)
+    x *= 0.5 / op_norm(x)
+    return Interaction((
+        InteractionTerm(lam.sites, FockOperator.from_blocks(diag[:, :, None] * np.eye(h),
+                                                            lam, lam.sites, EVEN)),
+        InteractionTerm(lam.sites, FockOperator.from_blocks(x, lam, lam.sites, EVEN),
+                        profile=lambda s: s)))
+
+
+@pytest.mark.parametrize("kind, L, substeps", [
+    ("rotation", 4, 16), ("rotation", 6, 32), ("closing", 4, 1), ("closing", 6, 1),
+    ("split", 6, 8), ("split", 4, 8)])
+def test_transport_matches_the_dense_oracle(kind, L, substeps, monkeypatch):
+    # every transport of a flow against the full-block exponentials of its
+    # projections; the split case at L = 4 has 4w = 12 >= h = 8, a square Q
+    from flow_oracles import dense_transport
+    calls = []
+    transport = gap._transport
+    monkeypatch.setattr(gap, "_transport",
+                        lambda bases, fine: calls.append((bases, fine)) or transport(bases, fine))
+    if kind == "split":
+        # a target of 1e-7 takes 8 substeps, so each window holds four points
+        phi, grid, gamma_min, target = _split_family(L), np.linspace(0.0, 1.0, 6), 2.0, 1e-7
+    else:
+        phi = _flow_families(L)[kind == "closing"]
+        # the closing family's gap 1 - 2s stays above 0.3 up to s = 0.35; its
+        # projection does not move, so each transport is the identity
+        grid = np.linspace(0.0, 1.0 if kind == "rotation" else 0.35, 8)
+        gamma_min, target = 0.2, 3e-5
+    rep = projection_flow(lambda s: phi, chain(L), grid, gamma_min=gamma_min,
+                          defect_target=target)
+    assert rep.rank == (3 if kind == "split" else 1)
+    assert rep.substeps == substeps
+    # no eigh of the transport is larger than 4w x 4w
+    sizes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or eigh(a))
+    got = [transport(bases, fine) for bases, fine in calls]
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    bases = calls[-1][0]
+    assert max(sizes) <= 4 * bases.shape[-1]
+    for u, (bases, fine) in zip(got, calls):
+        assert op_norm(u - dense_transport(bases @ adjoint(bases), fine)) <= 1e-12
+    if kind == "split":
+        # masked zero columns in both blocks
+        assert (np.abs(bases).max(axis=(0, 2)) == 0).sum() == 3
+        assert (4 * bases.shape[-1] >= bases.shape[2]) == (L == 4)
 
 
 # -- the shipped flow_rotation flow at L = 6: 21 points, target 1e-6 ---------
@@ -761,7 +820,9 @@ def test_projection_flow_diagonalizes_each_probed_parameter_once(monkeypatch):
 
 def test_projection_flow_holds_one_interval_of_projections():
     # every spectrum of this flow kept to its end peaked at 54.1 MiB; one
-    # interval's projections and the transport's temporaries take 12.2 MiB
+    # interval's projections with a transport of dense (nsub + 1, 2, h, h)
+    # temporaries at 12.2 MiB; with the transport in the span of the tracked
+    # eigenvectors, 4.5 MiB, mostly the interval's dense projections
     rotation, _ = _flow_families(6)
     lam = chain(6)
     local_hamiltonian(rotation, lam, 0.0)    # the term cache is filled outside the peak
@@ -771,7 +832,7 @@ def test_projection_flow_holds_one_interval_of_projections():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2 ** 20
+    assert peak < 10 * 2 ** 20
 
 
 def test_projection_flow_meets_its_target_when_the_needed_count_falls():
@@ -875,7 +936,9 @@ def test_exceeds_raises_on_nan_and_a_flow_never_passes_it(small_flow_setup, monk
                                                           match="non-finite"):
             _windows(sides, [g])
     lam, _, family = small_flow_setup
-    monkeypatch.setattr(gap, "_transport", lambda projs, fine: np.full_like(projs[0], np.nan))
+    # a NaN transport of the (2, h, h) shape that the flow multiplies with
+    monkeypatch.setattr(gap, "_transport", lambda bases, fine: np.full(
+        (2, bases.shape[2], bases.shape[2]), np.nan, dtype=complex))
     with pytest.raises(np.linalg.LinAlgError):
         projection_flow(family, lam, [0.0, 0.1], gamma_min=0.5)
 
