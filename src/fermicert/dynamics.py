@@ -10,18 +10,17 @@ and the two-parameter unitary propagator solves
 
     d/dt U(t, s) = -i H(t) U(t, s),   U(s, s) = 1.
 
-When every term carries the same profile c (None counts as the constant
-1, and ``scaled_profile`` of a time-independent interaction is this case),
-H(t) = c(t) H_0 and the propagators of a whole time grid come from one
+Every term must carry the same profile c (None counts as the constant 1,
+and ``scaled_profile`` of a time-independent interaction is this case), so
+that H(t) = c(t) H_0 and the propagators of a whole time grid come from one
 diagonalization of H_0: U(t, s) = V e^{-i w F} V* on each parity sector,
-with F the integral of c (``Eigenbasis``).  A ramp takes F as the midpoint
-sum over the steps that midpoint stepping would take, so it keeps their
-integration rule; the midpoint factors commute, and their product is
-exactly this exponential.  The unitarity defect of V is measured once, and
-a polar re-orthonormalization is applied if it exceeds the tolerance.
-Only an interaction whose terms carry different profiles is propagated by
-second-order midpoint stepping, with an exact Hermitian eigendecomposition
-exponential per step and the same defect check on the accumulated product.
+with F the integral of c (``Eigenbasis``).  A ramp takes F as a midpoint
+sum: each segment between consecutive grid times is cut into
+ceil(|dt|/step) equal steps, and c is read at each step's midpoint.  The
+unitarity defect of V is measured once, and a polar re-orthonormalization
+is applied if it exceeds the tolerance.  An interaction whose terms carry
+different profiles is refused, since H(t) is then not a multiple of one
+operator.
 Only even interactions are accepted: evenness is what makes the dynamics
 preserve the parity sectors and is assumed by every bound downstream.
 
@@ -105,14 +104,15 @@ class Interaction:
 def scaled_profile(phi: Interaction, profile: Callable[[float], float],
                    interval: tuple) -> Interaction:
     """New interaction with every term's coefficient multiplied by
-    ``profile``; used e.g. for ramped couplings."""
+    ``profile``; used e.g. for ramped couplings.  Terms that shared one
+    profile share one again: a term without a profile takes ``profile``
+    itself, and each distinct old profile one product ``old(r) * profile(r)``."""
+    combined = {id(None): profile}
     new_terms = []
     for t in phi.terms:
-        if t.profile is None:
-            combined = profile
-        else:
-            combined = (lambda r, old=t.profile: old(r) * profile(r))
-        new_terms.append(InteractionTerm(t.sites, t.operator, combined, t.label))
+        if id(t.profile) not in combined:
+            combined[id(t.profile)] = lambda r, old=t.profile: old(r) * profile(r)
+        new_terms.append(InteractionTerm(t.sites, t.operator, combined[id(t.profile)], t.label))
     return Interaction(tuple(new_terms), interval)
 
 
@@ -216,11 +216,12 @@ class Eigenbasis:
     def integrals(self, s: float, times, step: float) -> list:
         """(F, step, steps taken) at each of the sorted grid ``times``.
 
-        F is t - s for a constant profile.  Otherwise it is the midpoint sum
-        of the profile over the steps that midpoint stepping would take:
-        consecutive grid times other than s, ceil(|dt|/step) steps of dt
-        each.  The midpoint factors e^{-i c dt H_0} commute, so their
-        product is e^{-i F H_0} exactly.
+        F is t - s for a constant profile.  Otherwise it is a midpoint sum
+        carried along the grid from s: the segment between consecutive grid
+        times other than s is cut into ceil(|dt|/step) equal steps of dt,
+        and each step adds dt times the profile at its midpoint.  The step
+        reported is |dt| of the last segment, and the steps taken are
+        counted from s.
         """
         out, F, prev, dt, steps = [], 0.0, s, step, 0
         for t in times:
@@ -263,12 +264,19 @@ class Eigenbasis:
                                         rotated.parity)
 
 
-def eigenbasis(phi: Interaction, lam: SiteSet) -> Eigenbasis | None:
-    """One ``sector_eigh`` of H_0 on ``lam`` when every term carries the
-    same profile object; None when the terms carry different profiles, so
-    that H(t) is not a multiple of one operator."""
-    if len({id(term_obj.profile) for term_obj in phi.terms}) > 1:
-        return None
+def eigenbasis(phi: Interaction, lam: SiteSet) -> Eigenbasis:
+    """One ``sector_eigh`` of H_0 on ``lam``, the sum of the terms at unit
+    coefficient.  Every term must carry the same profile object: otherwise
+    H(t) is not a multiple of one operator, and ValueError names one term of
+    each profile before anything is diagonalized."""
+    first = {}
+    for i, term_obj in enumerate(phi.terms):
+        first.setdefault(id(term_obj.profile), (i, term_obj))
+    if len(first) > 1:
+        named = "; ".join(f"term {i} {t.label or '(unlabelled)'} on sites {t.sites}"
+                          for i, t in first.values())
+        raise ValueError(f"terms carry {len(first)} different profiles ({named}); only an "
+                         "interaction with one profile, H(t) = c(t) H_0, is propagated")
     profile = phi.terms[0].profile if phi.terms else None
     w, v = sector_eigh(_scatter(phi, lam, lambda term_obj: 1.0))
     vectors, defect, corrections = _unitarize(v)
@@ -311,44 +319,23 @@ def propagate_grid(phi: Interaction, lam: SiteSet, s: float, times,
     """Yield the propagator U(t, s) for every time of ``times``, in sorted
     order.
 
-    When every term carries the same profile, H_0 is diagonalized once and
-    every U(t, s) is its exponential at the integrated profile
-    (``Eigenbasis``).  Otherwise U is carried from one grid time to the next
-    by second-order midpoint stepping, ceil(|dt|/step) steps per segment,
-    with per-step exponentials.  U(s, s) is the exact identity.
+    H_0 is diagonalized once and every U(t, s) is its exponential at the
+    integrated profile (``Eigenbasis``); ``step`` sets the midpoint sum of a
+    ramp.  U(s, s) is the exact identity.  Terms that carry different
+    profiles raise ValueError (``eigenbasis``).
     """
     times = checked_grid(phi, s, times, step)
 
     def unitary(blocks):
         return FockOperator.from_blocks(blocks, lam, frozenset(lam.sites), EVEN)
 
-    identity = fock.identity(lam).blocks
     basis = eigenbasis(phi, lam)
-    if basis is not None:
-        for t, (F, dt, steps) in zip(times, basis.integrals(s, times, step)):
-            if t == s:
-                yield Propagator(unitary(identity), s, t, step, 0.0, 0, 0)
-            else:
-                yield Propagator(unitary(basis.exponential(F)), s, t, dt,
-                                 basis.unitarity_defect, basis.corrections, steps)
-        return
-    blocks = identity
-    prev, dt, defect, corrections, steps = s, step, 0.0, 0, 0
-    for t in times:
+    for t, (F, dt, steps) in zip(times, basis.integrals(s, times, step)):
         if t == s:
-            yield Propagator(unitary(identity), s, t, step, 0.0, 0, 0)
-            continue
-        if t != prev:
-            n_steps = max(1, math.ceil(abs(t - prev) / step))
-            dt = (t - prev) / n_steps
-            for k in range(n_steps):
-                H = local_hamiltonian(phi, lam, prev + (k + 0.5) * dt)
-                blocks = _sector_exp(*sector_eigh(H), -1j * dt) @ blocks
-            blocks, defect, fixed = _unitarize(blocks)
-            corrections += fixed
-            steps += n_steps
-            prev = t
-        yield Propagator(unitary(blocks), s, t, abs(dt), defect, corrections, steps)
+            yield Propagator(unitary(fock.identity(lam).blocks), s, t, step, 0.0, 0, 0)
+        else:
+            yield Propagator(unitary(basis.exponential(F)), s, t, dt,
+                             basis.unitarity_defect, basis.corrections, steps)
 
 
 def propagate(phi: Interaction, lam: SiteSet, s: float, t: float,

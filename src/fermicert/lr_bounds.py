@@ -19,16 +19,16 @@ leaves a remainder below 2 ||B|| |boundary(X)| ||G|| (2I)^{N+1} / (N+1)!.
 ``certify`` measures the left-hand side on a time grid, evaluates the
 right-hand side, and fails hard if any grid point violates the
 inequality.  The bound integrals of the whole grid come from one pass over
-the interaction's decay norms.  When every term carries the same profile
-(``dynamics.Eigenbasis``: static runs and the ramps of ``scaled_profile``),
-A and B are rotated once into the eigenbasis of H_0 per parity sector,
+the interaction's decay norms.  Every term carries the same profile
+(``dynamics.Eigenbasis``: static runs and the ramps of ``scaled_profile``;
+``dynamics.eigenbasis`` refuses any other interaction), so A and B are
+rotated once into the eigenbasis of H_0 per parity sector,
 A~[c] = V[c ^ p]* A[c] V[c], and each grid point is an entrywise phase,
 tau~[c] = conj(d[c ^ p])[:, None] * A~[c] * d[c][None, :] with
 d = e^{-i w F}, followed by the bracket with B~; the norm is the same as in
-the site basis.  Other interactions conjugate A by the propagators of
-midpoint stepping.  In both cases the commutator of two self-adjoint
-observables is X - X* with X = tau(A) B: one block product, and exactly
-anti-Hermitian, so its norm takes the symmetric eigensolver.
+the site basis.  The commutator of two self-adjoint observables is X - X*
+with X = tau(A) B: one block product, and exactly anti-Hermitian, so its
+norm takes the symmetric eigensolver.
 
 Single-site terms enter the decay norm like every other term; the sharper
 interaction-picture treatment under which purely on-site terms drop out
@@ -43,7 +43,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import Interaction, checked_grid, eigenbasis, heisenberg, propagate_grid
+from .dynamics import Interaction, checked_grid, eigenbasis
 from .errors import CertificationError
 from .fock import EVEN, ODD, FockOperator, anticommutator, commutator, op_norm
 from .geometry import GFunction, interaction_norm_integrals, phi_boundary
@@ -174,14 +174,11 @@ def certify(A: FockOperator, B: FockOperator, phi: Interaction, G: GFunction,
 
     if mode == COMMUTATOR and A.is_hermitian() and B.is_hermitian():
         bracket = _hermitian_commutator
+    # in the eigenbasis; U(s, s) is the identity, so t = s keeps A and B
     basis = eigenbasis(phi, lam)
-    if basis is None:
-        pairs = ((heisenberg(A, U), B) for U in propagate_grid(phi, lam, s, times, step=step))
-    else:
-        # in the eigenbasis; U(s, s) is the identity, so t = s keeps A and B
-        a, b = basis.rotate(A), basis.rotate(B)
-        pairs = ((A, B) if t == s else (basis.evolve(a, F), b)
-                 for t, (F, _, _) in zip(times, basis.integrals(s, times, step)))
+    a, b = basis.rotate(A), basis.rotate(B)
+    pairs = ((A, B) if t == s else (basis.evolve(a, F), b)
+             for t, (F, _, _) in zip(times, basis.integrals(s, times, step)))
     measured = np.array([op_norm(bracket(tau, b)) for tau, b in pairs])
 
     floor = CERT_ATOL_SCALE * max(1.0, norm_a * norm_b)

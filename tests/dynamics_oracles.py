@@ -4,8 +4,8 @@ They use only ``local_hamiltonian(...).matrix`` and one dense ``eigh`` per
 exponential: a time-independent interaction is exponentiated once per
 segment, any other one takes midpoint steps of the full matrix, whatever
 profiles its terms carry.  ``two_profile_kitaev`` is an interaction
-whose terms carry two different profiles, the case that only midpoint
-stepping handles.
+whose terms carry two different profiles, the case that
+``dynamics.eigenbasis`` refuses.
 """
 
 import math

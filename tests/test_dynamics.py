@@ -1,5 +1,6 @@
 """Local Hamiltonians, unitary propagators, Heisenberg dynamics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -86,34 +87,31 @@ def test_propagate_step_halving_second_order():
     assert min(orders) >= 1.9
 
 
-def test_two_profile_midpoint_stepping_is_second_order():
-    lam = chain(4)
-    phi = two_profile_kitaev(4)
-    assert eigenbasis(phi, lam) is None
-    H0, H1 = (local_hamiltonian(phi, lam, t) for t in (0.0, 1.0))
-    assert op_norm(commutator(H0, H1)) > 0.1
-    steps = [0.2, 0.1, 0.05, 0.025]
-    mats = [propagate(phi, lam, 0.0, 1.0, step=h).operator.matrix for h in steps]
-    errs = [np.abs(m - mats[-1]).max() for m in mats[:-1]]
-    orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    assert min(orders) >= 1.9
+def _midpoint_partition(s, times, step):
+    """(t, step, steps taken) at each sorted grid time: from s, each segment
+    between consecutive grid times other than s takes ceil(|dt|/step) equal
+    steps; t = s takes none."""
+    out, prev, h, steps = [], s, step, 0
+    for t in sorted(times):
+        if t == s:
+            out.append((t, step, 0))
+            continue
+        if t != prev:
+            n = math.ceil(abs(t - prev) / step)
+            h, steps, prev = abs(t - prev) / n, steps + n, t
+        out.append((t, h, steps))
+    return out
 
 
 def test_single_profile_grid_keeps_the_midpoint_step_metadata():
-    # a shared profile takes one eigendecomposition; a split one steps, with
-    # the same partition of the grid, so step and steps_taken agree
     lam = chain(4)
     hop = models.hopping_chain(4, mu=0.3)
     shared = scaled_profile(hop, lambda r: 1.0 + 0.5 * r, (0.0, 2.0))
-    split = Interaction(shared.terms[:3] + scaled_profile(
-        Interaction(hop.terms[3:]), lambda r: 1.0 + 0.5 * r, (0.0, 2.0)).terms, (0.0, 2.0))
     assert eigenbasis(shared, lam).profile is shared.terms[0].profile
-    assert eigenbasis(split, lam) is None
     times = [0.2, 0.5, 0.5, 0.93, 1.6]
     for s in (0.0, 0.5):
         got = [(U.t, U.step, U.steps_taken) for U in propagate_grid(shared, lam, s, times, 0.07)]
-        want = [(U.t, U.step, U.steps_taken) for U in propagate_grid(split, lam, s, times, 0.07)]
-        assert got == want
+        assert got == _midpoint_partition(s, times, 0.07)
     static = eigenbasis(hop, lam)
     assert static.profile is None and static.corrections == 0
     assert static.unitarity_defect <= UNITARITY_TOL
@@ -134,8 +132,36 @@ def test_one_sector_eigh_per_grid_for_a_shared_profile(monkeypatch):
         list(propagate_grid(phi, lam, 0.0, np.linspace(0.0, 1.0, 11), step=0.01))
         assert len(calls) == 1
     calls.clear()
-    list(propagate_grid(two_profile_kitaev(5), lam, 0.0, [0.5, 1.0], step=0.1))
-    assert len(calls) == 10
+    with pytest.raises(ValueError, match="different profiles"):
+        list(propagate_grid(two_profile_kitaev(5), lam, 0.0, [0.5, 1.0], step=0.1))
+    assert len(calls) == 0
+
+
+def test_terms_with_different_profiles_are_refused_by_name():
+    lam = chain(4)
+    phi = two_profile_kitaev(4)
+    # the first term of each profile: the ramped hopping, then the pairing
+    named = r"term 0 bond\[0,1\] on sites \(0, 1\); term 3 bond\[0,1\] on sites \(0, 1\)"
+    assert phi.terms[0].profile is not None and phi.terms[3].profile is None
+    for refused in (lambda: eigenbasis(phi, lam),
+                    lambda: list(propagate_grid(phi, lam, 0.0, [0.5, 1.0])),
+                    lambda: propagate(phi, lam, 0.0, 1.0)):
+        with pytest.raises(ValueError, match=named):
+            refused()
+
+
+def test_scaled_profile_keeps_one_profile_per_input_profile():
+    hop = models.hopping_chain(4, mu=0.3)
+    f, g = (lambda r: 0.7 + 0.5 * r), (lambda r: 1.2 - 0.4 * r)
+    once = scaled_profile(hop, f, (0.0, 1.0))
+    assert all(term.profile is f for term in once.terms)     # no profile: f itself
+    twice = scaled_profile(once, g, (0.0, 1.0))
+    assert len({id(term.profile) for term in twice.terms}) == 1
+    assert all(twice.terms[0].coefficient(r) == f(r) * g(r) for r in (0.0, 0.3, 1.0))
+    # two input profiles stay two, each scaled by the same arithmetic
+    mixed = scaled_profile(Interaction(once.terms[:2] + hop.terms[2:]), g, (0.0, 1.0))
+    assert [term.profile for term in mixed.terms[2:]] == [g] * (len(hop.terms) - 2)
+    assert mixed.terms[0].profile is mixed.terms[1].profile is not g
 
 
 def test_propagate_rejects_odd_interactions(rng):
@@ -351,12 +377,16 @@ def test_local_hamiltonian_on_no_sites():
     assert np.array_equal(FockOperator(np.eye(1), lam).matrix, [[1.0]])
 
 
-@pytest.mark.parametrize("name", ["static", "ramped", "random_even", "two_profiles"])
+@pytest.mark.parametrize("name", ["static", "ramped", "random_even", "rescaled"])
 def test_propagate_grid_matches_stitched_full_matrix_oracle(name):
     L = 6
     lam = chain(L)
-    if name == "two_profiles":
-        phi = two_profile_kitaev(L)
+    if name == "rescaled":
+        # a ramp of a ramp: H(t) = f(t) g(t) H_0, one profile on every term
+        phi = scaled_profile(scaled_profile(models.hopping_chain(L, mu=0.3),
+                                            lambda r: 0.7 + 0.5 * r, (0.0, 1.0)),
+                             lambda r: 1.2 - 0.4 * np.sin(2.0 * r), (0.0, 1.0))
+        assert eigenbasis(phi, lam).profile is phi.terms[0].profile
     elif name == "static":
         phi = models.hopping_chain(L, mu=0.3)
     elif name == "ramped":

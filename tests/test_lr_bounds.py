@@ -224,7 +224,8 @@ def _chains(L):
         "static_kitaev": models.kitaev_chain(L, hopping=1.0, pairing=0.6, mu=0.3),
         "linear": scaled_profile(hop, lambda r: 0.6 + 0.8 * r, (0.0, 1.0)),
         "sine": scaled_profile(hop, lambda r: 1.0 + 0.5 * np.sin(3.0 * r), (0.0, 1.0)),
-        "two_profiles": two_profile_kitaev(L),
+        "rescaled": scaled_profile(scaled_profile(hop, lambda r: 0.6 + 0.8 * r, (0.0, 1.0)),
+                                   lambda r: 1.2 - 0.4 * np.sin(2.0 * r), (0.0, 1.0)),
     }
 
 
@@ -329,3 +330,9 @@ def test_one_sector_eigh_per_certify(chain_setup, monkeypatch):
         calls.clear()
         certify(A, B, interaction, G, 0.0, np.linspace(0.0, 2.0, 41))
         assert len(calls) == 1
+    # terms with two profiles are refused by name, before any eigh
+    calls.clear()
+    named = r"term 0 bond\[0,1\] on sites \(0, 1\); term 7 bond\[0,1\] on sites \(0, 1\)"
+    with pytest.raises(ValueError, match=named):
+        certify(A, B, two_profile_kitaev(8), G, 0.0, [0.5, 1.0])
+    assert len(calls) == 0
